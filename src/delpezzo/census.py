@@ -382,9 +382,7 @@ def stabilizer_table(degree: int) -> dict[str, tuple[weyl.WeylElement, ...] | No
         if not s.simple_roots:
             out[s.name] = None
             continue
-        span = np.array(list(s.simple_roots) + [lat.canonical], dtype=np.int64)
-        full_rank = np.linalg.matrix_rank(span.astype(float)) == lat.rank
-        if degree <= 2 and full_rank:
+        if degree <= 2 and weyl.spans_lattice_with_k(lat, s.simple_roots):
             out[s.name] = weyl.stabilizer_elements_of_root_set(
                 degree, s.simple_roots
             )
@@ -402,7 +400,7 @@ def stabilizer_table(degree: int) -> dict[str, tuple[weyl.WeylElement, ...] | No
 def _stabilizer_order(degree: int, name: str) -> int:
     elements = stabilizer_table(degree)[name]
     if elements is None:
-        return weyl.group_order(degree)
+        return EXPECTED_WEYL_ORDERS[degree]
     return len(elements)
 
 
@@ -459,7 +457,7 @@ def _census_sweep(
     """Stream the orbit of A0 and collect counterexample systems.
 
     Returns (orbit_total, store) where store maps (surface name, mode) to
-    the list of counterexample system arrays in deterministic BFS order.
+    the list of counterexample system arrays in deterministic orbit order.
     """
     lat = A0.lattice
     plan = _window_plan(A0.squares())
@@ -598,7 +596,6 @@ def census_for_preset(
     *,
     test_mode: bool = False,
     finalize: bool = True,
-    chunks: int = 1,
     memory_budget: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
@@ -632,7 +629,6 @@ def census_for_preset(
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
     orbit_kwargs = dict(
-        chunks=chunks,
         memory_budget=memory_budget,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
@@ -705,9 +701,9 @@ def search_counterexamples(S: SurfaceModel, a, A0: ToricSystem, mode: str) -> Ce
 # -- Tables 7 and 8 -----------------------------------------------------
 
 
-def run_type_iib_census(test_mode: bool = False, chunks: int = 1) -> CensusRun:
+def run_type_iib_census(test_mode: bool = False) -> CensusRun:
     """The degree-2 type-IIb census over all catalog surfaces, both modes."""
-    return census_for_preset("IIb-deg2", test_mode=test_mode, chunks=chunks)
+    return census_for_preset("IIb-deg2", test_mode=test_mode)
 
 
 def _census_table_report(
@@ -765,14 +761,14 @@ def verify_table8(run: CensusRun | None = None, test_mode: bool = False) -> Repo
     )
 
 
-def verify_degree2_type3to6(test_mode: bool = False, chunks: int = 1) -> Report:
+def verify_degree2_type3to6(test_mode: bool = False) -> Report:
     """Censuses for the seven degree-2 type III-VI sequences: no output."""
     report = Report("degree-2 type III-VI censuses")
     for name in A11_PRESET_NAMES:
         preset = SEQUENCE_PRESETS[name]
         kind = classify_sequence(preset.squares)
         report.check(f"{name} kind", "second", kind.kind)
-        run = census_for_preset(name, test_mode=test_mode, chunks=chunks)
+        run = census_for_preset(name, test_mode=test_mode)
         strong_total = sum(
             c for (sn, m), c in run.raw_counts.items() if m == "strong"
         )

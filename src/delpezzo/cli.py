@@ -4,9 +4,8 @@ the reproduction suites.
 Exit codes: 0 success/pass, 1 verification mismatch, 2 input error,
 3 resource or internal error.  Every output carries a header with the
 package version and a hash of the invocation config, and all results are
-deterministic; ``--workers`` only changes internal chunking, never any
-emitted number.  The environment variable DELPEZZO_ORBIT_MEMORY_BYTES
-bounds the memory of the orbit visited set.
+deterministic.  The environment variable DELPEZZO_ORBIT_MEMORY_BYTES
+bounds the memory of one orbit layer and the next.
 """
 
 from __future__ import annotations
@@ -25,20 +24,6 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-SUITES = (
-    "table1",
-    "table3",
-    "table5-IXA",
-    "table7",
-    "table8",
-    "section13",
-    "good-classes",
-    "table9",
-    "degree5-negative",
-    "weyl-orders",
-)
-
 
 def _config_hash(args: argparse.Namespace) -> str:
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -137,9 +122,7 @@ def cmd_census(args) -> int:
             else initial.lattice.degree
         )
         surfaces = (surface.catalog_load(degree).get(args.surface),)
-    run = census.census_for_preset(
-        initial, surfaces=surfaces, modes=modes, chunks=args.workers
-    )
+    run = census.census_for_preset(initial, surfaces=surfaces, modes=modes)
     header = _header(args)
     rows = [
         (r.surface, r.mode, r.total_count, r.stabilizer_order,
@@ -167,37 +150,31 @@ def cmd_census(args) -> int:
     return EXIT_PASS
 
 
-def _run_suite(name: str, workers: int) -> Report:
-    if name == "table1":
-        return census.verify_table1()
-    if name == "table3":
-        return census.verify_table3()
-    if name == "table5-IXA":
-        return census.verify_ixa_counts()
-    if name in ("table7", "table8"):
-        run = census.run_type_iib_census(chunks=workers)
-        return (
-            census.verify_table7(run) if name == "table7"
-            else census.verify_table8(run)
-        )
-    if name == "section13":
-        return census.verify_section13()
-    if name == "good-classes":
-        report = census.verify_good_class_tables()
-        for degree in (5, 4, 3):
-            report.extend(census.verify_good_class_propositions(degree))
-        return report
-    if name == "table9":
-        return census.verify_cyclic_strong_classification()
-    if name == "degree5-negative":
-        return census.verify_degree5_negative()
-    if name == "weyl-orders":
-        return census.verify_weyl_orders()
-    raise InputError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+def _good_classes() -> Report:
+    report = census.verify_good_class_tables()
+    for degree in (5, 4, 3):
+        report.extend(census.verify_good_class_propositions(degree))
+    return report
+
+
+#: The `reproduce` suites: name -> the function producing its report.
+SUITE_RUNNERS = {
+    "table1": census.verify_table1,
+    "table3": census.verify_table3,
+    "table5-IXA": census.verify_ixa_counts,
+    "table7": census.verify_table7,
+    "table8": census.verify_table8,
+    "section13": census.verify_section13,
+    "good-classes": _good_classes,
+    "table9": census.verify_cyclic_strong_classification,
+    "degree5-negative": census.verify_degree5_negative,
+    "weyl-orders": census.verify_weyl_orders,
+}
+SUITES = tuple(SUITE_RUNNERS)
 
 
 def cmd_reproduce(args) -> int:
-    report = _run_suite(args.suite, args.workers)
+    report = SUITE_RUNNERS[args.suite]()
     text = _header(args) + "\n" + report.render()
     print(text)
     if args.out:
@@ -231,13 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", help="restrict to one surface type label")
     p.add_argument("--mode", choices=("strong", "exceptional", "both"),
                    default="both")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="CSV output path (plus .reps.json sidecar)")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("reproduce", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the report to a file as well")
     p.set_defaults(func=cmd_reproduce)
     return parser

@@ -17,13 +17,11 @@ Three deciders plus a search oracle:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputError, InternalError
-from .picard import Divisor, PicardLattice, vadd, vneg, vscale, vsub, vsum
+from .picard import Divisor, PicardLattice, vneg, vscale, vsub, vsum
 from .surface import SurfaceModel
 
 
@@ -246,13 +244,6 @@ def _cone_member(generators, d) -> bool:
         cost = [v - f * w for v, w in zip(cost, tab[leave])]
         basis[leave] = enter
     return -cost[total] == 0
-
-
-def is_conditionally_effective(s_or_degree, d: Divisor) -> bool:
-    """Effective on some model of the degree but not absolutely effective.
-
-    Used to assert the precondition of the fast anti-class test."""
-    return not is_absolutely_effective(s_or_degree, d)
 
 
 # -- brute-force oracle -------------------------------------------------

@@ -7,8 +7,9 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, InternalError
@@ -205,18 +206,12 @@ def _sum_square_solutions(m: int, total: int, total_sq: int):
     # Cauchy-Schwarz: with m entries, sum^2 <= m * sum_of_squares.
     if total * total > m * total_sq:
         return
-    lo, hi = -_isqrt(total_sq), _isqrt(total_sq)
+    lo, hi = -math.isqrt(total_sq), math.isqrt(total_sq)
     for a in range(lo, hi + 1):
         yield from (
             (a,) + rest
             for rest in _sum_square_solutions(m - 1, total - a, total_sq - a * a)
         )
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def reflect(lattice: PicardLattice, d: Divisor, root: Divisor) -> Divisor:

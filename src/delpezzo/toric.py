@@ -10,7 +10,6 @@ window notation A_{k..l}.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +21,6 @@ from .picard import (
     reflect,
     vadd,
     vneg,
-    vscale,
     vsub,
     vsum,
 )

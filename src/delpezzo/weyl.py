@@ -1,12 +1,16 @@
 """Weyl groups of Picard lattices: enumeration, orbits, stabilizers.
 
 The group W is generated by reflections in the simple roots
-E_i - E_{i+1} and L - E1 - E2 - E3.  Enumeration is a breadth-first
-search whose visited-set keys are the orbit of a single regular marker
-vector (a vector pairing strictly positively with every positive root):
-since no reflection fixes it, markers are in bijection with group
-elements, and a toric system carried in lockstep with the marker visits
-every point of its orbit exactly once.
+E_i - E_{i+1} and L - E1 - E2 - E3.  Orbits are enumerated by reverse
+search (Avis & Fukuda 1996) over the Coxeter-length tree of W (Bjorner &
+Brenti, GTM 231).  A regular dominant marker rho pairs positively with
+every simple root, so w -> w.rho is a bijection and the pairings of w.rho
+with the simple roots give the left descents of w.  Each non-identity
+element has exactly one parent, s_j w with j its smallest descent, so the
+orbit is a tree walked layer by layer with no membership test: a payload
+(a toric system, the identity matrix) carried in lockstep with the marker
+reaches every point of its orbit exactly once.  The layer sizes are checked
+against the Poincare polynomial of W.
 
 All array arithmetic is int64 numpy; packing into uint64 keys asserts
 its range bounds, so overflow is impossible rather than unlikely.
@@ -16,18 +20,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
-from .picard import Divisor, PicardLattice, vneg
+from .picard import Divisor, PicardLattice
 from .toric import ToricSystem
 
-#: Environment variable capping the memory (bytes) used by an orbit's
-#: visited set and frontier together.
+#: Environment variable capping the memory (bytes) used by one orbit layer
+#: and the next together.
 MEMORY_BUDGET_ENV = "DELPEZZO_ORBIT_MEMORY_BYTES"
 
 
@@ -112,21 +115,39 @@ def pack_rows(arr: np.ndarray) -> np.ndarray:
     return key
 
 
-def _isin_sorted(keys: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Membership of keys in a sorted uint64 array."""
-    if sorted_set.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.searchsorted(sorted_set, keys)
-    pos = np.minimum(pos, sorted_set.size - 1)
-    return sorted_set[pos] == keys
+# -- orbit reverse search ----------------------------------------------
+
+#: Degrees of the basic invariants of W, by del Pezzo degree: A1, A1+A2,
+#: A4, D5, E6, E7, E8 for degrees 7..1.
+INVARIANT_DEGREES = {
+    7: (2,),
+    6: (2, 2, 3),
+    5: (2, 3, 4, 5),
+    4: (2, 4, 5, 6, 8),
+    3: (2, 5, 6, 8, 9, 12),
+    2: (2, 6, 8, 10, 12, 14, 18),
+    1: (2, 8, 12, 14, 18, 20, 24, 30),
+}
 
 
-# -- orbit BFS ----------------------------------------------------------
+@lru_cache(maxsize=None)
+def poincare_coefficients(degree: int) -> tuple[int, ...]:
+    """Elements of W per Coxeter length: the coefficients of the Poincare
+    polynomial prod (1 + q + ... + q^(d-1)) over the invariant degrees d."""
+    coeffs = [1]
+    for d in INVARIANT_DEGREES[degree]:
+        out = [0] * (len(coeffs) + d - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(d):
+                out[i + j] += c
+        coeffs = out
+    return tuple(coeffs)
 
 
 @dataclass
 class OrbitLayer:
-    """One BFS layer: markers and the payload carried in lockstep."""
+    """The images under the elements of Coxeter length `index`: markers
+    and the payload carried in lockstep."""
 
     index: int
     markers: np.ndarray  # [N, rank] int64
@@ -142,154 +163,143 @@ def orbit_layers(
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     max_layers: int | None = None,
-    chunks: int = 1,
 ):
-    """Yield the W-orbit of (marker, payload) as BFS layers.
+    """Yield the W-orbit of (marker, payload) layer by layer.
 
     The payload (any stack of lattice vectors, e.g. the terms of a toric
     system or the rows of an identity matrix) is transformed by the same
-    reflections as the marker.  Deterministic: layers are sorted by
-    packed marker key.  `chunks` splits frontier matrix products into
-    pieces; it never changes the emitted layers.
+    reflections as the marker.  Layer k holds the images under the
+    elements of Coxeter length k, each exactly once, in a deterministic
+    order.  Every layer's size is checked against the Poincare
+    polynomial of W.
 
-    With `checkpoint_dir`, the visited set and frontier are written after
-    every layer and `resume=True` continues from the latest checkpoint.
+    With `checkpoint_dir`, the current layer is written after every layer
+    and `resume=True` continues from it; the checkpoint must belong to the
+    same lattice and initial payload.
     """
     if memory_budget is None:
         memory_budget = _memory_budget()
     roots = simple_reflection_roots(lattice)
     if not roots:
         raise InputError("trivial Weyl group: no simple roots on this lattice")
-    gens = np.stack([reflection_matrix(lattice, r) for r in roots])
-    gens_t = np.ascontiguousarray(gens.transpose(0, 2, 1))
+    gram = np.array(lattice.gram, dtype=np.int64)
+    root_arr = np.array(roots, dtype=np.int64)
+    pairing = gram @ root_arr.T  # markers @ pairing: products with simple roots
+    cartan = root_arr @ pairing
+    # Row vectors transform as v -> v @ gens_t[i].
+    gens_t = np.stack([reflection_matrix(lattice, r).T for r in roots])
+    sizes = poincare_coefficients(lattice.degree)
     marker0 = np.array(regular_marker(lattice), dtype=np.int64)
+    if payload0 is not None:
+        payload0 = np.asarray(payload0, dtype=np.int64)
 
-    start_layer = 0
-    total = 0
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
     if resume:
         if checkpoint_dir is None:
             raise InputError("resume requires a checkpoint directory")
-        state = _load_checkpoint(checkpoint_dir)
-        if state is None:
-            raise InputError(f"no checkpoint found in {checkpoint_dir}")
-        start_layer, total, visited, markers, payload = state
-        if payload0 is None:
-            payload = None
+        layer = _load_checkpoint(checkpoint_dir, marker0, payload0)
     else:
-        markers = marker0[None, :]
-        payload = (
-            None
-            if payload0 is None
-            else np.asarray(payload0, dtype=np.int64)[None, :, :]
+        layer = OrbitLayer(
+            0, marker0[None, :], None if payload0 is None else payload0[None], 1
         )
-        visited = np.sort(pack_rows(markers))
-        total = 1
-        yield OrbitLayer(0, markers, payload, total)
-        start_layer = 1
+        yield layer
         if checkpoint_dir is not None:
-            _save_checkpoint(checkpoint_dir, 0, total, visited, markers, payload)
+            _save_checkpoint(checkpoint_dir, marker0, payload0, layer)
 
-    layer_index = start_layer
-    while markers.shape[0] > 0:
-        if max_layers is not None and layer_index > max_layers:
+    while True:
+        index = layer.index + 1
+        if max_layers is not None and index > max_layers:
             return
+        expected = sizes[index] if index < len(sizes) else 0
+        markers, payload = layer.markers, layer.payload
         n = markers.shape[0]
         if memory_budget is not None:
-            # candidates (markers + payload) for all generators, plus keys
+            # this layer and the next (markers + payload), plus the pairings
             per = markers.itemsize * markers.shape[1]
             if payload is not None:
                 per += payload.itemsize * payload.shape[1] * payload.shape[2]
-            needed = visited.nbytes + len(gens) * n * (per + 8) * 2
+            needed = (n + expected) * per + n * len(roots) * 8
             if needed > memory_budget:
                 raise ResourceError(
-                    f"orbit frontier needs ~{needed} bytes, over the budget "
+                    f"orbit layer {index} needs ~{needed} bytes, over the budget "
                     f"{memory_budget}; shard the traversal or raise "
                     f"{MEMORY_BUDGET_ENV}"
                 )
-        cand_markers = []
-        cand_payload = []
-        for lo in range(0, n, max(1, -(-n // max(1, chunks)))):
-            hi = min(n, lo + max(1, -(-n // max(1, chunks))))
-            part_m = markers[lo:hi]
-            cand_markers.append(
-                np.einsum("nr,gsr->gns", part_m, gens).reshape(-1, part_m.shape[1])
-            )
+        # m = w.rho has children s_i.m for the i that lengthen w (m.a_i > 0)
+        # and are the smallest descent of s_i.w: for j < i, s_i.m pairs
+        # positively with a_j.  So every element has exactly one parent.
+        pair = markers @ pairing
+        child_markers, child_payload = [], []
+        for i in range(len(roots)):
+            mask = pair[:, i] > 0
+            for j in range(i):
+                mask &= pair[:, j] + pair[:, i] * cartan[i, j] > 0
+            child_markers.append(markers[mask] @ gens_t[i])
             if payload is not None:
-                part_p = payload[lo:hi]
-                cand_payload.append(
-                    (part_p[None, :, :, :] @ gens_t[:, None, :, :]).reshape(
-                        -1, part_p.shape[1], part_p.shape[2]
-                    )
-                )
-        cm = np.concatenate(cand_markers)
-        cp = np.concatenate(cand_payload) if payload is not None else None
-        keys = pack_rows(cm)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        cm = cm[order]
-        if cp is not None:
-            cp = cp[order]
-        first = np.ones(keys.shape[0], dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        if cp is not None and not first.all():
-            # Freeness audit: a repeated marker must carry the same payload.
-            # Duplicates are adjacent after the sort, so adjacent
-            # comparison within runs covers every duplicate.
-            dup = np.nonzero(~first)[0]
-            if np.any(cp[dup] != cp[dup - 1]):
-                raise InternalError(
-                    "duplicate marker carries a different payload: "
-                    "the action is not free (internal invariant violated)"
-                )
-        keys = keys[first]
-        cm = cm[first]
-        if cp is not None:
-            cp = cp[first]
-        fresh = ~_isin_sorted(keys, visited)
-        markers = cm[fresh]
-        payload = cp[fresh] if cp is not None else None
-        if markers.shape[0] == 0:
-            return
-        visited = np.concatenate([visited, keys[fresh]])
-        visited.sort()
-        total += markers.shape[0]
-        yield OrbitLayer(layer_index, markers, payload, total)
-        if checkpoint_dir is not None:
-            _save_checkpoint(
-                checkpoint_dir, layer_index, total, visited, markers, payload
+                child_payload.append(payload[mask] @ gens_t[i])
+        markers = np.concatenate(child_markers)
+        count = markers.shape[0]
+        if count != expected:
+            raise InternalError(
+                f"orbit layer {index} has {count} elements, but the Poincare "
+                f"polynomial of W gives {expected} (internal invariant violated)"
             )
-        layer_index += 1
+        if count == 0:
+            return
+        layer = OrbitLayer(
+            index,
+            markers,
+            None if payload is None else np.concatenate(child_payload),
+            layer.total_so_far + count,
+        )
+        yield layer
+        if checkpoint_dir is not None:
+            _save_checkpoint(checkpoint_dir, marker0, payload0, layer)
 
 
-def _save_checkpoint(directory: Path, layer, total, visited, markers, payload):
+def _save_checkpoint(directory: Path, marker0, payload0, layer: OrbitLayer):
     tmp = directory / "state.npz.tmp"
     data = {
-        "layer": np.int64(layer),
-        "total": np.int64(total),
-        "visited": visited,
-        "markers": markers,
+        "rank": np.int64(marker0.size),
+        "marker0": marker0,
+        "layer": np.int64(layer.index),
+        "total": np.int64(layer.total_so_far),
+        "markers": layer.markers,
     }
-    if payload is not None:
-        data["payload"] = payload
+    if payload0 is not None:
+        data["payload0"] = payload0
+        data["payload"] = layer.payload
     with open(tmp, "wb") as fh:
         np.savez_compressed(fh, **data)
     os.replace(tmp, directory / "state.npz")
 
 
-def _load_checkpoint(directory: Path):
-    path = Path(directory) / "state.npz"
+def _load_checkpoint(directory: Path, marker0, payload0) -> OrbitLayer:
+    """The checkpointed layer, if it belongs to the orbit of (marker0, payload0)."""
+    path = directory / "state.npz"
     if not path.exists():
-        return None
+        raise InputError(f"no checkpoint found in {directory}")
     with np.load(path) as data:
-        layer = int(data["layer"])
-        total = int(data["total"])
-        visited = data["visited"]
-        markers = data["markers"]
-        payload = data["payload"] if "payload" in data.files else None
-    return layer + 1, total, visited, markers, payload
+        saved = {key: data[key] for key in data.files}
+    rank = int(saved.get("rank", -1))
+    if rank != marker0.size:
+        raise InputError(
+            f"checkpoint in {directory} is for rank {rank}, not {marker0.size}"
+        )
+    # array_equal also tells None (no payload) from an array.
+    if not (
+        np.array_equal(saved["marker0"], marker0)
+        and np.array_equal(saved.get("payload0"), payload0)
+    ):
+        raise InputError(
+            f"checkpoint in {directory} belongs to a different orbit "
+            "(initial marker or payload differ)"
+        )
+    return OrbitLayer(
+        int(saved["layer"]), saved["markers"], saved.get("payload"), int(saved["total"])
+    )
 
 
 # -- group enumeration --------------------------------------------------
@@ -334,7 +344,7 @@ def identity_element(lattice: PicardLattice) -> WeylElement:
 def enumerate_group(degree: int, *, verify_every: int = 10_000, verify_all: bool = False):
     """Stream every element of W exactly once (deterministic order).
 
-    Carries the identity's rows through the orbit BFS, so each payload is
+    Carries the identity's rows through the orbit, so each payload is
     the stack of basis-vector images.  Gram/K preservation is asserted on
     a sample (or everywhere with verify_all).
     """
@@ -358,7 +368,7 @@ def _lattice_for_degree(degree: int) -> PicardLattice:
 
 @lru_cache(maxsize=None)
 def group_order(degree: int) -> int:
-    """|W| by marker-only BFS."""
+    """|W| by a marker-only orbit enumeration."""
     lattice = _lattice_for_degree(degree)
     if not simple_reflection_roots(lattice):
         return 1
@@ -368,22 +378,12 @@ def group_order(degree: int) -> int:
     return total
 
 
-def orbit_of_toric_system(A0: ToricSystem, *, check_freeness: bool = False):
-    """Stream the |W| distinct images of A0, each exactly once.
-
-    With check_freeness, every emitted system is additionally recorded
-    (as packed bytes) and a repeat raises an internal error.
-    """
+def orbit_of_toric_system(A0: ToricSystem):
+    """Stream the |W| distinct images of A0, each exactly once."""
     lattice = A0.lattice
     payload0 = np.array(A0.terms, dtype=np.int64)
-    seen: set[bytes] = set()
     for layer in orbit_layers(lattice, payload0):
         for row in layer.payload:
-            if check_freeness:
-                key = row.tobytes()
-                if key in seen:
-                    raise InternalError("orbit revisited a toric system (not free)")
-                seen.add(key)
             yield ToricSystem(lattice, tuple(tuple(int(x) for x in t) for t in row))
 
 
@@ -395,6 +395,29 @@ def orbit_system_arrays(A0: ToricSystem, **kwargs):
 
 
 # -- stabilizers of root sets -------------------------------------------
+
+
+def integer_rank(rows) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [[int(x) for x in row] for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            # Every entry stays a minor of the input, so the division is exact.
+            m[r] = [(p * x - m[r][col] * y) // prev for x, y in zip(m[r], m[rank])]
+        prev = p
+        rank += 1
+    return rank
+
+
+def spans_lattice_with_k(lattice: PicardLattice, roots) -> bool:
+    """Whether the roots together with K span the lattice over Q."""
+    return integer_rank(list(roots) + [lattice.canonical]) == lattice.rank
 
 
 def stabilizer_elements_of_root_set(
@@ -423,8 +446,7 @@ def stabilizer_elements_of_root_set(
                 "explicitly only for small degrees"
             )
         return tuple(enumerate_group(degree))
-    span = np.array(list(roots) + [lattice.canonical], dtype=np.int64)
-    full_rank = np.linalg.matrix_rank(span.astype(float)) == lattice.rank
+    full_rank = spans_lattice_with_k(lattice, roots)
     if degree <= 2 and full_rank:
         return _stabilizer_by_permutations(lattice, roots)
     if degree <= 2:

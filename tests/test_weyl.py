@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from delpezzo import census, weyl
 from delpezzo.errors import InputError, ResourceError
-from delpezzo.picard import PicardLattice, parse_divisor_list
+from delpezzo.picard import PicardLattice, parse_divisor_list, reflect
 from delpezzo.surface import catalog_load, find_configuration
 from delpezzo.toric import ToricSystem
 
@@ -37,7 +38,7 @@ def test_element_apply_matches_matrix():
 def test_orbit_freeness_degree5():
     lat = PicardLattice.standard(5)
     A0 = ToricSystem(lat, parse_divisor_list(lat, census.TABLE9_SYSTEM_TEXTS[5]))
-    systems = list(weyl.orbit_of_toric_system(A0, check_freeness=True))
+    systems = list(weyl.orbit_of_toric_system(A0))
     assert len(systems) == 120
     assert len(set(systems)) == 120
 
@@ -55,19 +56,25 @@ def test_pack_rows_bounds():
         weyl.pack_rows(np.array([[0, 999]], dtype=np.int64))
 
 
-def test_orbit_layers_deterministic_across_chunks():
-    lat = PicardLattice.standard(4)
-    eye = np.eye(lat.rank, dtype=np.int64)
-    runs = []
-    for chunks in (1, 3):
-        layers = [
-            layer.markers.copy()
-            for layer in weyl.orbit_layers(lat, eye, chunks=chunks)
-        ]
-        runs.append(layers)
-    assert len(runs[0]) == len(runs[1])
-    for a, b in zip(*runs):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("degree", [7, 6, 5, 4])
+def test_orbit_layers_match_poincare_and_closure(degree):
+    lat = PicardLattice.standard(degree)
+    layers = list(weyl.orbit_layers(lat))
+    sizes = [layer.markers.shape[0] for layer in layers]
+    assert sizes == list(weyl.poincare_coefficients(degree))
+    order = census.EXPECTED_WEYL_ORDERS[degree]
+    assert math.prod(weyl.INVARIANT_DEGREES[degree]) == order
+    # Naive closure of the marker under the simple reflections.
+    roots = weyl.simple_reflection_roots(lat)
+    closure = {weyl.regular_marker(lat)}
+    frontier = list(closure)
+    while frontier:
+        images = {reflect(lat, m, r) for m in frontier for r in roots} - closure
+        closure |= images
+        frontier = list(images)
+    emitted = [tuple(int(x) for x in row) for layer in layers for row in layer.markers]
+    assert len(emitted) == len(set(emitted))
+    assert set(emitted) == closure
 
 
 def test_orbit_memory_budget():
@@ -95,6 +102,27 @@ def test_checkpoint_resume(tmp_path):
     assert resumed[-1].total_so_far == full[-1].total_so_far == 1920
 
 
+def test_resume_rejects_other_payload(tmp_path):
+    lat = PicardLattice.standard(4)
+    eye = np.eye(lat.rank, dtype=np.int64)
+    list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, max_layers=2))
+    with pytest.raises(InputError):
+        list(weyl.orbit_layers(lat, 2 * eye, checkpoint_dir=tmp_path, resume=True))
+    with pytest.raises(InputError):
+        list(weyl.orbit_layers(lat, checkpoint_dir=tmp_path, resume=True))
+
+
+def test_resume_rejects_other_degree(tmp_path):
+    lat4 = PicardLattice.standard(4)
+    list(weyl.orbit_layers(lat4, checkpoint_dir=tmp_path, max_layers=2))
+    with pytest.raises(InputError):
+        list(
+            weyl.orbit_layers(
+                PicardLattice.standard(3), checkpoint_dir=tmp_path, resume=True
+            )
+        )
+
+
 def test_resume_without_checkpoint():
     lat = PicardLattice.standard(5)
     with pytest.raises(InputError):
@@ -113,6 +141,17 @@ def test_stabilizers():
         assert frozenset(el.apply(r) for r in s.simple_roots) == frozenset(
             s.simple_roots
         )
+
+
+def test_integer_rank():
+    assert weyl.integer_rank([]) == 0
+    assert weyl.integer_rank([[0, 0], [0, 0]]) == 0
+    assert weyl.integer_rank([[2, 4], [1, 2]]) == 1
+    assert weyl.integer_rank([[0, 3, 1], [0, 6, 2], [5, 1, 1]]) == 2
+    assert weyl.integer_rank(np.eye(9, dtype=np.int64) * 7) == 9
+    lat = PicardLattice.standard(2)
+    assert weyl.spans_lattice_with_k(lat, find_configuration(2, "7A1"))
+    assert not weyl.spans_lattice_with_k(lat, find_configuration(2, "6A1"))
 
 
 def test_stabilizer_small_degree():
