@@ -257,8 +257,9 @@ MODES = ("strong", "exceptional")
 class _WindowPlan:
     """Precomputed windows of a second-kind squares sequence.
 
-    Coefficient rows select the terms of each window, so window sums of a
-    whole batch of systems are a single matrix product.
+    Coefficient rows select the terms of each window.  Packing is linear
+    (see `weyl.pack_layout`), so the keys of all windows of a batch of
+    systems are one product of the term keys with these rows.
     """
 
     n: int
@@ -326,6 +327,16 @@ def _sorted_classes(lattice: PicardLattice, r: int):
     return keys[order], classes[order]
 
 
+@lru_cache(maxsize=None)
+def _key_room(lattice: PicardLattice) -> np.ndarray:
+    """Per coordinate, the largest window-sum magnitude whose key cannot
+    collide with the key of another (-2)- or (-1)-class: 2^bits less
+    the largest class coefficient, minus one."""
+    bits, _, _ = weyl.pack_layout(lattice.rank)
+    classes = np.concatenate([_sorted_classes(lattice, r)[1] for r in (-2, -1)])
+    return (1 << bits) - np.abs(classes).max(axis=0) - 1
+
+
 @dataclass(frozen=True)
 class _SurfaceTables:
     surface: SurfaceModel
@@ -362,6 +373,31 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
     if not np.array_equal(sorted_keys[idx], keys):
         raise InternalError(f"window sum is not a {what} (invariant violated)")
     return idx
+
+
+def _window_classes(
+    lattice: PicardLattice, plan: _WindowPlan, part: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the sorted (-2)- and (-1)-class arrays of the (-2)- and
+    I(X,A) windows of each system in `part` [m, n, rank] int64.
+
+    A window's key is the sum of its terms' `x @ weights` plus the packing
+    offset, all mod 2^64.  While every window-sum coordinate stays within
+    `_key_room` (bounded by the sum of the terms' magnitudes), equal keys
+    mean equal vectors, so a window whose key is no class key is no class.
+    """
+    if (np.abs(part).sum(axis=1).max(axis=0) > _key_room(lattice)).any():
+        raise InternalError("window sums leave the packing fields")
+    _, weights, offset = weyl.pack_layout(lattice.rank)
+    term_keys = part.astype(np.uint64) @ weights  # negatives wrap mod 2^64
+    root_keys = term_keys @ plan.root_coeffs.T.astype(np.uint64)
+    root_keys += offset
+    ixa_keys = term_keys @ plan.ixa_coeffs.T.astype(np.uint64)
+    ixa_keys += offset
+    return (
+        _lookup(_sorted_classes(lattice, -2)[0], root_keys, "(-2)-class"),
+        _lookup(_sorted_classes(lattice, -1)[0], ixa_keys, "(-1)-class"),
+    )
 
 
 # -- stabilizers --------------------------------------------------------
@@ -461,8 +497,6 @@ def _census_sweep(
     """
     lat = A0.lattice
     plan = _window_plan(A0.squares())
-    root_keys, _ = _sorted_classes(lat, -2)
-    line_keys, _ = _sorted_classes(lat, -1)
     tables = [_surface_tables(s) for s in surfaces]
     noncyc = ~plan.root_through_n
     deep_rows = [np.array(row, dtype=np.int64) for row, _ in plan.deep_windows]
@@ -494,10 +528,7 @@ def _census_sweep(
         arr = layer.payload
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             part = arr[lo : lo + _CHUNK_ROWS]
-            vals2 = np.einsum("wi,mir->mwr", plan.root_coeffs, part)
-            idx2 = _lookup(root_keys, weyl.pack_rows(vals2), "(-2)-class")
-            valsI = np.einsum("wi,mir->mwr", plan.ixa_coeffs, part)
-            idxI = _lookup(line_keys, weyl.pack_rows(valsI), "(-1)-class")
+            idx2, idxI = _window_classes(lat, plan, part)
             for tab in tables:
                 fail1 = tab.root_anti[idx2[:, plan.root_through_n]].any(axis=1)
                 anti2 = tab.root_anti[idx2[:, noncyc]].any(axis=1)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, InternalError
-from .picard import Divisor, PicardLattice, vneg, vscale, vsub, vsum
+from .picard import Divisor, PicardLattice, integer_adjugate, vneg, vscale, vsub, vsum
 from .surface import SurfaceModel
 
 
@@ -52,47 +53,38 @@ def _negative_curves(s: SurfaceModel) -> tuple[Divisor, ...]:
     return tuple(sorted(s.irr_lines_set())) + s.simple_roots
 
 
+@lru_cache(maxsize=None)
+def _root_gram_adjugate(lattice: PicardLattice, roots: tuple[Divisor, ...]):
+    """(adj, det) of the Gram matrix (r_i . r_j) of linearly independent roots."""
+    return integer_adjugate(
+        [[lattice.intersect(a, b) for b in roots] for a in roots]
+    )
+
+
 def solve_root_combination(s: SurfaceModel, d: Divisor):
     """Express d as sum(x_i * simple_root_i) exactly, or return None.
 
     The simple roots are linearly independent, so the solution (over the
     rationals) is unique; it is found from the pairing system
-    d . r_i = sum_j x_j (r_j . r_i), whose matrix is negative definite.
+    d . r_i = sum_j x_j (r_j . r_i), whose matrix G is negative definite:
+    x = adj(G) (d . r_i) / det(G), with (adj, det) cached per root set.
     """
     roots = s.simple_roots
     if not roots:
         return () if all(c == 0 for c in d) else None
     lat = s.lattice
-    k = len(roots)
-    mat = [
-        [Fraction(lat.intersect(roots[i], roots[j])) for j in range(k)]
-        + [Fraction(lat.intersect(d, roots[i]))]
-        for i in range(k)
-    ]
-    # Gaussian elimination with exact fractions.
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise InternalError("dependent simple roots")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for r in range(k):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
-    xs = [mat[i][k] for i in range(k)]
-    # Verify d really lies in the span (the pairing system alone does not
-    # guarantee it) and that the combination is a nonnegative integer one.
-    combo = vsum((vscale(x.numerator, r) for x, r in zip(xs, roots) if x != 0), lat.rank)
-    scaled_ok = all(x.denominator == 1 for x in xs)
-    if not scaled_ok:
+    adj, det = _root_gram_adjugate(lat, roots)
+    pairings = [lat.intersect(d, r) for r in roots]
+    xs = []
+    for row in adj:
+        q, rem = divmod(sum(a * p for a, p in zip(row, pairings)), det)
+        if rem or q < 0:
+            return None
+        xs.append(q)
+    # The pairing system alone does not put d in the span of the roots.
+    if vsum((vscale(x, r) for x, r in zip(xs, roots) if x), lat.rank) != d:
         return None
-    if combo != d:
-        return None
-    if any(x < 0 for x in xs):
-        return None
-    return tuple(int(x) for x in xs)
+    return tuple(xs)
 
 
 def is_effective(s: SurfaceModel, d: Divisor) -> tuple[bool, EffectivityTrace]:

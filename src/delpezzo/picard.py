@@ -214,6 +214,61 @@ def _sum_square_solutions(m: int, total: int, total_sq: int):
         )
 
 
+# -- exact linear algebra (fraction-free Bareiss elimination) ------------
+#
+# Bareiss, Math. Comp. 22 (1968): every intermediate entry is a minor of
+# the input, so each division below is exact and all values are integers.
+
+
+def integer_rank(rows) -> int:
+    """Exact rank of an integer matrix."""
+    m = [[int(x) for x in row] for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            m[r] = [(p * x - m[r][col] * y) // prev for x, y in zip(m[r], m[rank])]
+        prev = p
+        rank += 1
+    return rank
+
+
+def integer_adjugate(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) of a nonsingular square integer matrix A, so that
+    adj @ A == A @ adj == det * I.
+
+    Gauss-Jordan form of the elimination on [A | I]: it ends at
+    [d I | d A^-1] with d the last pivot, which is det A up to the sign
+    of the row swaps.
+    """
+    n = len(rows)
+    m = [
+        [int(x) for x in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if any(len(row) != 2 * n for row in m):
+        raise InputError("the adjugate needs a square matrix")
+    sign, prev = 1, 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            raise InputError("singular matrix has no integer inverse")
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        p = m[col][col]
+        for r in range(n):
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[col])]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
+
+
 def reflect(lattice: PicardLattice, d: Divisor, root: Divisor) -> Divisor:
     """Reflection of d in a (-2)-class: d + (d.root) root."""
     if lattice.classify_r(root) != -2 or lattice.k_product(root) != 0:

@@ -12,8 +12,15 @@ orbit is a tree walked layer by layer with no membership test: a payload
 reaches every point of its orbit exactly once.  The layer sizes are checked
 against the Poincare polynomial of W.
 
-All array arithmetic is int64 numpy; packing into uint64 keys asserts
-its range bounds, so overflow is impossible rather than unlikely.
+All array arithmetic is int64 numpy.  Vectors are packed into uint64
+keys by a linear map, key(x) = x @ weights + offset (mod 2^64), with one
+bit field per coordinate (`pack_layout`); `pack_rows` asserts the field
+range of every coordinate.  By linearity the key of a sum is the sum of
+the terms' keys less the extra offsets, and keys of two vectors whose
+coordinates differ by less than 2^bits in every field are equal only if
+the vectors are, which is the bound the census checks before it compares
+window keys with class keys.  Stabilizer candidates are solved exactly
+with the integer adjugate of the root basis.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
-from .picard import Divisor, PicardLattice
+from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank
 from .toric import ToricSystem
 
 #: Environment variable capping the memory (bytes) used by one orbit layer
@@ -90,29 +97,46 @@ def regular_marker(lattice: PicardLattice) -> Divisor:
 
 # -- uint64 packing -----------------------------------------------------
 #
-# Coordinate 0 gets 8 bits, the others 7 bits each; rank <= 9 fits a
-# uint64 exactly.  Bounds are asserted on every call.
+# Coordinate 0 gets an 8-bit field, the others 7 bits each; rank <= 9
+# fits a uint64 exactly.  Field i holds x_i + 2^(bits_i - 1) at bit
+# shift_i, and the biased fields never overlap, so the key is linear:
+#     key(x) = x @ weights + offset  (mod 2^64),  weights_i = 2^shift_i.
+# The key of a sum of vectors is thus the sum of their `x @ weights`
+# terms plus one offset.  Keys are also injective under a bound: if
+# |u_i - v_i| < 2^bits_i for every i, then key(u) == key(v) forces u == v
+# (compare the fields from the lowest one up).  pack_rows asserts the
+# range of every coordinate, so overflow is impossible rather than
+# unlikely.
 
 _PACK_LEAD_BITS = 8
 _PACK_TAIL_BITS = 7
 
 
+@lru_cache(maxsize=None)
+def pack_layout(rank: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """(field bits [rank] int64, weights [rank] uint64, offset) of the packing."""
+    bits = (_PACK_LEAD_BITS,) + (_PACK_TAIL_BITS,) * (rank - 1)
+    if sum(bits) > 64:
+        raise InternalError(f"rank {rank} does not fit the packing scheme")
+    shifts = [sum(bits[i + 1 :]) for i in range(rank)]
+    bits_arr = np.array(bits, dtype=np.int64)
+    weights = np.array([1 << s for s in shifts], dtype=np.uint64)
+    bits_arr.flags.writeable = weights.flags.writeable = False
+    offset = np.uint64(sum(1 << (b - 1 + s) for b, s in zip(bits, shifts)))
+    return bits_arr, weights, offset
+
+
 def pack_rows(arr: np.ndarray) -> np.ndarray:
     """Pack integer vectors [..., rank] into uint64 keys, checking bounds."""
-    rank = arr.shape[-1]
-    if _PACK_LEAD_BITS + (rank - 1) * _PACK_TAIL_BITS > 64:
-        raise InternalError(f"rank {rank} does not fit the packing scheme")
-    lead = arr[..., 0]
-    tail = arr[..., 1:]
-    if lead.min(initial=0) < -128 or lead.max(initial=0) > 127:
-        raise InternalError("leading coordinate out of packing range [-128, 127]")
-    if tail.size and (tail.min() < -64 or tail.max() > 63):
-        raise InternalError("coordinate out of packing range [-64, 63]")
-    key = (lead.astype(np.int64) + 128).astype(np.uint64)
-    seven = np.uint64(_PACK_TAIL_BITS)
-    for i in range(rank - 1):
-        key = (key << seven) | (tail[..., i].astype(np.int64) + 64).astype(np.uint64)
-    return key
+    bits, weights, offset = pack_layout(arr.shape[-1])
+    half = 1 << (bits - 1)
+    if (arr < -half).any() or (arr >= half).any():
+        raise InternalError("coordinate out of the packing range [-2^(b-1), 2^(b-1))")
+    # Negative coordinates wrap to uint64 and the sums are taken mod 2^64;
+    # the in-place add on an array wraps silently where a scalar add warns.
+    keys = arr.reshape(-1, arr.shape[-1]).astype(np.uint64) @ weights
+    keys += offset
+    return keys.reshape(arr.shape[:-1])
 
 
 # -- orbit reverse search ----------------------------------------------
@@ -397,24 +421,6 @@ def orbit_system_arrays(A0: ToricSystem, **kwargs):
 # -- stabilizers of root sets -------------------------------------------
 
 
-def integer_rank(rows) -> int:
-    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [[int(x) for x in row] for row in rows]
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            # Every entry stays a minor of the input, so the division is exact.
-            m[r] = [(p * x - m[r][col] * y) // prev for x, y in zip(m[r], m[rank])]
-        prev = p
-        rank += 1
-    return rank
-
-
 def spans_lattice_with_k(lattice: PicardLattice, roots) -> bool:
     """Whether the roots together with K span the lattice over Q."""
     return integer_rank(list(roots) + [lattice.canonical]) == lattice.rank
@@ -503,14 +509,17 @@ def _stabilizer_by_permutations(
     ]
     basis = np.array(list(roots) + [lattice.canonical], dtype=np.int64)  # rows
     # For images B (rows), the matrix M with M @ basis_row_i = image_row_i
-    # acting on coefficient columns satisfies  M @ basis.T = images.T.
+    # acting on coefficient columns satisfies  basis @ M.T = images, so
+    # det(basis) M.T = adj(basis) @ images.
+    adj, det = integer_adjugate(basis)
+    adj = np.array(adj, dtype=np.int64)
     out: list[WeylElement] = []
     perm: list[int] = []
     used = [False] * k
 
     def extend():
         if len(perm) == k:
-            el = _solve_isometry(lattice, basis, perm, roots)
+            el = _solve_isometry(lattice, basis, adj, det, perm, roots)
             if el is not None:
                 out.append(el)
             return
@@ -529,21 +538,16 @@ def _stabilizer_by_permutations(
     return tuple(out)
 
 
-def _solve_isometry(lattice, basis, perm, roots):
-    images = np.array(
-        [roots[j] for j in perm] + [lattice.canonical], dtype=np.float64
-    )
-    # Want M with M @ r_i = s_i for basis rows r_i, image rows s_i;
-    # equivalently M.T = basis^{-1} @ images on row stacks.
-    try:
-        m = np.linalg.solve(basis.astype(np.float64), images).T
-    except np.linalg.LinAlgError:
+def _solve_isometry(lattice, basis, adj, det, perm, roots):
+    images = np.array([roots[j] for j in perm] + [lattice.canonical], dtype=np.int64)
+    # Want M with M @ r_i = s_i for basis rows r_i, image rows s_i; the
+    # unique rational solution is integral iff det divides adj @ images.
+    scaled = adj @ images
+    if np.any(scaled % det):
         return None
-    m = np.rint(m).astype(np.int64)
+    m = (scaled // det).T
     # Exact verification: correct images and Gram preservation.
-    if not np.array_equal(m @ basis.T, np.array(
-        [roots[j] for j in perm] + [lattice.canonical], dtype=np.int64
-    ).T):
+    if not np.array_equal(m @ basis.T, images.T):
         return None
     gram = np.array(lattice.gram, dtype=np.int64)
     if not np.array_equal(m.T @ gram @ m, gram):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
-from delpezzo import census
-from delpezzo.errors import InputError
+from delpezzo import census, weyl
+from delpezzo.errors import InputError, InternalError
 from delpezzo.picard import PicardLattice
 from delpezzo.report import Report
 from delpezzo.surface import catalog_load
@@ -22,6 +23,43 @@ def test_window_plan_iib():
     assert plan.ixa_coeffs.shape[0] == 22
     assert len(plan.deep_windows) == 2
     assert {kl for _row, kl in plan.deep_windows} == {(10, 10), (9, 10)}
+
+
+@pytest.mark.parametrize("preset", ["IIb-deg2", "VI-deg1"])
+def test_window_keys_match_packed_window_sums(preset):
+    # Reference: every window sum formed explicitly, packed and looked up.
+    A0 = census.SEQUENCE_PRESETS[preset].initial_system()
+    lat = A0.lattice
+    plan = census._window_plan(A0.squares())
+    root_keys, _ = census._sorted_classes(lat, -2)
+    line_keys, _ = census._sorted_classes(lat, -1)
+    rows = 0
+    for layer in weyl.orbit_system_arrays(A0, max_layers=6):
+        part = layer.payload
+        vals2 = np.einsum("wi,mir->mwr", plan.root_coeffs, part)
+        valsI = np.einsum("wi,mir->mwr", plan.ixa_coeffs, part)
+        idx2, idxI = census._window_classes(lat, plan, part)
+        assert np.array_equal(
+            idx2, census._lookup(root_keys, weyl.pack_rows(vals2), "root")
+        )
+        assert np.array_equal(
+            idxI, census._lookup(line_keys, weyl.pack_rows(valsI), "line")
+        )
+        rows += part.shape[0]
+    assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
+
+
+def test_window_keys_reject_non_classes():
+    A0 = census.section13_system()
+    lat = A0.lattice
+    plan = census._window_plan(A0.squares())
+    part = np.array([A0.terms], dtype=np.int64)
+    # Sums inside the packing fields that are not classes.
+    with pytest.raises(InternalError, match="not a"):
+        census._window_classes(lat, plan, 2 * part)
+    # Sums that leave the fields, where a key could alias a class.
+    with pytest.raises(InternalError, match="packing fields"):
+        census._window_classes(lat, plan, 127 * part)
 
 
 def test_window_plan_rejects_first_kind():

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delpezzo.effectivity import (
     brute_force_effective,
@@ -10,7 +12,7 @@ from delpezzo.effectivity import (
     is_hole,
     solve_root_combination,
 )
-from delpezzo.picard import parse_divisor, vneg, vscale
+from delpezzo.picard import parse_divisor, vneg, vscale, vsum
 from delpezzo.surface import catalog_load
 from delpezzo import census
 
@@ -91,6 +93,57 @@ def test_solve_root_combination():
     combo = solve_root_combination(s, d)
     assert combo is not None
     assert solve_root_combination(s, parse_divisor(lat, "E3-E1")) is None
+
+
+def _solve_by_fractions(s, d):
+    """Reference: Gaussian elimination over Q on the pairing system."""
+    roots = s.simple_roots
+    lat = s.lattice
+    k = len(roots)
+    mat = [
+        [Fraction(lat.intersect(roots[i], roots[j])) for j in range(k)]
+        + [Fraction(lat.intersect(d, roots[i]))]
+        for i in range(k)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if mat[r][col] != 0)
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        pv = mat[col][col]
+        mat[col] = [v / pv for v in mat[col]]
+        for r in range(k):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [v - f * w for v, w in zip(mat[r], mat[col])]
+    xs = [mat[i][k] for i in range(k)]
+    if any(x.denominator != 1 or x < 0 for x in xs):
+        return None
+    if vsum((vscale(int(x), r) for x, r in zip(xs, roots)), lat.rank) != d:
+        return None
+    return tuple(int(x) for x in xs)
+
+
+_SOLVE_SURFACES = [
+    s for degree in (2, 3) for s in catalog_load(degree).entries if s.simple_roots
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_solve_root_combination_matches_fractions(data):
+    s = data.draw(st.sampled_from(_SOLVE_SURFACES))
+    k, rank = len(s.simple_roots), s.lattice.rank
+    coeffs = data.draw(st.lists(st.integers(-2, 4), min_size=k, max_size=k))
+    noise = data.draw(
+        st.one_of(
+            st.just((0,) * rank),
+            st.tuples(*[st.integers(-2, 2)] * rank),
+        )
+    )
+    d = vsum([vscale(c, r) for c, r in zip(coeffs, s.simple_roots)] + [noise], rank)
+    expected = _solve_by_fractions(s, d)
+    assert solve_root_combination(s, d) == expected
+    if noise == (0,) * rank:
+        assert expected == (tuple(coeffs) if min(coeffs) >= 0 else None)
 
 
 def test_fast_anticlass_precondition():

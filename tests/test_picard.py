@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +8,7 @@ from delpezzo.errors import InputError
 from delpezzo.picard import (
     PicardLattice,
     format_divisor,
+    integer_adjugate,
     parse_divisor,
     parse_divisor_list,
     reflect,
@@ -141,3 +145,41 @@ def test_vector_helpers():
     assert vsub((1, 2), (3, 4)) == (-2, -2)
     assert vscale(3, (1, -1)) == (3, -3)
     assert vsum([(1, 0), (0, 2), (1, 1)], 2) == (2, 3)
+
+
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(square_matrices)
+def test_integer_adjugate(a):
+    det = _leibniz_det(a)
+    if det == 0:
+        with pytest.raises(InputError):
+            integer_adjugate(a)
+        return
+    adj, d = integer_adjugate(a)
+    assert d == det
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            expected = det if i == j else 0
+            assert sum(adj[i][k] * a[k][j] for k in range(n)) == expected
+            assert sum(a[i][k] * adj[k][j] for k in range(n)) == expected
+
+
+def test_integer_adjugate_rejects_non_square():
+    with pytest.raises(InputError):
+        integer_adjugate([[1, 2, 3], [4, 5, 6]])

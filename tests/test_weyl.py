@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import census, weyl
-from delpezzo.errors import InputError, ResourceError
+from delpezzo.errors import InputError, InternalError, ResourceError
 from delpezzo.picard import PicardLattice, parse_divisor_list, reflect
 from delpezzo.surface import catalog_load, find_configuration
 from delpezzo.toric import ToricSystem
@@ -52,8 +52,26 @@ def test_pack_rows_injective_on_classes():
 
 
 def test_pack_rows_bounds():
-    with pytest.raises(Exception):
+    with pytest.raises(InternalError):
         weyl.pack_rows(np.array([[0, 999]], dtype=np.int64))
+    with pytest.raises(InternalError):
+        weyl.pack_rows(np.array([[-129, 0]], dtype=np.int64))
+    with pytest.raises(InternalError):
+        weyl.pack_rows(np.zeros((1, 10), dtype=np.int64))
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_pack_rows_matches_bit_fields(rank):
+    # Reference: an 8-bit field for coordinate 0, then 7-bit fields.
+    rng = np.random.default_rng(rank)
+    arr = rng.integers(-64, 64, size=(200, 3, rank))
+    arr[..., 0] = rng.integers(-128, 128, size=(200, 3))
+    expected = np.zeros(arr.shape[:-1], dtype=object)
+    for i in range(rank):
+        bits = 8 if i == 0 else 7
+        expected = (expected << bits) + arr[..., i].astype(object) + (1 << (bits - 1))
+    assert [int(k) for k in weyl.pack_rows(arr).ravel()] == expected.ravel().tolist()
+    assert int(weyl.pack_rows(arr[7, 2])) == expected[7, 2]
 
 
 @pytest.mark.parametrize("degree", [7, 6, 5, 4])
