@@ -15,9 +15,10 @@ to the stabilizer of the surface's set of irreducible (-2)-curves
 ("essentially different" systems).
 
 Tests (1)-(3) are vectorized: every (-2)-window of a toric system is a
-root and every I(X,A) window is a (-1)-class, so window sums are mapped
-by binary search into precomputed per-surface truth tables.  Test (4)
-falls back to the fast anti-class effectiveness test on survivors.
+root and every I(X,A) window is a (-1)-class, so window keys are hashed
+into a table of the classes, whose slots carry the truth tables of all
+surfaces as bit masks.  Test (4) runs on the survivors in batches, with
+the batched anti-class effectiveness kernel.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .toric import (
     is_exceptional,
     is_strong_exceptional,
 )
-from .effectivity import is_effective, is_effective_anticlass_fast, is_hole
+from .effectivity import anticlass_effective, is_effective, is_hole, root_stacks
 from .report import Report
 from . import weyl
 
@@ -259,7 +260,9 @@ class _WindowPlan:
 
     Coefficient rows select the terms of each window.  Packing is linear
     (see `weyl.pack_layout`), so the keys of all windows of a batch of
-    systems are one product of the term keys with these rows.
+    systems are one product of the term keys with these rows; the keys
+    then index the class tables (see `_window_classes`).  The deep windows
+    (square <= -3) all run through the last term and take test (4).
     """
 
     n: int
@@ -315,16 +318,38 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
     )
 
 
-# -- per-surface truth tables -------------------------------------------
+# -- class tables and per-surface bit masks -----------------------------
+
+
+@dataclass(frozen=True)
+class _ClassTable:
+    """The r-classes of a lattice, hashed by the residue of their keys.
+
+    `modulus` is the smallest p >= #classes under which the class keys have
+    distinct residues, so slot `key % p` holds the class with that key.
+    An empty slot s holds the key s + 1, whose residue is not s, so no key
+    matches it.
+    """
+
+    classes: np.ndarray  # [c, rank] int64, in enumeration order
+    slots: np.ndarray  # [c] the slot of each class
+    modulus: np.uint64
+    slot_keys: np.ndarray  # [modulus] uint64
 
 
 @lru_cache(maxsize=None)
-def _sorted_classes(lattice: PicardLattice, r: int):
-    """(sorted key array, class array aligned to it) for the r-classes."""
+def _class_table(lattice: PicardLattice, r: int) -> _ClassTable:
     classes = np.array(lattice.enumerate_classes(r), dtype=np.int64)
     keys = weyl.pack_rows(classes)
-    order = np.argsort(keys)
-    return keys[order], classes[order]
+    p = max(1, len(keys))
+    while len(set((keys % np.uint64(p)).tolist())) < len(keys):
+        p += 1
+    slots = (keys % np.uint64(p)).astype(np.intp)
+    slot_keys = np.arange(1, p + 1, dtype=np.uint64)
+    slot_keys[slots] = keys
+    for arr in (classes, slots, slot_keys):
+        arr.flags.writeable = False  # cached and shared by every caller
+    return _ClassTable(classes, slots, np.uint64(p), slot_keys)
 
 
 @lru_cache(maxsize=None)
@@ -333,71 +358,79 @@ def _key_room(lattice: PicardLattice) -> np.ndarray:
     collide with the key of another (-2)- or (-1)-class: 2^bits less
     the largest class coefficient, minus one."""
     bits, _, _ = weyl.pack_layout(lattice.rank)
-    classes = np.concatenate([_sorted_classes(lattice, r)[1] for r in (-2, -1)])
+    classes = np.concatenate([_class_table(lattice, r).classes for r in (-2, -1)])
     return (1 << bits) - np.abs(classes).max(axis=0) - 1
 
 
 @dataclass(frozen=True)
-class _SurfaceTables:
-    surface: SurfaceModel
-    root_eff: np.ndarray  # aligned to the sorted (-2)-class array
-    root_anti: np.ndarray
-    line_irr: np.ndarray  # aligned to the sorted (-1)-class array
-    line_not_slo: np.ndarray
+class _SurfaceMasks:
+    """Per-surface truth tables stacked as bits: bit t of a slot's mask is
+    the verdict of surface t on the class in that slot."""
+
+    root_anti: np.ndarray  # [p2] uint64: -r is effective
+    root_eff: np.ndarray  # [p2] uint64: r is effective
+    line_fail: np.ndarray  # [p1] uint64: irreducible, or not slo (degree 1)
 
 
-def _surface_tables(s: SurfaceModel) -> _SurfaceTables:
-    lat = s.lattice
-    _, roots = _sorted_classes(lat, -2)
-    _, lines = _sorted_classes(lat, -1)
-    eff = s.effective_roots_set()
-    irr = s.irr_lines_set()
-    root_list = [tuple(int(x) for x in r) for r in roots]
-    line_list = [tuple(int(x) for x in c) for c in lines]
-    root_eff = np.array([r in eff for r in root_list], dtype=bool)
-    root_anti = np.array([vneg(r) in eff for r in root_list], dtype=bool)
-    line_irr = np.array([c in irr for c in line_list], dtype=bool)
-    if lat.degree == 1:
+def _surface_masks(
+    lattice: PicardLattice, surfaces: tuple[SurfaceModel, ...]
+) -> _SurfaceMasks:
+    if len(surfaces) > 64:
+        raise InputError(f"a census covers at most 64 surfaces, not {len(surfaces)}")
+    roots = _class_table(lattice, -2)
+    lines = _class_table(lattice, -1)
+    root_list = [tuple(int(x) for x in r) for r in roots.classes]
+    line_list = [tuple(int(x) for x in c) for c in lines.classes]
+    masks = _SurfaceMasks(
+        np.zeros(roots.slot_keys.size, dtype=np.uint64),
+        np.zeros(roots.slot_keys.size, dtype=np.uint64),
+        np.zeros(lines.slot_keys.size, dtype=np.uint64),
+    )
+    for t, s in enumerate(surfaces):
+        bit = np.uint64(1 << t)
+        eff = s.effective_roots_set()
+        irr = s.irr_lines_set()
+        masks.root_anti[roots.slots[[vneg(r) in eff for r in root_list]]] |= bit
+        masks.root_eff[roots.slots[[r in eff for r in root_list]]] |= bit
         # In degree 1 a (-1)-class C is slo iff C + K is not effective.
-        line_not_slo = np.array(
-            [vadd(c, lat.canonical) in eff for c in line_list], dtype=bool
-        )
-    else:
-        line_not_slo = np.zeros(len(line_list), dtype=bool)
-    return _SurfaceTables(s, root_eff, root_anti, line_irr, line_not_slo)
+        fail = [
+            c in irr or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
+            for c in line_list
+        ]
+        masks.line_fail[lines.slots[fail]] |= bit
+    return masks
 
 
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
-    idx = np.searchsorted(sorted_keys, keys)
-    idx = np.minimum(idx, sorted_keys.size - 1)
-    if not np.array_equal(sorted_keys[idx], keys):
+def _slots(table: _ClassTable, keys: np.ndarray, what: str) -> np.ndarray:
+    slots = (keys % table.modulus).astype(np.intp)
+    if not np.array_equal(table.slot_keys[slots], keys):
         raise InternalError(f"window sum is not a {what} (invariant violated)")
-    return idx
+    return slots
 
 
 def _window_classes(
     lattice: PicardLattice, plan: _WindowPlan, part: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the sorted (-2)- and (-1)-class arrays of the (-2)- and
-    I(X,A) windows of each system in `part` [m, n, rank] int64.
+    """Class-table slots of the (-2)- and I(X,A) windows of each system in
+    `part` [m, n, rank] int64: [m, w2] into `_class_table(lattice, -2)` and
+    [m, wI] into `_class_table(lattice, -1)`.
 
     A window's key is the sum of its terms' `x @ weights` plus the packing
     offset, all mod 2^64.  While every window-sum coordinate stays within
     `_key_room` (bounded by the sum of the terms' magnitudes), equal keys
-    mean equal vectors, so a window whose key is no class key is no class.
+    mean equal vectors, so a window whose key differs from the class key in
+    its slot is no class.
     """
     if (np.abs(part).sum(axis=1).max(axis=0) > _key_room(lattice)).any():
         raise InternalError("window sums leave the packing fields")
     _, weights, offset = weyl.pack_layout(lattice.rank)
     term_keys = part.astype(np.uint64) @ weights  # negatives wrap mod 2^64
-    root_keys = term_keys @ plan.root_coeffs.T.astype(np.uint64)
-    root_keys += offset
-    ixa_keys = term_keys @ plan.ixa_coeffs.T.astype(np.uint64)
-    ixa_keys += offset
-    return (
-        _lookup(_sorted_classes(lattice, -2)[0], root_keys, "(-2)-class"),
-        _lookup(_sorted_classes(lattice, -1)[0], ixa_keys, "(-1)-class"),
-    )
+    keys = term_keys @ plan.root_coeffs.T.astype(np.uint64)
+    keys += offset
+    root_slots = _slots(_class_table(lattice, -2), keys, "(-2)-class")
+    keys = term_keys @ plan.ixa_coeffs.T.astype(np.uint64)
+    keys += offset
+    return root_slots, _slots(_class_table(lattice, -1), keys, "(-1)-class")
 
 
 # -- stabilizers --------------------------------------------------------
@@ -469,7 +502,14 @@ class CensusRecord:
 
 @dataclass
 class CensusRun:
-    """Result of one orbit sweep: records keyed by (surface name, mode)."""
+    """Result of one orbit sweep: records keyed by (surface name, mode).
+
+    `stats` counts the sweep's work: `rows` (orbit rows scanned),
+    `deep_candidates` (rows passing tests (1)-(3), keyed "surface/mode"),
+    `deep_tests` (one per row, surface, mode and deep window tested) and
+    `deep_cross_checks` (deep verdicts checked against `is_effective`
+    under test_mode).
+    """
 
     preset_name: str
     squares: tuple[int, ...]
@@ -481,6 +521,8 @@ class CensusRun:
 
 
 _CHUNK_ROWS = 4096
+#: Buffered deep-test candidates that trigger a flush before the layer ends.
+_DEEP_BATCH_ROWS = 512
 
 
 def _census_sweep(
@@ -492,60 +534,84 @@ def _census_sweep(
 ):
     """Stream the orbit of A0 and collect counterexample systems.
 
-    Returns (orbit_total, store) where store maps (surface name, mode) to
-    the list of counterexample system arrays in deterministic orbit order.
+    Tests (1)-(3) run on whole chunks for all surfaces at once: the window
+    slots gather the surfaces' bit masks, and an OR over the windows gives
+    each row's failure bits.  The survivors, buffered as (layer row,
+    surface, mode), take test (4) in batches, one `anticlass_effective`
+    call per deep window; a row leaves the batch at its first effective
+    deep anti-class.  The buffer is flushed at the end of every layer and
+    whenever it holds `_DEEP_BATCH_ROWS` candidates.
+
+    Returns (orbit_total, store, stats) where store maps (surface name,
+    mode) to the list of counterexample system arrays in deterministic
+    orbit order.
     """
     lat = A0.lattice
     plan = _window_plan(A0.squares())
-    tables = [_surface_tables(s) for s in surfaces]
+    masks = _surface_masks(lat, surfaces)
+    stacks = root_stacks(surfaces)
     noncyc = ~plan.root_through_n
-    deep_rows = [np.array(row, dtype=np.int64) for row, _ in plan.deep_windows]
+    deep_terms = [np.flatnonzero(row) for row, _ in plan.deep_windows]
+    everyone = np.uint64((1 << len(surfaces)) - 1)
+    bit_shifts = np.arange(len(surfaces), dtype=np.uint64)
     store: dict[tuple[str, str], list[np.ndarray]] = {
         (s.name, mode): [] for s in surfaces for mode in modes
     }
-    stats = {"deep_tests": 0, "deep_cross_checks": 0}
+    stats = {"rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
+    candidates = np.zeros((len(modes), len(surfaces)), dtype=np.int64)
+    pending: list[tuple[np.ndarray, np.ndarray, int]] = []  # rows, surfaces, mode
 
-    def passes_deep(s: SurfaceModel, system_row: np.ndarray) -> bool:
-        for row in deep_rows:
-            d = tuple(int(x) for x in row @ system_row)
-            verdict = is_effective_anticlass_fast(s, vneg(d))
-            stats["deep_tests"] += 1
+    def flush(arr: np.ndarray) -> None:
+        rows = np.concatenate([p[0] for p in pending])
+        which = np.concatenate([p[1] for p in pending])
+        mode_of = np.concatenate([np.full(p[0].size, p[2]) for p in pending])
+        pending.clear()
+        alive = np.arange(rows.size)
+        for terms in deep_terms:
+            d = -arr[rows[alive, None], terms].sum(axis=1)
+            verdict = anticlass_effective(stacks, d, which[alive])
+            stats["deep_tests"] += alive.size
             if test_mode:
-                general = is_effective(s, vneg(d))[0]
-                if general != verdict:
-                    raise InternalError(
-                        f"fast anti-class test disagrees with the general "
-                        f"test on {vneg(d)} ({s.name})"
-                    )
-                stats["deep_cross_checks"] += 1
-            if verdict:
-                return False
-        return True
+                for row_d, t, fast in zip(d.tolist(), which[alive], verdict):
+                    if is_effective(surfaces[t], tuple(row_d))[0] != fast:
+                        raise InternalError(
+                            f"fast anti-class test disagrees with the general "
+                            f"test on {tuple(row_d)} ({surfaces[t].name})"
+                        )
+                stats["deep_cross_checks"] += alive.size
+            alive = alive[~verdict]
+        for i in alive:
+            key = (surfaces[which[i]].name, modes[mode_of[i]])
+            store[key].append(arr[rows[i]].copy())
 
     orbit_total = 0
     for layer in weyl.orbit_system_arrays(A0, **orbit_kwargs):
         orbit_total = layer.total_so_far
         arr = layer.payload
+        stats["rows"] += arr.shape[0]
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             part = arr[lo : lo + _CHUNK_ROWS]
-            idx2, idxI = _window_classes(lat, plan, part)
-            for tab in tables:
-                fail1 = tab.root_anti[idx2[:, plan.root_through_n]].any(axis=1)
-                anti2 = tab.root_anti[idx2[:, noncyc]].any(axis=1)
-                eff2 = tab.root_eff[idx2[:, noncyc]].any(axis=1)
-                fail3 = tab.line_irr[idxI].any(axis=1)
-                if tab.line_not_slo.any():
-                    fail3 |= tab.line_not_slo[idxI].any(axis=1)
-                base = ~(fail1 | anti2 | fail3)
-                for mode in modes:
-                    ok = base & ~eff2 if mode == "strong" else base
-                    if not ok.any():
-                        continue
-                    bucket = store[(tab.surface.name, mode)]
-                    for ridx in np.nonzero(ok)[0]:
-                        system_row = part[ridx]
-                        if passes_deep(tab.surface, system_row):
-                            bucket.append(system_row.copy())
+            slots2, slotsI = _window_classes(lat, plan, part)
+            anti = np.bitwise_or.reduce(masks.root_anti[slots2], axis=1)
+            eff2 = np.bitwise_or.reduce(masks.root_eff[slots2[:, noncyc]], axis=1)
+            fail3 = np.bitwise_or.reduce(masks.line_fail[slotsI], axis=1)
+            base = ~(anti | fail3) & everyone
+            for m, mode in enumerate(modes):
+                ok = base & ~eff2 if mode == "strong" else base
+                if not ok.any():
+                    continue
+                rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
+                candidates[m] += np.bincount(which, minlength=len(surfaces))
+                pending.append((rows + lo, which, m))
+            if sum(p[0].size for p in pending) >= _DEEP_BATCH_ROWS:
+                flush(arr)
+        if pending:
+            flush(arr)
+    stats["deep_candidates"] = {
+        f"{s.name}/{mode}": int(candidates[m, t])
+        for t, s in enumerate(surfaces)
+        for m, mode in enumerate(modes)
+    }
     return orbit_total, store, stats
 
 

@@ -6,9 +6,11 @@ Three deciders plus a search oracle:
   class, an exact integer solve over the simple roots when D.K = 0, and
   repeated subtraction of negative curves met negatively until the
   divisor becomes nef (nef implies effective here).
-* `is_effective_anticlass_fast` -- the short loop for anti-classes used
-  by the counterexample census; it only looks at products with the
-  irreducible (-2)-curves of the surface.
+* `anticlass_effective` -- the short loop for anti-classes, batched over
+  rows and surfaces for the counterexample census; it only looks at
+  products with the irreducible (-2)-curves of each surface, read from
+  zero-padded root stacks (`root_stacks`).  `is_effective_anticlass_fast`
+  is its one-row form.
 * `is_absolutely_effective` -- exact rational membership in the cone
   spanned by the (-1)-classes.
 * `brute_force_effective` -- direct search for a decomposition in the
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import InputError, InternalError
 from .picard import Divisor, PicardLattice, integer_adjugate, vneg, vscale, vsub, vsum
@@ -133,49 +137,108 @@ def is_effective(s: SurfaceModel, d: Divisor) -> tuple[bool, EffectivityTrace]:
         trace.steps.append((before, tuple(violating), "subtract-negative-curves"))
 
 
-def is_effective_anticlass_fast(s: SurfaceModel, d: Divisor) -> bool:
-    """Effectiveness of a conditionally effective anti-class.
+@dataclass(frozen=True)
+class RootStacks:
+    """The simple roots of several surfaces on one lattice, zero-padded to
+    a common count, as the arrays the batched anti-class kernel reads.
 
-    Only products with the irreducible (-2)-curves are used: if all are
-    >= 0 the class is not effective; if some product is <= -2 it is
-    effective; otherwise subtracting a curve met with product -1
-    preserves the answer, batching pairwise-disjoint such curves (two of
-    them meeting positively already forces effectiveness).
+    A padding root pairs to zero with everything, so it never counts as
+    met negatively and never enters a subtraction.
     """
-    lat = s.lattice
-    lat.check_divisor(d)
-    if lat.square(d) - lat.k_product(d) != -2:
-        raise InputError(f"{d} is not an anti-class")
-    if lat.k_product(d) > 0:
+
+    lattice: PicardLattice
+    roots: np.ndarray  # [S, R, rank] int64
+    pairing: np.ndarray  # [S, rank, R]: d @ pairing[t] = (d . r_j)_j
+    meets: np.ndarray  # [S, R, R] root products, zero on the diagonal
+    gram: np.ndarray  # [rank, rank]
+    k_pairing: np.ndarray  # [rank]: d @ k_pairing = d . K
+
+
+@lru_cache(maxsize=None)
+def root_stacks(surfaces: tuple[SurfaceModel, ...]) -> RootStacks:
+    """The kernel's arrays for `surfaces`, which must share one lattice."""
+    if not surfaces:
+        raise InputError("root stacks need at least one surface")
+    lat = surfaces[0].lattice
+    if any(s.lattice != lat for s in surfaces):
+        raise InputError("root stacks need surfaces on one lattice")
+    width = max(len(s.simple_roots) for s in surfaces)
+    roots = np.zeros((len(surfaces), width, lat.rank), dtype=np.int64)
+    for t, s in enumerate(surfaces):
+        if s.simple_roots:
+            roots[t, : len(s.simple_roots)] = s.simple_roots
+    gram = np.array(lat.gram, dtype=np.int64)
+    pairing = roots @ gram
+    meets = pairing @ roots.transpose(0, 2, 1)
+    meets[:, np.arange(width), np.arange(width)] = 0
+    stacks = RootStacks(
+        lat,
+        roots,
+        np.ascontiguousarray(pairing.transpose(0, 2, 1)),
+        meets,
+        gram,
+        gram @ np.array(lat.canonical, dtype=np.int64),
+    )
+    for arr in (roots, stacks.pairing, meets, gram, stacks.k_pairing):
+        arr.flags.writeable = False  # cached and shared by every caller
+    return stacks
+
+
+def anticlass_effective(
+    stacks: RootStacks, d: np.ndarray, which: np.ndarray
+) -> np.ndarray:
+    """Effectiveness of conditionally effective anti-classes, batched.
+
+    Row b of d [B, rank] is tested on surface which[b] of the stacks.  Only
+    products with the irreducible (-2)-curves are used: if some product is
+    <= -2 the class is effective; if none is -1 it is not; two curves met
+    with product -1 that meet each other positively force effectiveness;
+    otherwise subtracting a curve met with product -1 preserves the answer,
+    all of them at once when they are pairwise disjoint, else the first.
+    Returns the verdicts [B] bool.
+    """
+    d = np.array(d, dtype=np.int64)  # a copy: the loop subtracts in place
+    which = np.asarray(which, dtype=np.intp)
+    if d.ndim != 2 or d.shape[1] != stacks.lattice.rank or which.shape != d.shape[:1]:
+        raise InputError(f"expected [B, {stacks.lattice.rank}] classes and [B] surfaces")
+    dk = d @ stacks.k_pairing
+    not_anti = (d @ stacks.gram * d).sum(axis=1) - dk != -2
+    if not_anti.any():
+        raise InputError(f"{tuple(d[not_anti][0].tolist())} is not an anti-class")
+    if (dk > 0).any():
         raise InputError("anti-class test requires D.K <= 0")
-    roots = s.simple_roots
-    cap = max(1, 10 * (lat.rank + abs(lat.k_product(d))))
-    current = d
-    for _ in range(cap):
-        ones = []
-        any_negative = False
-        for r in roots:
-            p = lat.intersect(current, r)
-            if p <= -2:
-                return True
-            if p == -1:
-                ones.append(r)
-                any_negative = True
-        if not any_negative:
-            return False
-        disjoint = True
-        for i in range(len(ones)):
-            for j in range(i + 1, len(ones)):
-                p = lat.intersect(ones[i], ones[j])
-                if p > 0:
-                    return True
-                if p < 0:
-                    disjoint = False
-        if disjoint:
-            current = vsub(current, vsum(ones, lat.rank))
-        else:
-            current = vsub(current, ones[0])
-    raise InternalError("anti-class loop did not terminate")
+    cap = np.maximum(1, 10 * (stacks.lattice.rank + np.abs(dk)))
+    verdict = np.zeros(d.shape[0], dtype=bool)
+    active = np.arange(d.shape[0])
+    steps = 0
+    while active.size:
+        steps += 1
+        t = which[active]
+        products = (d[active, None, :] @ stacks.pairing[t])[:, 0, :]
+        ones = products == -1
+        both = ones[:, :, None] & ones[:, None, :]
+        meets = stacks.meets[t]
+        effective = (products <= -2).any(axis=1) | (both & (meets > 0)).any(
+            axis=(1, 2)
+        )
+        verdict[active[effective]] = True
+        go = ~effective & ones.any(axis=1)
+        ones, both = ones[go], both[go]
+        disjoint = ~(both & (meets[go] < 0)).any(axis=(1, 2))
+        first = ones & (np.cumsum(ones, axis=1) == 1)
+        subtract = np.where(disjoint[:, None], ones, first).astype(np.int64)
+        active = active[go]
+        d[active] -= (subtract[:, None, :] @ stacks.roots[t[go]])[:, 0, :]
+        if (cap[active] <= steps).any():
+            raise InternalError("anti-class loop did not terminate")
+    return verdict
+
+
+def is_effective_anticlass_fast(s: SurfaceModel, d: Divisor) -> bool:
+    """Effectiveness of one conditionally effective anti-class (see
+    `anticlass_effective`)."""
+    s.lattice.check_divisor(d)
+    return bool(anticlass_effective(root_stacks((s,)), [d], [0])[0])
 
 
 # -- absolute effectiveness (rational cone membership) ------------------

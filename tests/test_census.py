@@ -3,10 +3,11 @@ import pytest
 
 from delpezzo import census, weyl
 from delpezzo.errors import InputError, InternalError
-from delpezzo.picard import PicardLattice
+from delpezzo.effectivity import is_effective
+from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
 from delpezzo.surface import catalog_load
-from delpezzo.toric import classify_sequence
+from delpezzo.toric import blow_down, classify_sequence
 
 
 def test_presets_validate():
@@ -27,26 +28,57 @@ def test_window_plan_iib():
 
 @pytest.mark.parametrize("preset", ["IIb-deg2", "VI-deg1"])
 def test_window_keys_match_packed_window_sums(preset):
-    # Reference: every window sum formed explicitly, packed and looked up.
+    # Reference: every window sum formed explicitly, packed and found by
+    # binary search among the sorted class keys.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
-    root_keys, _ = census._sorted_classes(lat, -2)
-    line_keys, _ = census._sorted_classes(lat, -1)
     rows = 0
     for layer in weyl.orbit_system_arrays(A0, max_layers=6):
         part = layer.payload
-        vals2 = np.einsum("wi,mir->mwr", plan.root_coeffs, part)
-        valsI = np.einsum("wi,mir->mwr", plan.ixa_coeffs, part)
-        idx2, idxI = census._window_classes(lat, plan, part)
-        assert np.array_equal(
-            idx2, census._lookup(root_keys, weyl.pack_rows(vals2), "root")
-        )
-        assert np.array_equal(
-            idxI, census._lookup(line_keys, weyl.pack_rows(valsI), "line")
-        )
+        slots2, slotsI = census._window_classes(lat, plan, part)
+        for r, coeffs, slots in (
+            (-2, plan.root_coeffs, slots2),
+            (-1, plan.ixa_coeffs, slotsI),
+        ):
+            table = census._class_table(lat, r)
+            class_keys = weyl.pack_rows(table.classes)
+            order = np.argsort(class_keys)
+            sums = np.einsum("wi,mir->mwr", coeffs, part)
+            idx = np.searchsorted(class_keys[order], weyl.pack_rows(sums))
+            assert np.array_equal(class_keys[order][idx], weyl.pack_rows(sums))
+            slot_class = np.full(int(table.modulus), -1)
+            slot_class[table.slots] = np.arange(len(table.classes))
+            assert (slot_class[slots] >= 0).all()
+            assert np.array_equal(slot_class[slots], order[idx])
+            assert np.array_equal(table.classes[slot_class[slots]], sums)
         rows += part.shape[0]
     assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
+
+
+#: Residue moduli of the (-2)- and (-1)-class tables, by degree.
+CLASS_TABLE_MODULI = {1: (871, 871), 2: (409, 157), 3: (249, 79)}
+
+
+@pytest.mark.parametrize("degree", [7, 6, 5, 4, 3, 2, 1])
+def test_class_table_is_a_bijection(degree):
+    lat = PicardLattice.standard(degree)
+    for i, r in enumerate((-2, -1)):
+        table = census._class_table(lat, r)
+        keys = weyl.pack_rows(table.classes)
+        p = int(table.modulus)
+        assert len(keys) == len(lat.enumerate_classes(r))
+        assert np.array_equal(table.slots, keys % table.modulus)
+        assert np.unique(table.slots).size == len(keys)
+        assert np.array_equal(table.slot_keys[table.slots], keys)
+        # An empty slot holds a key of another residue, so nothing matches it.
+        empty = np.setdiff1d(np.arange(p), table.slots)
+        assert (table.slot_keys[empty] % table.modulus != empty).all()
+        # The modulus is the smallest one that separates the keys.
+        for q in range(len(keys), p):
+            assert np.unique(keys % np.uint64(q)).size < len(keys)
+        if degree in CLASS_TABLE_MODULI:
+            assert p == CLASS_TABLE_MODULI[degree][i]
 
 
 def test_window_keys_reject_non_classes():
@@ -144,3 +176,108 @@ def test_expected_weyl_orders_match_table():
         from delpezzo import weyl
 
         assert census.EXPECTED_WEYL_ORDERS[degree] == weyl.group_order(degree)
+
+
+def _deg3_system(preset: str, term: int):
+    """A second-kind degree-3 system: a blow-down of a degree-2 preset."""
+    dp2 = catalog_load(2).get("dP")
+    _, A0 = blow_down(dp2, census.SEQUENCE_PRESETS[preset].initial_system(), term)
+    return A0
+
+
+def _reference_sweep(A0, surfaces, modes, max_layers):
+    """Tests (1)-(4) one row, surface and mode at a time, on window sums
+    formed explicitly, with the general effectivity test for (4)."""
+    lat = A0.lattice
+    plan = census._window_plan(A0.squares())
+    deep = [np.array(row) for row, _ in plan.deep_windows]
+    store = {(s.name, mode): [] for s in surfaces for mode in modes}
+    candidates = {f"{s.name}/{mode}": 0 for s in surfaces for mode in modes}
+    deep_tests = 0
+    for layer in weyl.orbit_system_arrays(A0, max_layers=max_layers):
+        for system in layer.payload:
+            roots = [tuple(v) for v in (plan.root_coeffs @ system).tolist()]
+            lines = [tuple(v) for v in (plan.ixa_coeffs @ system).tolist()]
+            for s in surfaces:
+                eff = s.effective_roots_set()
+                anti = any(vneg(r) in eff for r in roots)
+                eff2 = any(
+                    r in eff
+                    for r, cyclic in zip(roots, plan.root_through_n)
+                    if not cyclic
+                )
+                fail3 = any(
+                    c in s.irr_lines_set()
+                    or (lat.degree == 1 and vadd(c, lat.canonical) in eff)
+                    for c in lines
+                )
+                for mode in modes:
+                    if anti or fail3 or (mode == "strong" and eff2):
+                        continue
+                    candidates[f"{s.name}/{mode}"] += 1
+                    for row in deep:
+                        deep_tests += 1
+                        if is_effective(s, tuple((-(row @ system)).tolist()))[0]:
+                            break
+                    else:
+                        store[(s.name, mode)].append(system.tolist())
+    return store, candidates, deep_tests
+
+
+_SWEEP_CASES = {
+    "VI-deg3-both": (lambda: _deg3_system("VI-deg2", 3), None, census.MODES, 8),
+    "VI-deg3-strong-subset": (
+        lambda: _deg3_system("VI-deg2", 3),
+        ("dP", "A1+A3", "2A2", "2A1+A3", "A5"),
+        ("strong",),
+        8,
+    ),
+    "V-deg3-exceptional-subset": (
+        lambda: _deg3_system("V-deg2", 3),
+        ("A1+2A2", "A5", "3A2", "E6"),
+        ("exceptional",),
+        8,
+    ),
+    "IIb-deg2-both": (
+        lambda: census.SEQUENCE_PRESETS["IIb-deg2"].initial_system(),
+        None,
+        census.MODES,
+        10,
+    ),
+}
+
+
+@pytest.mark.parametrize("batch_rows", [512, 5])
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
+    make, pick, modes, layers = _SWEEP_CASES[case]
+    A0 = make()
+    catalog = catalog_load(A0.lattice.degree)
+    surfaces = catalog.entries if pick is None else [catalog.get(x) for x in pick]
+    # A small batch bound also exercises the flushes inside a layer.
+    monkeypatch.setattr(census, "_DEEP_BATCH_ROWS", batch_rows)
+    total, store, stats = census._census_sweep(
+        A0, tuple(surfaces), modes, False, {"max_layers": layers}
+    )
+    ref_store, ref_candidates, ref_deep = _reference_sweep(A0, surfaces, modes, layers)
+    assert total == stats["rows"] == sum(
+        weyl.poincare_coefficients(A0.lattice.degree)[: layers + 1]
+    )
+    assert {k: [a.tolist() for a in v] for k, v in store.items()} == ref_store
+    assert stats["deep_candidates"] == ref_candidates
+    assert stats["deep_tests"] == ref_deep > 0
+    assert stats["deep_cross_checks"] == 0
+
+
+def test_sweep_cross_checks_every_deep_test():
+    run = census.census_for_preset(
+        _deg3_system("VI-deg2", 3), max_layers=7, finalize=False, test_mode=True
+    )
+    assert run.stats["deep_tests"] > 0
+    assert run.stats["deep_cross_checks"] == run.stats["deep_tests"]
+
+
+def test_surface_masks_reject_more_than_64_surfaces():
+    s = catalog_load(3).get("A1")
+    with pytest.raises(InputError, match="64 surfaces"):
+        census._surface_masks(s.lattice, (s,) * 65)

@@ -1,20 +1,25 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delpezzo.effectivity import (
+    anticlass_effective,
     brute_force_effective,
     is_absolutely_effective,
     is_effective,
     is_effective_anticlass_fast,
     is_hole,
+    root_stacks,
     solve_root_combination,
 )
-from delpezzo.picard import parse_divisor, vneg, vscale, vsum
+from delpezzo.errors import InputError
+from delpezzo.picard import parse_divisor, vneg, vscale, vsub, vsum
 from delpezzo.surface import catalog_load
-from delpezzo import census
+from delpezzo.toric import blow_down
+from delpezzo import census, weyl
 
 
 def _bound(s, d):
@@ -148,8 +153,87 @@ def test_solve_root_combination_matches_fractions(data):
 
 def test_fast_anticlass_precondition():
     s = catalog_load(3).get("A4")
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="not an anti-class"):
         is_effective_anticlass_fast(s, parse_divisor(s.lattice, "L"))
+    # -E1 is an anti-class ((-E1)^2 - (-E1).K = -2) with D.K = 1 > 0.
+    with pytest.raises(InputError, match="D.K <= 0"):
+        is_effective_anticlass_fast(s, parse_divisor(s.lattice, "-E1"))
+    stacks = root_stacks((s, catalog_load(3).get("dP")))
+    good = vneg(parse_divisor(s.lattice, "E1-E2"))
+    with pytest.raises(InputError, match="not an anti-class"):
+        anticlass_effective(stacks, [good, parse_divisor(s.lattice, "L")], [0, 1])
+    with pytest.raises(InputError, match="expected"):
+        anticlass_effective(stacks, [good[:-1]], [0])
+    with pytest.raises(InputError, match="expected"):
+        anticlass_effective(stacks, [good], [0, 1])
+    with pytest.raises(InputError, match="one lattice"):
+        root_stacks((s, catalog_load(2).get("dP")))
+
+
+def _anticlass_by_loop(s, d):
+    """Reference: the scalar subtraction loop the batched kernel replaced."""
+    lat = s.lattice
+    roots = s.simple_roots
+    cap = max(1, 10 * (lat.rank + abs(lat.k_product(d))))
+    current = d
+    for _ in range(cap):
+        ones = []
+        any_negative = False
+        for r in roots:
+            p = lat.intersect(current, r)
+            if p <= -2:
+                return True
+            if p == -1:
+                ones.append(r)
+                any_negative = True
+        if not any_negative:
+            return False
+        disjoint = True
+        for i in range(len(ones)):
+            for j in range(i + 1, len(ones)):
+                p = lat.intersect(ones[i], ones[j])
+                if p > 0:
+                    return True
+                if p < 0:
+                    disjoint = False
+        if disjoint:
+            current = vsub(current, vsum(ones, lat.rank))
+        else:
+            current = vsub(current, ones[0])
+    raise AssertionError("reference loop did not terminate")
+
+
+def _deep_anticlass_source(name):
+    if name == "deg3":
+        dp2 = catalog_load(2).get("dP")
+        return blow_down(dp2, census.SEQUENCE_PRESETS["VI-deg2"].initial_system(), 3)[1]
+    return census.SEQUENCE_PRESETS[name].initial_system()
+
+
+@pytest.mark.parametrize("source,layers", [("IIb-deg2", 3), ("VI-deg1", 1), ("deg3", 2)])
+def test_anticlass_kernel_matches_loop(source, layers):
+    # The deep windows of the first orbit layers, negated, on every catalog
+    # surface of the degree, all in one batched call.
+    A0 = _deep_anticlass_source(source)
+    plan = census._window_plan(A0.squares())
+    anticlasses = [
+        tuple(d)
+        for layer in weyl.orbit_system_arrays(A0, max_layers=layers)
+        for row, _ in plan.deep_windows
+        for d in (-(np.array(row) @ layer.payload)).tolist()
+    ]
+    surfaces = catalog_load(A0.lattice.degree).entries
+    pairs = [(d, t) for d in anticlasses for t in range(len(surfaces))]
+    verdicts = anticlass_effective(
+        root_stacks(surfaces), [d for d, _ in pairs], [t for _, t in pairs]
+    )
+    assert verdicts.dtype == bool and verdicts.shape == (len(pairs),)
+    for (d, t), verdict in zip(pairs, verdicts):
+        s = surfaces[t]
+        expected = _anticlass_by_loop(s, d)
+        assert verdict == expected == is_effective(s, d)[0], (s.name, d)
+        assert is_effective_anticlass_fast(s, d) is expected
+    assert verdicts.any() and not verdicts.all()
 
 
 def test_multiple_of_effective_is_effective():
