@@ -438,32 +438,18 @@ def _window_classes(
 
 @lru_cache(maxsize=None)
 def stabilizer_table(degree: int) -> dict[str, tuple[weyl.WeylElement, ...] | None]:
-    """Stabilizer elements of every catalog surface's simple-root set.
-
-    Full-rank root sets (with K) use the permutation method; the
-    rank-deficient ones are batched into a single full-group scan.  The
-    del Pezzo entry maps to None (its stabilizer is all of W).
+    """Stabilizer elements of every catalog surface's simple-root set
+    (`weyl.stabilizer_elements_of_root_set`).  The del Pezzo entry maps to
+    None (its stabilizer is all of W).
     """
-    lat = PicardLattice.standard(degree)
-    out: dict[str, tuple[weyl.WeylElement, ...] | None] = {}
-    batched: list[SurfaceModel] = []
-    for s in catalog_load(degree).entries:
-        if not s.simple_roots:
-            out[s.name] = None
-            continue
-        if degree <= 2 and weyl.spans_lattice_with_k(lat, s.simple_roots):
-            out[s.name] = weyl.stabilizer_elements_of_root_set(
-                degree, s.simple_roots
-            )
-        else:
-            batched.append(s)
-    if batched:
-        batches = weyl.stabilizers_for_root_sets(
-            degree, tuple(s.simple_roots for s in batched)
+    return {
+        s.name: (
+            weyl.stabilizer_elements_of_root_set(degree, s.simple_roots)
+            if s.simple_roots
+            else None
         )
-        for s, elements in zip(batched, batches):
-            out[s.name] = elements
-    return out
+        for s in catalog_load(degree).entries
+    }
 
 
 def _stabilizer_order(degree: int, name: str) -> int:

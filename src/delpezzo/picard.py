@@ -269,11 +269,28 @@ def integer_adjugate(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(sign * x for x in row[n:]) for row in m), sign * prev
 
 
+@lru_cache(maxsize=None)
+def _standard_roots(rank: int) -> frozenset[Divisor]:
+    return frozenset(_enumerate_standard(rank, -2))
+
+
+def is_root(lattice: PicardLattice, root: Divisor) -> bool:
+    """Whether root is a (-2)-class, i.e. root^2 = -2 and K.root = 0.
+
+    On standard lattices the (-2)-classes are enumerated once, so this is a
+    set lookup.
+    """
+    if lattice.is_standard:
+        return tuple(root) in _standard_roots(lattice.rank)
+    return lattice.classify_r(root) == -2 and lattice.k_product(root) == 0
+
+
 def reflect(lattice: PicardLattice, d: Divisor, root: Divisor) -> Divisor:
     """Reflection of d in a (-2)-class: d + (d.root) root."""
-    if lattice.classify_r(root) != -2 or lattice.k_product(root) != 0:
+    if not is_root(lattice, root):
         raise InputError(f"{root} is not a (-2)-class root")
-    return vadd(d, vscale(lattice.intersect(d, root), root))
+    k = lattice.intersect(d, root)
+    return tuple(x + k * y for x, y in zip(d, root))
 
 
 # -- shorthand divisor notation ---------------------------------------

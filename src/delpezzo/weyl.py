@@ -19,12 +19,19 @@ range of every coordinate.  By linearity the key of a sum is the sum of
 the terms' keys less the extra offsets, and keys of two vectors whose
 coordinates differ by less than 2^bits in every field are equal only if
 the vectors are, which is the bound the census checks before it compares
-window keys with class keys.  Stabilizer candidates are solved exactly
-with the integer adjugate of the root basis.
+window keys with class keys.
+
+Stabilizers of root sets R are found without scanning W: an element
+is determined by the images of a basis of roots and K, which are roots
+with the same products, so a breadth-first search over the basis
+positions (R's own roots first, mapped into R) costs about |Stab|.  Each
+full assignment is solved exactly with the integer adjugate of the basis
+and kept when it is an integral isometry permuting R.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
-from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank
+from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank, is_root
 from .toric import ToricSystem
 
 #: Environment variable capping the memory (bytes) used by one orbit layer
@@ -68,7 +75,7 @@ def simple_reflection_roots(lattice: PicardLattice) -> tuple[Divisor, ...]:
 
 def reflection_matrix(lattice: PicardLattice, root: Divisor) -> np.ndarray:
     """Matrix M with M @ v = v + (v.root) root, acting on coefficient vectors."""
-    if lattice.classify_r(root) != -2 or lattice.k_product(root) != 0:
+    if not is_root(lattice, root):
         raise InputError(f"{root} is not a (-2)-class root")
     r = lattice.rank
     gram = np.array(lattice.gram, dtype=np.int64)
@@ -349,13 +356,18 @@ class WeylElement:
         return np.array(self.images, dtype=np.int64).T
 
     def verify(self) -> None:
-        lat = self.lattice
-        for i in range(lat.rank):
-            for j in range(i, lat.rank):
-                if lat.intersect(self.images[i], self.images[j]) != lat.gram[i][j]:
-                    raise InternalError("Weyl element does not preserve the form")
-        if self.apply(lat.canonical) != lat.canonical:
-            raise InternalError("Weyl element does not fix K")
+        images = np.array(self.images, dtype=np.int64)
+        if not preserves_form_and_k(self.lattice, images):
+            raise InternalError("Weyl element does not preserve the form or fix K")
+
+
+def preserves_form_and_k(lattice: PicardLattice, images: np.ndarray) -> np.ndarray:
+    """Which of the stacked maps [..., rank, rank] (row i = image of e_i,
+    so M = images.T) preserve the form and fix K: M^T G M == G, M K == K."""
+    gram = np.array(lattice.gram, dtype=np.int64)
+    k = np.array(lattice.canonical, dtype=np.int64)
+    form = images @ gram @ np.swapaxes(images, -1, -2)
+    return (form == gram).all(axis=(-2, -1)) & (k @ images == k).all(axis=-1)
 
 
 def identity_element(lattice: PicardLattice) -> WeylElement:
@@ -419,6 +431,22 @@ def orbit_system_arrays(A0: ToricSystem, **kwargs):
 
 
 # -- stabilizers of root sets -------------------------------------------
+#
+# In degrees <= 6 the isometries of Pic fixing K are exactly W (Manin,
+# Cubic Forms, Thm 23.9) and the roots span K^perp.  So for a basis made
+# of roots b_0..b_{rank-2} and K, an element w is determined by the
+# images w(b_j), each a root with the products of the b_j.  The search
+# assigns roots to the basis positions breadth-first and keeps the partial
+# assignments whose products match (Plesken & Souvignier, "Computing
+# isometries of lattices", J. Symb. Comput. 24 (1997), with the roots as
+# the short vectors).  The basis starts with independent roots of R,
+# whose images must lie in R, so the work is of the order of |Stab|, not
+# |W|.  Each full assignment determines a rational isometry, which is kept
+# when it is integral and permutes R.
+
+#: Most group elements, or partial basis assignments, one stabilizer
+#: computation may hold.
+STABILIZER_LIMIT = 100_000
 
 
 def spans_lattice_with_k(lattice: PicardLattice, roots) -> bool:
@@ -426,145 +454,135 @@ def spans_lattice_with_k(lattice: PicardLattice, roots) -> bool:
     return integer_rank(list(roots) + [lattice.canonical]) == lattice.rank
 
 
+def _weyl_order(degree: int) -> int:
+    return math.prod(INVARIANT_DEGREES[degree])
+
+
+@lru_cache(maxsize=None)
+def _root_table(lattice: PicardLattice):
+    """(roots [N, rank], root-by-root products [N, N] int8, root -> index)."""
+    classes = lattice.enumerate_classes(-2)
+    roots = np.array(classes, dtype=np.int64)
+    gram = np.array(lattice.gram, dtype=np.int64)
+    products = (roots @ gram @ roots.T).astype(np.int8)  # entries in -2..2
+    roots.flags.writeable = products.flags.writeable = False
+    return roots, products, {r: i for i, r in enumerate(classes)}
+
+
+def _root_basis(lattice: PicardLattice, roots) -> tuple[list[int], int] | None:
+    """Indices of roots spanning K^perp, and how many of them lie in R.
+
+    R's independent roots come first, then lattice roots in enumeration
+    order, each meeting an earlier basis root where one does: its images
+    are then confined to the roots with that nonzero product.  None when
+    the lattice's roots do not span K^perp (degree 7).
+    """
+    all_roots, products, index = _root_table(lattice)
+    basis: list[int] = []
+
+    def extends(i: int) -> bool:
+        return integer_rank(all_roots[basis + [i]]) > len(basis)
+
+    for r in roots:
+        if extends(index[r]):
+            basis.append(index[r])
+    in_r = len(basis)
+    while len(basis) < lattice.rank - 1:
+        meets = products[basis].any(axis=0)
+        candidates = np.argsort(~meets, kind="stable").tolist()
+        pick = next((i for i in candidates if extends(i)), None)
+        if pick is None:
+            return None
+        basis.append(pick)
+    return basis, in_r
+
+
+def _stabilizer_search(
+    lattice: PicardLattice, roots: tuple[Divisor, ...], basis_idx: list[int], in_r: int
+) -> tuple[WeylElement, ...]:
+    all_roots, products, index = _root_table(lattice)
+    root_idx = np.array([index[r] for r in roots], dtype=np.int64)
+    anywhere = np.arange(len(all_roots))
+    basis_products = products[np.ix_(basis_idx, basis_idx)]
+    # [P, j] root indices of the images of b_0..b_{j-1}.
+    assigned = np.zeros((1, 0), dtype=np.int64)
+    for j in range(len(basis_idx)):
+        candidates = root_idx if j < in_r else anywhere
+        ok = np.ones((assigned.shape[0], candidates.size), dtype=bool)
+        for i in range(j):
+            ok &= products[assigned[:, i, None], candidates] == basis_products[i, j]
+        count = np.count_nonzero(ok)
+        if count > STABILIZER_LIMIT:
+            raise ResourceError(
+                f"stabilizer search of {len(roots)} roots on the degree-"
+                f"{lattice.degree} lattice passed {STABILIZER_LIMIT} partial "
+                f"assignments at basis position {j}"
+            )
+        rows, cols = np.nonzero(ok)
+        assigned = np.column_stack([assigned[rows], candidates[cols]])
+
+    k = np.array(lattice.canonical, dtype=np.int64)
+    basis = np.concatenate([all_roots[basis_idx], k[None]])
+    images = np.concatenate(
+        [all_roots[assigned], np.broadcast_to(k, (assigned.shape[0], 1, k.size))], axis=1
+    )
+    # M @ b_i = s_i for basis rows b_i and image rows s_i means
+    # basis @ M.T = images, so det * M.T = adj @ images: the unique rational
+    # solution, integral iff det divides every entry.
+    adj, det = integer_adjugate(basis)
+    scaled = np.array(adj, dtype=np.int64) @ images
+    integral = (scaled % det == 0).all(axis=(1, 2))
+    mt, images = scaled[integral] // det, images[integral]
+    keep = (basis @ mt == images).all(axis=(1, 2)) & preserves_form_and_k(lattice, mt)
+    # An isometry is injective, so mapping R into R permutes it.
+    r_arr = np.array(roots, dtype=np.int64)
+    r_images = r_arr @ mt
+    keep &= (r_images[:, :, None, :] == r_arr).all(axis=-1).any(axis=-1).all(axis=-1)
+    return tuple(
+        WeylElement(lattice, tuple(map(tuple, m))) for m in mt[keep].tolist()
+    )
+
+
 def stabilizer_elements_of_root_set(
     degree: int, roots: tuple[Divisor, ...]
 ) -> tuple[WeylElement, ...]:
-    """All w in W permuting the given root set, as explicit elements.
+    """All w in W permuting the given root set R, as explicit elements.
 
-    Two methods, both exact:
-
-    * If the roots together with K span the lattice over Q and the degree
-      is at most 2 (where every integral isometry fixing K lies in W),
-      candidates are the product-preserving permutations of the root set;
-      each determines a unique rational matrix, kept iff integral.
-    * Otherwise the full group is enumerated and filtered (degrees >= 3,
-      where |W| <= 51840).
+    For nonempty R in degrees 1-6 this is the root-basis search above, in
+    which every integral isometry fixing K lies in W (Manin, Cubic Forms,
+    Thm 23.9); it raises `ResourceError` when its partial assignments pass
+    STABILIZER_LIMIT.  The empty set (whose stabilizer is W) and degree 7
+    (|W| = 2; the roots do not span K^perp) filter the enumerated group,
+    which must have at most STABILIZER_LIMIT elements.
     """
     lattice = _lattice_for_degree(degree)
-    roots = tuple(roots)
+    roots = tuple(dict.fromkeys(tuple(int(x) for x in r) for r in roots))
     for r in roots:
-        if lattice.classify_r(r) != -2 or lattice.k_product(r) != 0:
+        if not is_root(lattice, r):
             raise InputError(f"{r} is not a (-2)-class root")
-    if not roots:
-        if group_order(degree) > 100_000:
-            raise ResourceError(
-                "empty root set: the stabilizer is all of W; enumerate it "
-                "explicitly only for small degrees"
-            )
-        return tuple(enumerate_group(degree))
-    full_rank = spans_lattice_with_k(lattice, roots)
-    if degree <= 2 and full_rank:
-        return _stabilizer_by_permutations(lattice, roots)
-    if degree <= 2:
-        return stabilizers_for_root_sets(degree, (roots,))[0]
-    out = []
+    found = _root_basis(lattice, roots) if roots else None
+    if found is not None:
+        return _stabilizer_search(lattice, roots, *found)
+    if _weyl_order(degree) > STABILIZER_LIMIT:
+        raise ResourceError(
+            f"the stabilizer of {len(roots)} roots in degree {degree} is "
+            f"enumerated from all of W, which has more than {STABILIZER_LIMIT} "
+            "elements"
+        )
     target = frozenset(roots)
-    for el in enumerate_group(degree):
-        if frozenset(el.apply(r) for r in roots) == target:
-            out.append(el)
-    return tuple(out)
-
-
-def stabilizers_for_root_sets(
-    degree: int, root_sets
-) -> tuple[tuple[WeylElement, ...], ...]:
-    """Setwise stabilizers of several root sets in one full-group pass.
-
-    The whole group is streamed once as basis-image stacks; for every
-    root set, elements whose image of the set (as a sorted key tuple)
-    matches the original are collected.  Quadratic-free: one matrix
-    product per (layer, root set).
-    """
-    lattice = _lattice_for_degree(degree)
-    root_sets = tuple(tuple(rs) for rs in root_sets)
-    root_arrays = [np.array(rs, dtype=np.int64) for rs in root_sets]
-    targets = [np.sort(pack_rows(arr)) for arr in root_arrays]
-    found: list[list[WeylElement]] = [[] for _ in root_sets]
-    eye = np.eye(lattice.rank, dtype=np.int64)
-    for layer in orbit_layers(lattice, eye):
-        payload = layer.payload  # [N, rank, rank]; rows are images of e_i
-        for which, (arr, target) in enumerate(zip(root_arrays, targets)):
-            if arr.size == 0:
-                continue
-            # w(v) = v @ images for a row vector v.
-            images = arr[None, :, :] @ payload  # [N, k, rank]
-            keys = np.sort(pack_rows(images), axis=1)
-            mask = np.all(keys == target[None, :], axis=1)
-            for idx in np.nonzero(mask)[0]:
-                el = WeylElement(
-                    lattice,
-                    tuple(tuple(int(x) for x in img) for img in payload[idx]),
-                )
-                el.verify()
-                found[which].append(el)
-    return tuple(tuple(f) for f in found)
-
-
-def _stabilizer_by_permutations(
-    lattice: PicardLattice, roots: tuple[Divisor, ...]
-) -> tuple[WeylElement, ...]:
-    k = len(roots)
-    prod = [
-        [lattice.intersect(roots[i], roots[j]) for j in range(k)] for i in range(k)
-    ]
-    basis = np.array(list(roots) + [lattice.canonical], dtype=np.int64)  # rows
-    # For images B (rows), the matrix M with M @ basis_row_i = image_row_i
-    # acting on coefficient columns satisfies  basis @ M.T = images, so
-    # det(basis) M.T = adj(basis) @ images.
-    adj, det = integer_adjugate(basis)
-    adj = np.array(adj, dtype=np.int64)
-    out: list[WeylElement] = []
-    perm: list[int] = []
-    used = [False] * k
-
-    def extend():
-        if len(perm) == k:
-            el = _solve_isometry(lattice, basis, adj, det, perm, roots)
-            if el is not None:
-                out.append(el)
-            return
-        i = len(perm)
-        for j in range(k):
-            if used[j]:
-                continue
-            if all(prod[perm[a]][j] == prod[a][i] for a in range(i)):
-                used[j] = True
-                perm.append(j)
-                extend()
-                perm.pop()
-                used[j] = False
-
-    extend()
-    return tuple(out)
-
-
-def _solve_isometry(lattice, basis, adj, det, perm, roots):
-    images = np.array([roots[j] for j in perm] + [lattice.canonical], dtype=np.int64)
-    # Want M with M @ r_i = s_i for basis rows r_i, image rows s_i; the
-    # unique rational solution is integral iff det divides adj @ images.
-    scaled = adj @ images
-    if np.any(scaled % det):
-        return None
-    m = (scaled // det).T
-    # Exact verification: correct images and Gram preservation.
-    if not np.array_equal(m @ basis.T, images.T):
-        return None
-    gram = np.array(lattice.gram, dtype=np.int64)
-    if not np.array_equal(m.T @ gram @ m, gram):
-        return None
-    el = WeylElement(
-        lattice,
-        tuple(tuple(int(x) for x in m[:, i]) for i in range(lattice.rank)),
+    return tuple(
+        el
+        for el in enumerate_group(degree)
+        if frozenset(el.apply(r) for r in roots) == target
     )
-    el.verify()
-    return el
 
 
 def stabilizer_order_of_root_set(degree: int, roots) -> int:
+    _lattice_for_degree(degree)
     roots = tuple(roots)
     if not roots:
-        return group_order(degree)
+        return _weyl_order(degree)
     order = len(stabilizer_elements_of_root_set(degree, roots))
-    if group_order(degree) % order != 0:
+    if _weyl_order(degree) % order != 0:
         raise InternalError("stabilizer order does not divide the group order")
     return order

@@ -140,6 +140,35 @@ def test_reflect_transposition():
         reflect(lat, (0, 1, 0, 0), (0, 1, 0, 0))
 
 
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_reflect_matches_formula(degree, data):
+    lat = PicardLattice.standard(degree)
+    d = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=lat.rank, max_size=lat.rank)))
+    for root in lat.enumerate_classes(-2):
+        assert reflect(lat, d, root) == vadd(d, vscale(lat.intersect(d, root), root))
+    # Any other vector is refused exactly when the old test refuses it.
+    if lat.classify_r(d) == -2 and lat.k_product(d) == 0:
+        assert reflect(lat, lat.canonical, d) == lat.canonical
+    else:
+        with pytest.raises(InputError):
+            reflect(lat, lat.canonical, d)
+
+
+def test_reflect_rejects_non_roots():
+    lat = PicardLattice.standard(2)
+    d = lat.canonical
+    for text in ("E1", "E1+E2", "L-E1-E2", "2L-E1"):
+        with pytest.raises(InputError):
+            reflect(lat, d, parse_divisor(lat, text))
+    with pytest.raises(InputError):
+        reflect(lat, d, (0, 1, -1))  # wrong length
+    # A non-standard lattice keeps the explicit test: F - G is a root of F0.
+    hz = PicardLattice.hirzebruch()
+    assert reflect(hz, (1, 0), (1, -1)) == (0, 1)
+    with pytest.raises(InputError):
+        reflect(hz, (1, 0), (1, 0))
+
+
 def test_vector_helpers():
     assert vadd((1, 2), (3, 4)) == (4, 6)
     assert vsub((1, 2), (3, 4)) == (-2, -2)

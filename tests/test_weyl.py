@@ -1,9 +1,12 @@
+import functools
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delpezzo import census, weyl
 from delpezzo.errors import InputError, InternalError, ResourceError
@@ -159,6 +162,105 @@ def test_stabilizers():
         assert frozenset(el.apply(r) for r in s.simple_roots) == frozenset(
             s.simple_roots
         )
+
+
+def _check_stabilizer(degree, roots, elements):
+    lat = PicardLattice.standard(degree)
+    target = frozenset(roots)
+    for el in elements:
+        el.verify()
+        assert frozenset(el.apply(r) for r in roots) == target
+    assert weyl.identity_element(lat) in elements
+    assert len(set(elements)) == len(elements)
+    assert math.prod(weyl.INVARIANT_DEGREES[degree]) % len(elements) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _group_stack(degree):
+    group = np.array([el.images for el in weyl.enumerate_group(degree)], dtype=np.int64)
+    group.flags.writeable = False
+    return group
+
+
+def _group_filter(degree, roots):
+    """Reference: the elements of W (as basis-image stacks) permuting roots."""
+    group = _group_stack(degree)
+    arr = np.array(roots, dtype=np.int64)
+    images = np.sort(weyl.pack_rows(arr @ group), axis=1)
+    mask = (images == np.sort(weyl.pack_rows(arr))).all(axis=1)
+    return {tuple(map(tuple, m)) for m in group[mask].tolist()}
+
+
+@pytest.mark.parametrize("degree", [6, 5, 4, 3])
+def test_stabilizer_search_matches_group_filter(degree):
+    group = _group_stack(degree)
+    assert len(group) == census.EXPECTED_WEYL_ORDERS[degree]
+    assert weyl.preserves_form_and_k(PicardLattice.standard(degree), group).all()
+    for s in catalog_load(degree).entries:
+        if not s.simple_roots:
+            continue
+        elements = weyl.stabilizer_elements_of_root_set(degree, s.simple_roots)
+        assert {el.images for el in elements} == _group_filter(degree, s.simple_roots)
+        _check_stabilizer(degree, s.simple_roots, elements)
+        assert weyl.stabilizer_elements_of_root_set(degree, s.simple_roots * 2) == elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([6, 5, 4]), st.data())
+def test_stabilizer_search_on_random_root_sets(degree, data):
+    # Unlike the catalog's simple roots, random sets are often linearly
+    # dependent, so mapping the independent ones into R is not enough.
+    roots = PicardLattice.standard(degree).enumerate_classes(-2)
+    subset = data.draw(st.lists(st.sampled_from(roots), min_size=1, max_size=6, unique=True))
+    elements = weyl.stabilizer_elements_of_root_set(degree, tuple(subset))
+    assert {el.images for el in elements} == _group_filter(degree, subset)
+    _check_stabilizer(degree, subset, elements)
+
+
+def test_stabilizer_orders_degree1():
+    for s in catalog_load(1).entries:
+        if len(s.simple_roots) >= 5:
+            elements = weyl.stabilizer_elements_of_root_set(1, s.simple_roots)
+            _check_stabilizer(1, s.simple_roots, elements)
+            assert weyl.stabilizer_order_of_root_set(1, s.simple_roots) == len(elements)
+
+
+def test_stabilizer_limits_degree1():
+    # |W(E8)| = 696,729,600: neither call may walk the group, and the
+    # search must stop at its partial-assignment limit.
+    lat = PicardLattice.standard(1)
+    assert weyl.stabilizer_order_of_root_set(1, ()) == 696_729_600
+    for roots in ((), lat.enumerate_classes(-2)[:1]):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceError):
+                weyl.stabilizer_elements_of_root_set(1, roots)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 128 * 2**20
+
+
+def test_stabilizer_rejects_non_roots():
+    with pytest.raises(InputError):
+        weyl.stabilizer_elements_of_root_set(3, ((0, 1, 0, 0, 0, 0, 0),))
+    with pytest.raises(InputError):
+        weyl.stabilizer_elements_of_root_set(8, ())
+
+
+def test_verify_rejects_non_isometries():
+    lat = PicardLattice.standard(4)
+    eye = np.eye(lat.rank, dtype=np.int64)
+    weyl.identity_element(lat).verify()
+    sheared = eye.copy()
+    sheared[0, 1] = 1  # L -> L + E1
+    for images in (-eye, sheared, 2 * eye):
+        assert not weyl.preserves_form_and_k(lat, images)
+        with pytest.raises(InternalError):
+            weyl.WeylElement(lat, tuple(map(tuple, images.tolist()))).verify()
 
 
 def test_integer_rank():
