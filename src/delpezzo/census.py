@@ -408,21 +408,32 @@ def _slots(table: _ClassTable, keys: np.ndarray, what: str) -> np.ndarray:
     return slots
 
 
+def _check_key_room(lattice: PicardLattice, plan: _WindowPlan, terms) -> None:
+    """Prove that every window sum of every W-image of the system `terms`
+    [n, rank] stays within `_key_room`: W maps the window sums of the
+    system to those of its image, so `weyl.orbit_bound` of the system's
+    own window sums bounds them over the whole orbit."""
+    terms = np.asarray(terms, dtype=np.int64)
+    sums = np.concatenate([plan.root_coeffs, plan.ixa_coeffs]) @ terms
+    if (weyl.orbit_bound(lattice, sums) > _key_room(lattice)).any():
+        raise InternalError("window sums leave the packing fields")
+
+
 def _window_classes(
     lattice: PicardLattice, plan: _WindowPlan, part: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class-table slots of the (-2)- and I(X,A) windows of each system in
-    `part` [m, n, rank] int64: [m, w2] into `_class_table(lattice, -2)` and
-    [m, wI] into `_class_table(lattice, -1)`.
+    `part` [m, n, rank] (any integer dtype, e.g. the int8 orbit payload):
+    [m, w2] into `_class_table(lattice, -2)` and [m, wI] into
+    `_class_table(lattice, -1)`.
 
     A window's key is the sum of its terms' `x @ weights` plus the packing
-    offset, all mod 2^64.  While every window-sum coordinate stays within
-    `_key_room` (bounded by the sum of the terms' magnitudes), equal keys
-    mean equal vectors, so a window whose key differs from the class key in
-    its slot is no class.
+    offset, all mod 2^64.  The systems must lie in the W-orbit of a system
+    that passed `_check_key_room`, which proves once per plan that every
+    window-sum coordinate stays within `_key_room`; there equal keys mean
+    equal vectors, so a window whose key differs from the class key in its
+    slot is no class.
     """
-    if (np.abs(part).sum(axis=1).max(axis=0) > _key_room(lattice)).any():
-        raise InternalError("window sums leave the packing fields")
     _, weights, offset = weyl.pack_layout(lattice.rank)
     term_keys = part.astype(np.uint64) @ weights  # negatives wrap mod 2^64
     keys = term_keys @ plan.root_coeffs.T.astype(np.uint64)
@@ -534,6 +545,7 @@ def _census_sweep(
     """
     lat = A0.lattice
     plan = _window_plan(A0.squares())
+    _check_key_room(lat, plan, A0.terms)
     masks = _surface_masks(lat, surfaces)
     stacks = root_stacks(surfaces)
     noncyc = ~plan.root_through_n

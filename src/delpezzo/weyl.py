@@ -12,7 +12,16 @@ orbit is a tree walked layer by layer with no membership test: a payload
 reaches every point of its orbit exactly once.  The layer sizes are checked
 against the Poincare polynomial of W.
 
-All array arithmetic is int64 numpy.  Vectors are packed into uint64
+A simple reflection acts on coordinates directly: the one in E_i - E_{i+1}
+swaps two of them, the one in L - E1 - E2 - E3 moves t = a0+a1+a2+a3 from
+a1..a3 to a0.  W preserves the form and fixes K, so every image of a
+vector v keeps v^2 and K.v, and Cauchy-Schwarz turns these into a bound on
+every coordinate of the whole orbit (`orbit_bound`).  The orbit is stored
+in the narrowest integer type that bound allows, proven once per orbit
+rather than checked per row: int8 payloads for every census preset, int8
+markers in degrees 2-7 and int16 in degree 1.  Everything else is int64.
+
+Vectors are packed into uint64
 keys by a linear map, key(x) = x @ weights + offset (mod 2^64), with one
 bit field per coordinate (`pack_layout`); `pack_rows` asserts the field
 range of every coordinate.  By linearity the key of a sum is the sum of
@@ -175,14 +184,72 @@ def poincare_coefficients(degree: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def reflect_rows(rows: np.ndarray, i: int) -> None:
+    """Apply the i-th simple reflection (in the order of
+    `simple_reflection_roots`) to the row vectors rows [..., rank], in place.
+
+    The reflection in E_j - E_{j+1} swaps coordinates j and j+1.  The one in
+    L - E1 - E2 - E3 adds t = a0 + a1 + a2 + a3 to a0 and subtracts it from
+    a1..a3; t is summed in int64, and the results are written back in the
+    dtype of `rows`, which must hold them (see `orbit_bound`).
+    """
+    if i < rows.shape[-1] - 2:
+        rows[..., [i + 1, i + 2]] = rows[..., [i + 2, i + 1]]
+    else:
+        t = rows[..., :4].sum(axis=-1, dtype=np.int64)
+        rows[..., 0] += t
+        rows[..., 1:4] -= t[..., None]
+
+
+def orbit_bound(lattice: PicardLattice, vectors) -> np.ndarray:
+    """[len(vectors), rank] int64: for each vector v, a bound on the
+    magnitude of every coordinate of every image w.v, w in W.
+
+    W preserves the form and fixes K, so every image (a0, a1..am) of v has
+    a0^2 - sum a_i^2 = s = v^2 and -3 a0 - sum a_i = k = K.v.  Cauchy-Schwarz,
+    (sum a_i)^2 <= m sum a_i^2, turns these into (c a0 + 3k)^2 <= m (k^2 - c s)
+    with c = K^2 = 9 - m, which bounds a0; then every a_i^2 <= a0^2 - s.
+    """
+    if not lattice.is_standard:
+        raise InputError("orbit bounds are defined on standard lattices")
+    m, c = lattice.num_exceptional, lattice.degree
+    out = []
+    for v in vectors:
+        v = tuple(int(x) for x in v)
+        s = lattice.intersect(v, v)
+        k = lattice.intersect(lattice.canonical, v)
+        r = math.isqrt(m * (k * k - c * s))
+        # a0 runs over ceil((-3k - r) / c) .. floor((-3k + r) / c).
+        a0 = max(abs(-((3 * k + r) // c)), abs((r - 3 * k) // c))
+        out.append((a0,) + (math.isqrt(a0 * a0 - s),) * m)
+    return np.array(out, dtype=np.int64).reshape(-1, lattice.rank)
+
+
+def _narrowest_int(bound: int) -> np.dtype:
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise InputError(f"orbit coordinates up to {bound} do not fit int64")
+
+
+def _narrow(arr: np.ndarray, bound: np.ndarray, dtype: np.dtype, what: str) -> np.ndarray:
+    """arr cast to dtype, after checking |arr| <= bound (broadcast)."""
+    if (np.abs(arr.astype(np.int64)) > bound).any():
+        raise InputError(f"{what} has coordinates outside the orbit bound")
+    return arr.astype(dtype, copy=False)
+
+
 @dataclass
 class OrbitLayer:
     """The images under the elements of Coxeter length `index`: markers
-    and the payload carried in lockstep."""
+    and the payload carried in lockstep.  Both are stored in the narrowest
+    integer type that `orbit_bound` proves holds the whole orbit (int8
+    payloads for every census preset; int8 markers in degrees 2-7, int16
+    in degree 1)."""
 
     index: int
-    markers: np.ndarray  # [N, rank] int64
-    payload: np.ndarray | None  # [N, P, rank] int64
+    markers: np.ndarray  # [N, rank]
+    payload: np.ndarray | None  # [N, P, rank]
     total_so_far: int
 
 
@@ -204,6 +271,10 @@ def orbit_layers(
     order.  Every layer's size is checked against the Poincare
     polynomial of W.
 
+    The reflections act on the coordinates directly (`reflect_rows`), and
+    markers and payload are kept in the narrowest integer types that
+    `orbit_bound` allows, so no image can overflow.
+
     With `checkpoint_dir`, the current layer is written after every layer
     and `resume=True` continues from it; the checkpoint must belong to the
     same lattice and initial payload.
@@ -216,13 +287,20 @@ def orbit_layers(
     gram = np.array(lattice.gram, dtype=np.int64)
     root_arr = np.array(roots, dtype=np.int64)
     pairing = gram @ root_arr.T  # markers @ pairing: products with simple roots
-    cartan = root_arr @ pairing
-    # Row vectors transform as v -> v @ gens_t[i].
-    gens_t = np.stack([reflection_matrix(lattice, r).T for r in roots])
+    cartan = (root_arr @ pairing).tolist()
+    # Each product with a simple root is a signed sum of a few coordinates.
+    pair_terms = [
+        [(c, int(pairing[c, i])) for c in np.flatnonzero(pairing[:, i])]
+        for i in range(len(roots))
+    ]
     sizes = poincare_coefficients(lattice.degree)
     marker0 = np.array(regular_marker(lattice), dtype=np.int64)
+    bounds = {"markers": orbit_bound(lattice, [marker0])[0]}
     if payload0 is not None:
         payload0 = np.asarray(payload0, dtype=np.int64)
+        bounds["payload"] = orbit_bound(lattice, payload0.reshape(-1, lattice.rank))
+        bounds["payload"] = bounds["payload"].reshape(payload0.shape)
+    dtypes = {key: _narrowest_int(int(b.max())) for key, b in bounds.items()}
 
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
@@ -230,10 +308,13 @@ def orbit_layers(
     if resume:
         if checkpoint_dir is None:
             raise InputError("resume requires a checkpoint directory")
-        layer = _load_checkpoint(checkpoint_dir, marker0, payload0)
+        layer = _load_checkpoint(checkpoint_dir, marker0, payload0, bounds, dtypes)
     else:
         layer = OrbitLayer(
-            0, marker0[None, :], None if payload0 is None else payload0[None], 1
+            0,
+            marker0[None, :].astype(dtypes["markers"]),
+            None if payload0 is None else payload0[None].astype(dtypes["payload"]),
+            1,
         )
         yield layer
         if checkpoint_dir is not None:
@@ -251,7 +332,7 @@ def orbit_layers(
             per = markers.itemsize * markers.shape[1]
             if payload is not None:
                 per += payload.itemsize * payload.shape[1] * payload.shape[2]
-            needed = (n + expected) * per + n * len(roots) * 8
+            needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2
             if needed > memory_budget:
                 raise ResourceError(
                     f"orbit layer {index} needs ~{needed} bytes, over the budget "
@@ -261,17 +342,19 @@ def orbit_layers(
         # m = w.rho has children s_i.m for the i that lengthen w (m.a_i > 0)
         # and are the smallest descent of s_i.w: for j < i, s_i.m pairs
         # positively with a_j.  So every element has exactly one parent.
-        pair = markers @ pairing
-        child_markers, child_payload = [], []
+        # pair[i] = m.a_i = rho.(w^-1 a_i) is the height of a root, and its
+        # partial sums add at most four coordinates of the marker, each at
+        # most 148 (`orbit_bound`, degree 1): int16 holds them all.
+        coords = markers.T.astype(np.int16)
+        pair = [sum(g * coords[c] for c, g in terms) for terms in pair_terms]
+        children = []
         for i in range(len(roots)):
-            mask = pair[:, i] > 0
+            mask = pair[i] > 0
             for j in range(i):
-                mask &= pair[:, j] + pair[:, i] * cartan[i, j] > 0
-            child_markers.append(markers[mask] @ gens_t[i])
-            if payload is not None:
-                child_payload.append(payload[mask] @ gens_t[i])
-        markers = np.concatenate(child_markers)
-        count = markers.shape[0]
+                mask &= pair[j] + pair[i] * cartan[i][j] > 0
+            children.append(np.flatnonzero(mask))
+        rows = np.concatenate(children)
+        count = rows.size
         if count != expected:
             raise InternalError(
                 f"orbit layer {index} has {count} elements, but the Poincare "
@@ -279,12 +362,16 @@ def orbit_layers(
             )
         if count == 0:
             return
-        layer = OrbitLayer(
-            index,
-            markers,
-            None if payload is None else np.concatenate(child_payload),
-            layer.total_so_far + count,
-        )
+        markers = markers[rows]
+        payload = None if payload is None else np.take(payload, rows, axis=0)
+        lo = 0
+        for i, sel in enumerate(children):
+            hi = lo + sel.size
+            reflect_rows(markers[lo:hi], i)
+            if payload is not None:
+                reflect_rows(payload[lo:hi], i)
+            lo = hi
+        layer = OrbitLayer(index, markers, payload, layer.total_so_far + count)
         yield layer
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, marker0, payload0, layer)
@@ -307,8 +394,10 @@ def _save_checkpoint(directory: Path, marker0, payload0, layer: OrbitLayer):
     os.replace(tmp, directory / "state.npz")
 
 
-def _load_checkpoint(directory: Path, marker0, payload0) -> OrbitLayer:
-    """The checkpointed layer, if it belongs to the orbit of (marker0, payload0)."""
+def _load_checkpoint(directory: Path, marker0, payload0, bounds, dtypes) -> OrbitLayer:
+    """The checkpointed layer, if it belongs to the orbit of (marker0,
+    payload0), in the dtypes the orbit bounds pick (a checkpoint written
+    in int64 is narrowed after a range check)."""
     path = directory / "state.npz"
     if not path.exists():
         raise InputError(f"no checkpoint found in {directory}")
@@ -328,8 +417,12 @@ def _load_checkpoint(directory: Path, marker0, payload0) -> OrbitLayer:
             f"checkpoint in {directory} belongs to a different orbit "
             "(initial marker or payload differ)"
         )
+    arrays = {
+        key: _narrow(saved[key], bounds[key], dtypes[key], f"checkpoint {key}")
+        for key in bounds
+    }
     return OrbitLayer(
-        int(saved["layer"]), saved["markers"], saved.get("payload"), int(saved["total"])
+        int(saved["layer"]), arrays["markers"], arrays.get("payload"), int(saved["total"])
     )
 
 
@@ -447,11 +540,6 @@ def orbit_system_arrays(A0: ToricSystem, **kwargs):
 #: Most group elements, or partial basis assignments, one stabilizer
 #: computation may hold.
 STABILIZER_LIMIT = 100_000
-
-
-def spans_lattice_with_k(lattice: PicardLattice, roots) -> bool:
-    """Whether the roots together with K span the lattice over Q."""
-    return integer_rank(list(roots) + [lattice.canonical]) == lattice.rank
 
 
 def _weyl_order(degree: int) -> int:

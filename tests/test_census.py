@@ -81,7 +81,7 @@ def test_class_table_is_a_bijection(degree):
             assert p == CLASS_TABLE_MODULI[degree][i]
 
 
-def test_window_keys_reject_non_classes():
+def test_window_keys_reject_non_classes(monkeypatch):
     A0 = census.section13_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
@@ -89,9 +89,17 @@ def test_window_keys_reject_non_classes():
     # Sums inside the packing fields that are not classes.
     with pytest.raises(InternalError, match="not a"):
         census._window_classes(lat, plan, 2 * part)
-    # Sums that leave the fields, where a key could alias a class.
+    # Sums that can leave the fields somewhere in the orbit, where a key
+    # could alias a class: refused once per plan, before any sweep.
     with pytest.raises(InternalError, match="packing fields"):
-        census._window_classes(lat, plan, 127 * part)
+        census._check_key_room(lat, plan, 127 * part[0])
+    for preset in census.SEQUENCE_PRESETS.values():
+        A = preset.initial_system()
+        census._check_key_room(A.lattice, census._window_plan(A.squares()), A.terms)
+    # The sweep proves the room before it streams the orbit.
+    monkeypatch.setattr(census, "_key_room", lambda lattice: np.zeros(lattice.rank))
+    with pytest.raises(InternalError, match="packing fields"):
+        census.census_for_preset(A0, max_layers=0, finalize=False)
 
 
 def test_window_plan_rejects_first_kind():

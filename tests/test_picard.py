@@ -1,9 +1,11 @@
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import delpezzo
 from delpezzo.errors import InputError
 from delpezzo.picard import (
     PicardLattice,
@@ -212,3 +214,13 @@ def test_integer_adjugate(a):
 def test_integer_adjugate_rejects_non_square():
     with pytest.raises(InputError):
         integer_adjugate([[1, 2, 3], [4, 5, 6]])
+
+
+def test_library_has_no_floating_point():
+    # The exact-integer contract: no float dtypes, float linear algebra or
+    # einsum (whose integer paths are easy to swap for float ones).
+    src = Path(delpezzo.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("np.linalg", "float64", "float32", "einsum"):
+            assert word not in text, f"{path.name} uses {word}"

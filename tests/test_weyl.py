@@ -114,13 +114,43 @@ def test_checkpoint_resume(tmp_path):
     resumed = list(
         weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True)
     )
-    tail = [layer for layer in full if layer.index > 2]
+    _assert_same_tail(resumed, full, 2)
+
+
+def _assert_same_tail(resumed, full, cut):
+    tail = [layer for layer in full if layer.index > cut]
     assert len(resumed) == len(tail)
     for a, b in zip(resumed, tail):
         assert a.index == b.index
+        assert a.markers.dtype == b.markers.dtype == np.int8
+        assert a.payload.dtype == b.payload.dtype == np.int8
         assert np.array_equal(a.markers, b.markers)
         assert np.array_equal(a.payload, b.payload)
     assert resumed[-1].total_so_far == full[-1].total_so_far == 1920
+
+
+def test_resume_from_int64_checkpoint(tmp_path):
+    # A checkpoint written with int64 layers resumes in the narrow dtypes
+    # the orbit bound picks, after a range check.
+    lat = PicardLattice.standard(4)
+    eye = np.eye(lat.rank, dtype=np.int64)
+    full = list(weyl.orbit_layers(lat, eye))
+    list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, max_layers=3))
+    path = tmp_path / "state.npz"
+    with np.load(path) as data:
+        saved = {key: data[key] for key in data.files}
+    assert saved["markers"].dtype == saved["payload"].dtype == np.int8
+    wide = dict(saved, markers=saved["markers"].astype(np.int64))
+    wide["payload"] = saved["payload"].astype(np.int64)
+    np.savez_compressed(path, **wide)
+    resumed = list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True))
+    _assert_same_tail(resumed, full, 3)
+    # Coordinates outside the proven bound are no orbit point.
+    bad = dict(wide, payload=wide["payload"].copy())
+    bad["payload"][0, 0, 0] = 1000
+    np.savez_compressed(path, **bad)
+    with pytest.raises(InputError, match="outside the orbit bound"):
+        list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True))
 
 
 def test_resume_rejects_other_payload(tmp_path):
@@ -270,14 +300,123 @@ def test_integer_rank():
     assert weyl.integer_rank([[0, 3, 1], [0, 6, 2], [5, 1, 1]]) == 2
     assert weyl.integer_rank(np.eye(9, dtype=np.int64) * 7) == 9
     lat = PicardLattice.standard(2)
-    assert weyl.spans_lattice_with_k(lat, find_configuration(2, "7A1"))
-    assert not weyl.spans_lattice_with_k(lat, find_configuration(2, "6A1"))
+    roots = find_configuration(2, "7A1")
+    assert weyl.integer_rank(list(roots) + [lat.canonical]) == lat.rank
+    roots = find_configuration(2, "6A1")
+    assert weyl.integer_rank(list(roots) + [lat.canonical]) != lat.rank
 
 
 def test_stabilizer_small_degree():
     s = catalog_load(5).get("A2")
     elements = weyl.stabilizer_elements_of_root_set(5, s.simple_roots)
     assert weyl.group_order(5) % len(elements) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([np.int8, np.int64]), st.data())
+def test_reflect_rows_matches_reflection_matrix(degree, dtype, data):
+    lat = PicardLattice.standard(degree)
+    # int8 rows take coordinates whose images still fit int8.
+    bound = 10 if dtype is np.int8 else 1000
+    coords = st.integers(-bound, bound)
+    v = np.array(
+        data.draw(st.lists(coords, min_size=lat.rank, max_size=lat.rank)), dtype=np.int64
+    )
+    for i, root in enumerate(weyl.simple_reflection_roots(lat)):
+        rows = np.stack([v, -v]).astype(dtype)
+        weyl.reflect_rows(rows, i)
+        expected = np.stack([v, -v]) @ weyl.reflection_matrix(lat, root).T
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, expected)
+
+
+def _orbit_by_matrices(lat, payload0, max_layers=None):
+    """Reference walk: the same reverse search with int64 products by the
+    reflection matrices."""
+    roots = weyl.simple_reflection_roots(lat)
+    root_arr = np.array(roots, dtype=np.int64)
+    pairing = np.array(lat.gram, dtype=np.int64) @ root_arr.T
+    cartan = root_arr @ pairing
+    gens_t = [weyl.reflection_matrix(lat, r).T for r in roots]
+    markers = np.array([weyl.regular_marker(lat)], dtype=np.int64)
+    payload = np.array(payload0, dtype=np.int64)[None]
+    index = 0
+    while markers.size and (max_layers is None or index <= max_layers):
+        yield markers, payload
+        pair = markers @ pairing
+        child_markers, child_payload = [], []
+        for i in range(len(roots)):
+            mask = pair[:, i] > 0
+            for j in range(i):
+                mask &= pair[:, j] + pair[:, i] * cartan[i, j] > 0
+            child_markers.append(markers[mask] @ gens_t[i])
+            child_payload.append(payload[mask] @ gens_t[i])
+        markers, payload = np.concatenate(child_markers), np.concatenate(child_payload)
+        index += 1
+
+
+@pytest.mark.parametrize(
+    "source,max_layers",
+    [("deg3", None), ("IIb-deg2", 16), ("VI-deg1", 6)],
+)
+def test_orbit_layers_match_matrix_reference(source, max_layers):
+    if source == "deg3":
+        lat = PicardLattice.standard(3)
+        A0 = ToricSystem(lat, parse_divisor_list(lat, census.TABLE9_SYSTEM_TEXTS[3]))
+    else:
+        A0 = census.SEQUENCE_PRESETS[source].initial_system()
+    lat = A0.lattice
+    layers = list(weyl.orbit_system_arrays(A0, max_layers=max_layers))
+    reference = list(_orbit_by_matrices(lat, A0.terms, max_layers))
+    assert len(layers) == len(reference)
+    for layer, (markers, payload) in zip(layers, reference):
+        assert layer.payload.dtype == np.int8
+        assert np.array_equal(layer.markers, markers)
+        assert np.array_equal(layer.payload, payload)
+    if max_layers is None:
+        assert layers[-1].total_so_far == census.EXPECTED_WEYL_ORDERS[3]
+
+
+@pytest.mark.parametrize("name", sorted(census.SEQUENCE_PRESETS))
+def test_orbit_dtypes_of_census_presets(name):
+    A0 = census.SEQUENCE_PRESETS[name].initial_system()
+    lat = A0.lattice
+    assert weyl.orbit_bound(lat, A0.terms).max() <= np.iinfo(np.int8).max
+    marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)]).max()
+    assert marker_bound == {2: 60, 1: 148}[lat.degree]
+    layer = next(weyl.orbit_system_arrays(A0))
+    assert layer.payload.dtype == np.int8
+    assert layer.markers.dtype == (np.int8 if lat.degree == 2 else np.int16)
+
+
+def test_full_iib_orbit_within_bound():
+    A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+    lat = A0.lattice
+    payload_bound = weyl.orbit_bound(lat, A0.terms)
+    marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)])[0]
+    top_payload = top_marker = 0
+    for layer in weyl.orbit_system_arrays(A0):
+        assert (np.abs(layer.payload) <= payload_bound).all()
+        assert (np.abs(layer.markers) <= marker_bound).all()
+        top_payload = max(top_payload, int(np.abs(layer.payload).max()))
+        top_marker = max(top_marker, int(np.abs(layer.markers).max()))
+    assert layer.total_so_far == census.EXPECTED_WEYL_ORDERS[2]
+    assert (top_payload, top_marker) == (5, 59)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_orbit_bound_holds_on_random_words(degree, data):
+    # Random vectors pushed through random words of simple reflections.
+    lat = PicardLattice.standard(degree)
+    roots = weyl.simple_reflection_roots(lat)
+    coords = st.integers(-20, 20)
+    v = data.draw(st.lists(coords, min_size=lat.rank, max_size=lat.rank))
+    bound = weyl.orbit_bound(lat, [v])[0]
+    assert (np.abs(v) <= bound).all()
+    for i in data.draw(st.lists(st.integers(0, len(roots) - 1), max_size=40)):
+        v = reflect(lat, tuple(v), roots[i])
+        assert (np.abs(v) <= bound).all()
 
 
 @given(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
