@@ -49,11 +49,13 @@ from .toric import (
     classify_sequence,
     compute_IXA,
     compute_IXA_windows,
+    cyclic_windows,
     enumerate_cyclic_strong_admissible,
     find_system_with_squares,
     is_admissible,
     is_cyclic_strong_exceptional,
     is_exceptional,
+    is_ixa_window,
     is_strong_exceptional,
 )
 from .effectivity import anticlass_effective, is_effective, is_hole, root_stacks
@@ -279,35 +281,22 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
         raise InputError(f"{a} is not of the second kind (a_n <= -3 required)")
     if any(x < -2 for x in a[:-1]):
         raise InputError(f"{a} is not strong admissible (a_i >= -2 for i < n)")
-    root_rows, root_through = [], []
-    deep = []
-    for k in range(1, n + 1):
-        for length in range(1, n):
-            pos = [(k - 1 + i) % n for i in range(length)]
-            sq = sum(a[p] + 2 for p in pos) - 2
-            through = (n - 1) in pos
-            row = [0] * n
-            for p in pos:
-                row[p] = 1
-            if sq == -2:
-                root_rows.append(row)
-                root_through.append(through)
-            elif sq <= -3:
-                if not through:
-                    raise InternalError(
-                        "window of square <= -3 avoiding the last term"
-                    )
-                deep.append((tuple(row), (k, (k - 1 + length - 1) % n + 1)))
-    ixa_rows = []
-    for k, l in compute_IXA_windows(a):
-        length = (l - k) % n + 1
-        pos = [(k - 1 + i) % n for i in range(length)]
-        if (n - 1) in pos:
-            raise InternalError("I(X,A) window through the last term")
-        row = [0] * n
-        for p in pos:
-            row[p] = 1
-        ixa_rows.append(row)
+    root_rows, root_through, ixa_rows, deep = [], [], [], []
+    for k, l, pos in cyclic_windows(n):
+        sq = sum(a[p] + 2 for p in pos) - 2
+        through = n - 1 in pos
+        row = tuple(int(p in pos) for p in range(n))
+        if sq == -2:
+            root_rows.append(row)
+            root_through.append(through)
+        elif sq <= -3:
+            if not through:
+                raise InternalError("window of square <= -3 avoiding the last term")
+            deep.append((row, (k, l)))
+        elif is_ixa_window(a, pos):
+            if through:
+                raise InternalError("I(X,A) window through the last term")
+            ixa_rows.append(row)
     return _WindowPlan(
         n=n,
         squares=tuple(a),
@@ -691,7 +680,6 @@ def census_for_preset(
     *,
     test_mode: bool = False,
     finalize: bool = True,
-    memory_budget: int | None = None,
     checkpoint_dir=None,
     resume: bool = False,
     max_layers: int | None = None,
@@ -724,10 +712,7 @@ def census_for_preset(
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
     orbit_kwargs = dict(
-        memory_budget=memory_budget,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        max_layers=max_layers,
+        checkpoint_dir=checkpoint_dir, resume=resume, max_layers=max_layers
     )
     orbit_total, store, stats = _census_sweep(
         A0, surfaces, tuple(modes), test_mode, orbit_kwargs
@@ -780,17 +765,6 @@ def census_for_preset(
         raw_counts=raw_counts,
         stats=stats,
     )
-
-
-def search_counterexamples(S: SurfaceModel, a, A0: ToricSystem, mode: str) -> CensusRecord:
-    """Census of one surface and mode for the sequence a with initial A0."""
-    a = tuple(int(x) for x in a)
-    if A0.squares() != a:
-        raise InputError(f"A0 squares {A0.squares()} do not match a = {a}")
-    if a[-1] > -3:
-        raise InputError(f"{a} is not of the second kind")
-    run = census_for_preset(A0, surfaces=(S,), modes=(mode,))
-    return run.records[(S.name, mode)]
 
 
 # -- Tables 7 and 8 -----------------------------------------------------
@@ -1250,29 +1224,23 @@ DEGREE5_SLO_ROOTS = {
 }
 
 
-def _first_kind_windows_in_range(A: ToricSystem) -> bool:
-    """Are all cyclic window r-values in [-1, d-3]?  (Then the system is
-    cyclic strong exceptional with no effectiveness input at all.)"""
-    d = A.lattice.degree
-    n = A.n
-    for k in range(1, n + 1):
-        for length in range(1, n):
-            l = (k - 1 + length - 1) % n + 1
-            r = A.window_square(k, l)
-            if not -1 <= r <= d - 3:
-                return False
-    return True
-
-
 def verify_cyclic_strong_classification() -> Report:
     """Positive and negative halves of the classification tables."""
     report = Report("cyclic strong exceptional classification")
+
+    def windows_in_range(A: ToricSystem) -> bool:
+        # All cyclic window r-values in [-1, d-3]: then A is cyclic strong
+        # exceptional with no effectiveness input at all.
+        return all(
+            -1 <= A.window_square(k, l) <= A.lattice.degree - 3
+            for k, l, _ in cyclic_windows(A.n)
+        )
 
     # The plane: (L, L, L) on the rank-1 lattice.
     lat9 = PicardLattice.standard(9)
     a9 = ToricSystem(lat9, parse_divisor_list(lat9, TABLE9_SYSTEM_TEXTS[9]))
     report.check_true("P2 system window r-values all in [-1, d-3]",
-                      _first_kind_windows_in_range(a9))
+                      windows_in_range(a9))
 
     # Hirzebruch lattice: (F, G, F, G) works on F0 and on F2 alike, since
     # every cyclic window has square 0, 2 or 4, within [-1, d-3] = [-1, 5].
@@ -1281,7 +1249,7 @@ def verify_cyclic_strong_classification() -> Report:
     g = (0, 1)
     hz_sys = ToricSystem(hz, (f, g, f, g))
     report.check_true("F0/F2 system window r-values all in [-1, d-3]",
-                      _first_kind_windows_in_range(hz_sys))
+                      windows_in_range(hz_sys))
     # No second system on F2: a squares sequence (0,2,0,-2) forces the
     # fourth term to be one of the two (-2)-classes +-(F - G), and F2's
     # irreducible (-2)-curve G - F is effective, so no such system is
@@ -1299,7 +1267,7 @@ def verify_cyclic_strong_classification() -> Report:
     lat8 = PicardLattice.standard(8)
     f1_sys = ToricSystem(lat8, parse_divisor_list(lat8, "L1,E1,L1,L"))
     report.check_true("F1 system window r-values all in [-1, d-3]",
-                      _first_kind_windows_in_range(f1_sys))
+                      windows_in_range(f1_sys))
 
     # Degrees 7-3: the uniform system on every listed surface type.
     for degree in (7, 6, 5, 4, 3):
@@ -1309,9 +1277,7 @@ def verify_cyclic_strong_classification() -> Report:
         if expected_windows is not None:
             computed = {
                 A.window(k, l)
-                for k in range(1, A.n + 1)
-                for length in range(1, A.n)
-                for l in [(k - 1 + length - 1) % A.n + 1]
+                for k, l, _ in cyclic_windows(A.n)
                 if A.window_square(k, l) == -2
             }
             report.check(

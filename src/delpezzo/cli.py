@@ -98,12 +98,15 @@ def _resolve_sequence(args):
     if text in census.SEQUENCE_PRESETS:
         return census.SEQUENCE_PRESETS[text]
     try:
-        squares = tuple(int(x) for x in json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
+        squares = json.loads(text)
+    except json.JSONDecodeError:
+        squares = None
+    if not toric.is_int_list(squares):
         raise InputError(
             f"--sequence must be a preset name or a JSON integer list; "
             f"known presets: {', '.join(sorted(census.SEQUENCE_PRESETS))}"
-        ) from e
+        )
+    squares = tuple(squares)
     lat = PicardLattice.standard(12 - len(squares))
     A0 = toric.find_system_with_squares(lat, squares)
     if A0 is None:

@@ -9,8 +9,8 @@ Three deciders plus a search oracle:
 * `anticlass_effective` -- the short loop for anti-classes, batched over
   rows and surfaces for the counterexample census; it only looks at
   products with the irreducible (-2)-curves of each surface, read from
-  zero-padded root stacks (`root_stacks`).  `is_effective_anticlass_fast`
-  is its one-row form.
+  zero-padded root stacks (`root_stacks`); one row on one surface is
+  `anticlass_effective(root_stacks((s,)), [d], [0])`.
 * `is_absolutely_effective` -- exact rational membership in the cone
   spanned by the (-1)-classes.
 * `brute_force_effective` -- direct search for a decomposition in the
@@ -232,13 +232,6 @@ def anticlass_effective(
         if (cap[active] <= steps).any():
             raise InternalError("anti-class loop did not terminate")
     return verdict
-
-
-def is_effective_anticlass_fast(s: SurfaceModel, d: Divisor) -> bool:
-    """Effectiveness of one conditionally effective anti-class (see
-    `anticlass_effective`)."""
-    s.lattice.check_divisor(d)
-    return bool(anticlass_effective(root_stacks((s,)), [d], [0])[0])
 
 
 # -- absolute effectiveness (rational cone membership) ------------------

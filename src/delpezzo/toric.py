@@ -106,14 +106,24 @@ def system_violations(lattice: PicardLattice, terms) -> list[str]:
     return problems
 
 
-def validate(lattice: PicardLattice, terms) -> ToricSystem:
-    """Build a ToricSystem, raising InputError listing violated axioms."""
-    return ToricSystem(lattice, tuple(tuple(t) for t in terms))
+def is_int_list(values) -> bool:
+    """Is `values` a list of integers?  (JSON true/false are not integers.)"""
+    return isinstance(values, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in values
+    )
 
 
-def from_json(data: dict) -> ToricSystem:
-    lattice = PicardLattice.standard(int(data["degree"]))
-    return validate(lattice, [tuple(map(int, t)) for t in data["terms"]])
+def from_json(data) -> ToricSystem:
+    """The system {"degree": d, "terms": [[...], ...]}, raising InputError
+    on any other shape, on non-integer entries or on violated axioms."""
+    if not isinstance(data, dict) or set(data) != {"degree", "terms"}:
+        raise InputError('expected a JSON object {"degree": d, "terms": [[...], ...]}')
+    degree, terms = data["degree"], data["terms"]
+    if not is_int_list([degree]) or not (
+        isinstance(terms, list) and all(is_int_list(t) for t in terms)
+    ):
+        raise InputError("the degree and every term entry must be integers")
+    return ToricSystem(PicardLattice.standard(degree), tuple(tuple(t) for t in terms))
 
 
 def _generates_lattice(terms, rank: int) -> bool:
@@ -407,20 +417,35 @@ def enumerate_cyclic_strong_admissible(max_length: int = 9):
 # -- I(X,A) -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def cyclic_windows(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Every cyclic window A_k + ... + A_l of length 1..n-1, as
+    (k, l, positions): k ascending, then the length ascending.  k and l
+    are 1-based, the positions 0-based; a window is non-cyclic when it
+    avoids position n-1.  Cached, as the checkers ask for it per system."""
+    return tuple(
+        (k, (k + length - 2) % n + 1, tuple((k - 1 + i) % n for i in range(length)))
+        for k in range(1, n + 1)
+        for length in range(1, n)
+    )
+
+
+def is_ixa_window(a, positions) -> bool:
+    """Are the entries of a at positions -2 except exactly one -1?"""
+    return all(a[p] in (-1, -2) for p in positions) and (
+        sum(a[p] + 2 for p in positions) == 1
+    )
+
+
 def compute_IXA_windows(a) -> tuple[tuple[int, int], ...]:
     """Cyclic windows (k, l) whose entries are -2 except exactly one -1.
 
     These are precisely the windows whose sums are the (-1)-classes
     reachable as terms of permutation-equivalent systems."""
     a = tuple(int(x) for x in a)
-    n = len(a)
-    out = []
-    for k in range(1, n + 1):
-        for length in range(1, n):
-            entries = [a[(k - 1 + i) % n] for i in range(length)]
-            if entries.count(-1) == 1 and entries.count(-2) == length - 1:
-                out.append((k, (k - 1 + length - 1) % n + 1))
-    return tuple(out)
+    return tuple(
+        (k, l) for k, l, pos in cyclic_windows(len(a)) if is_ixa_window(a, pos)
+    )
 
 
 def compute_IXA(A: ToricSystem) -> frozenset[Divisor]:
@@ -444,16 +469,7 @@ class CheckResult:
 
 
 def _noncyclic_windows(n: int):
-    for k in range(1, n):
-        for l in range(k, n):
-            yield k, l
-
-
-def _cyclic_windows(n: int):
-    # All cyclic segments [k..l] with l != k-1 (lengths 1..n-1).
-    for k in range(1, n + 1):
-        for length in range(1, n):
-            yield k, (k - 1 + length - 1) % n + 1
+    return (w for w in cyclic_windows(n) if n - 1 not in w[2])
 
 
 def is_exceptional(s: SurfaceModel, A: ToricSystem, method: str = "auto") -> CheckResult:
@@ -494,37 +510,30 @@ def _check(s: SurfaceModel, A: ToricSystem, what: str, method: str) -> CheckResu
 
 
 def _check_reference(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
-    n = A.n
     if what == "cyclic-strong":
-        for k, l in _cyclic_windows(n):
-            if not is_slo(s, A.window(k, l)):
-                return CheckResult(False, (k, l), "reference")
-        return CheckResult(True, None, "reference")
-    if what == "strong":
-        for k, l in _noncyclic_windows(n):
-            if not is_slo(s, A.window(k, l)):
-                return CheckResult(False, (k, l), "reference")
-        return CheckResult(True, None, "reference")
-    for k, l in _noncyclic_windows(n):
-        if not is_lo(s, A.window(k, l)):
+        windows = cyclic_windows(A.n)
+    else:
+        windows = _noncyclic_windows(A.n)
+    test = is_lo if what == "exceptional" else is_slo
+    for k, l, _ in windows:
+        if not test(s, A.window(k, l)):
             return CheckResult(False, (k, l), "reference")
     return CheckResult(True, None, "reference")
 
 
 def _through_n_minimal_windows(sq: tuple[int, ...]):
-    """Cyclic windows containing position n with all other entries -2.
+    """Cyclic windows containing position n with all other entries -2,
+    latest start first.
 
     Under the hypothesis a_i >= -2 (i < n) these are exactly the windows
     with square equal to a_n, the minimal through-n value."""
     n = len(sq)
-    for back in range(n):  # entries n-back .. n-1 before position n
-        if any(sq[n - 1 - j] != -2 for j in range(1, back + 1)):
-            break
-        for fwd in range(n - back):
-            if fwd and sq[fwd - 1] != -2:
-                break
-            if back + 1 + fwd < n:
-                yield (n - back, fwd if fwd else n)
+    windows = [
+        (k, l)
+        for k, l, pos in cyclic_windows(n)
+        if n - 1 in pos and all(sq[p] == -2 for p in pos if p != n - 1)
+    ]
+    return sorted(windows, key=lambda kl: -kl[0])
 
 
 def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
@@ -540,9 +549,8 @@ def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
         return effectivity.is_effective(s, d)[0]
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
-        windows = _cyclic_windows(n)
         strong = what == "cyclic-strong"
-        for k, l in windows:
+        for k, l, _ in cyclic_windows(n):
             if A.window_square(k, l) != -2:
                 continue
             d = A.window(k, l)
@@ -552,7 +560,7 @@ def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
 
     # Second-kind exceptional test: non-cyclic (-2)-windows plus the
     # minimal through-n windows (square = A_n^2 <= -2).
-    for k, l in _noncyclic_windows(n):
+    for k, l, _ in _noncyclic_windows(n):
         if A.window_square(k, l) == -2 and anti_effective(A.window(k, l)):
             return CheckResult(False, (k, l), "optimized")
     if sq[-1] <= -2:
@@ -560,7 +568,7 @@ def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
             if anti_effective(A.window(k, l)):
                 return CheckResult(False, (k, l), "optimized")
     if what == "strong":
-        for k, l in _noncyclic_windows(n):
+        for k, l, _ in _noncyclic_windows(n):
             if A.window_square(k, l) == -2 and effective(A.window(k, l)):
                 return CheckResult(False, (k, l), "optimized")
     return CheckResult(True, None, "optimized")
@@ -582,8 +590,10 @@ def _reduction_word(lattice: PicardLattice, d: Divisor) -> tuple[Divisor, ...]:
     """Reflection roots sending the (-1)-class d to the last basis vector.
 
     Greedy Cremona descent: while the L-coefficient is positive, reflect
-    in L - E_i - E_j - E_k for the three largest E-coefficients; then the
-    class is some E_i, which a transposition root moves to E_last."""
+    in L - E_i - E_j - E_k for the three smallest (most negative)
+    E-coefficients, which lowers it; then the class is some E_i, which a
+    transposition root moves to E_last.  In degree 7 the class L - E1 - E2
+    contracts onto P1 x P1, which no standard lattice holds: InputError."""
     if lattice.classify_r(d) != -1 or not lattice.is_standard:
         raise InputError(f"{d} is not a (-1)-class on a standard lattice")
     m = lattice.num_exceptional
@@ -591,10 +601,14 @@ def _reduction_word(lattice: PicardLattice, d: Divisor) -> tuple[Divisor, ...]:
     current = d
     guard = 0
     while current[0] > 0:
+        if m < 3:
+            raise InputError(
+                f"contracting {d} gives P1 x P1, which no standard lattice holds"
+            )
         guard += 1
         if guard > 100:
             raise InternalError(f"Cremona descent did not terminate for {d}")
-        idx = sorted(range(1, m + 1), key=lambda i: -current[i])[:3]
+        idx = sorted(range(1, m + 1), key=lambda i: current[i])[:3]
         root = tuple(
             1 if i == 0 else (-1 if i in idx else 0) for i in range(m + 1)
         )
@@ -688,25 +702,25 @@ class AugmentationStep:
 def augmentation_chain(s: SurfaceModel, A: ToricSystem):
     """Decompose A by repeated (perm + blow-down) steps.
 
-    Returns the list of steps down to rank <= 2, or None as soon as no
-    irreducible (-1)-curve is reachable (I(X,A) contains no irreducible
-    class) — such systems are the census counterexample candidates."""
+    Returns the list of steps down to rank <= 2 (P1 x P1 included), or
+    None as soon as no irreducible (-1)-curve is reachable (I(X,A)
+    contains no irreducible class) — such systems are the census
+    counterexample candidates."""
     steps = []
     current_s, current_A = s, A
     while current_A.lattice.rank > 2:
         i = is_elementary_augmentation(current_s, current_A)
         if i is None:
             irr = current_s.irr_lines_set()
-            found = None
-            for k, l in compute_IXA_windows(current_A.squares()):
-                if current_A.window(k, l) in irr:
-                    length = current_A.window_length(k, l)
-                    for off in range(length):
-                        mm = (k - 1 + off) % current_A.n + 1
-                        if current_A.lattice.square(current_A.term(mm)) == -1:
-                            found = (k, mm, l)
-                            break
-                    break
+            sq = current_A.squares()
+            found = next(
+                (
+                    (k, next(p for p in pos if sq[p] == -1) + 1, l)
+                    for k, l, pos in cyclic_windows(current_A.n)
+                    if is_ixa_window(sq, pos) and current_A.window(k, l) in irr
+                ),
+                None,
+            )
             if found is None:
                 return None
             current_A = bring_window_to_term(current_A, *found)
@@ -714,6 +728,12 @@ def augmentation_chain(s: SurfaceModel, A: ToricSystem):
             if i is None:
                 raise InternalError("window realization produced no term")
         e = current_A.term(i)
+        if current_A.lattice.degree == 7 and e[0] > 0:
+            # e = L - E1 - E2 contracts onto P1 x P1, a rank-2 Hirzebruch
+            # surface with no standard lattice: the chain ends there.
+            name = f"{current_s.name}|contract A_{i} onto P1xP1"
+            steps.append(AugmentationStep(name, i, e))
+            break
         current_s, current_A = blow_down(current_s, current_A, i)
         steps.append(AugmentationStep(current_s.name, i, e))
     return steps

@@ -109,11 +109,8 @@ def test_window_plan_rejects_first_kind():
         census._window_plan((-3, -2, -2, -2, -2, -2, -2, -2, -2, -3))
 
 
-def test_search_counterexamples_validation():
-    s = census.section13_surface()
+def test_census_for_preset_validation():
     A0 = census.section13_system()
-    with pytest.raises(InputError):
-        census.search_counterexamples(s, (0, 0, -1, -1, -1), A0, "strong")
     with pytest.raises(InputError):
         census.census_for_preset("no-such-preset")
     with pytest.raises(InputError):

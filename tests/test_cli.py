@@ -3,6 +3,7 @@ import json
 import pytest
 
 from delpezzo import census, cli
+from delpezzo.errors import InputError
 from delpezzo.toric import ToricSystem
 
 
@@ -41,6 +42,22 @@ def test_check_malformed(tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 2
     path.write_text(json.dumps({"degree": 6, "terms": [[1, 0, 0, 0]] * 6}))
     assert cli.main(["check", str(path)]) == 2
+    # Wrong shapes and non-integer entries are input errors, not tracebacks.
+    terms = census.section13_system().to_json()["terms"]
+    for bad in (
+        {"terms": [[1]]},
+        {"degree": "x", "terms": []},
+        [1, 2],
+        {"degree": 2, "terms": terms, "extra": 0},
+        {"degree": 2.0, "terms": terms},
+        {"degree": 2, "terms": [terms[0][:-1] + [1.5]] + terms[1:]},
+        {"degree": 2, "terms": [terms[0][:-1] + [True]] + terms[1:]},
+        {"degree": 2, "terms": [7] + terms[1:]},
+    ):
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert cli.main(["check", str(path)]) == 2, bad
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_check_missing_file(capsys):
@@ -75,6 +92,11 @@ def test_resolve_sequence():
     Args.sequence = "not json"
     with pytest.raises(Exception):
         cli._resolve_sequence(Args())
+    # Non-integer entries are refused, not truncated.
+    for text in ("[0,0,-1,-1,-1.5]", "[0,0,-1,-1,true]", '{"a": 1}', "5"):
+        Args.sequence = text
+        with pytest.raises(InputError, match="JSON integer list"):
+            cli._resolve_sequence(Args())
 
 
 def test_config_hash_stable():

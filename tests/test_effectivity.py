@@ -10,7 +10,6 @@ from delpezzo.effectivity import (
     brute_force_effective,
     is_absolutely_effective,
     is_effective,
-    is_effective_anticlass_fast,
     is_hole,
     root_stacks,
     solve_root_combination,
@@ -20,6 +19,11 @@ from delpezzo.picard import parse_divisor, vneg, vscale, vsub, vsum
 from delpezzo.surface import catalog_load
 from delpezzo.toric import blow_down
 from delpezzo import census, weyl
+
+
+def _anticlass_one(s, d):
+    """One anti-class on one surface through the batched kernel."""
+    return bool(anticlass_effective(root_stacks((s,)), [d], [0])[0])
 
 
 def _bound(s, d):
@@ -65,8 +69,8 @@ def test_anticlass_fast_on_explicit_windows():
     A = census.section13_system()
     for k, l in [(10, 10), (9, 10)]:
         d = vneg(A.window(k, l))
-        assert is_effective_anticlass_fast(s, d) == is_effective(s, d)[0]
-        assert not is_effective_anticlass_fast(s, d)
+        assert _anticlass_one(s, d) == is_effective(s, d)[0]
+        assert not _anticlass_one(s, d)
 
 
 def test_holes():
@@ -154,10 +158,10 @@ def test_solve_root_combination_matches_fractions(data):
 def test_fast_anticlass_precondition():
     s = catalog_load(3).get("A4")
     with pytest.raises(InputError, match="not an anti-class"):
-        is_effective_anticlass_fast(s, parse_divisor(s.lattice, "L"))
+        _anticlass_one(s, parse_divisor(s.lattice, "L"))
     # -E1 is an anti-class ((-E1)^2 - (-E1).K = -2) with D.K = 1 > 0.
     with pytest.raises(InputError, match="D.K <= 0"):
-        is_effective_anticlass_fast(s, parse_divisor(s.lattice, "-E1"))
+        _anticlass_one(s, parse_divisor(s.lattice, "-E1"))
     stacks = root_stacks((s, catalog_load(3).get("dP")))
     good = vneg(parse_divisor(s.lattice, "E1-E2"))
     with pytest.raises(InputError, match="not an anti-class"):
@@ -232,7 +236,7 @@ def test_anticlass_kernel_matches_loop(source, layers):
         s = surfaces[t]
         expected = _anticlass_by_loop(s, d)
         assert verdict == expected == is_effective(s, d)[0], (s.name, d)
-        assert is_effective_anticlass_fast(s, d) is expected
+        assert _anticlass_one(s, d) is expected
     assert verdicts.any() and not verdicts.all()
 
 
