@@ -218,18 +218,6 @@ A11_PRESET_NAMES = (
     "IIIa-deg2",
 )
 
-#: Degree-1 presets (long-run mode only; not part of acceptance).
-A12_PRESET_NAMES = (
-    "VI-deg1",
-    "V-deg1",
-    "IV-deg1",
-    "IIIc-1-deg1",
-    "IIIc-2-deg1",
-    "IIIc-3-deg1",
-    "IIIc-4-deg1",
-    "IIIa-deg1",
-)
-
 #: Strong-mode counterexample counts: type -> (essential, stabilizer, total).
 TABLE7_EXPECTED = {
     "7A1": (48, 168, 8064),
@@ -572,7 +560,7 @@ def _census_sweep(
             store[key].append(arr[rows[i]].copy())
 
     orbit_total = 0
-    for layer in weyl.orbit_system_arrays(A0, **orbit_kwargs):
+    for layer in weyl.orbit_layers(A0.lattice, A0.terms, **orbit_kwargs):
         orbit_total = layer.total_so_far
         arr = layer.payload
         stats["rows"] += arr.shape[0]
@@ -770,11 +758,6 @@ def census_for_preset(
 # -- Tables 7 and 8 -----------------------------------------------------
 
 
-def run_type_iib_census(test_mode: bool = False) -> CensusRun:
-    """The degree-2 type-IIb census over all catalog surfaces, both modes."""
-    return census_for_preset("IIb-deg2", test_mode=test_mode)
-
-
 def _census_table_report(
     run: CensusRun, mode: str, expected: dict, title: str
 ) -> Report:
@@ -811,17 +794,17 @@ def _type_label(surface_name: str) -> str:
     return surface_name.split(",", 1)[1].rstrip("}")
 
 
-def verify_table7(run: CensusRun | None = None, test_mode: bool = False) -> Report:
+def verify_table7(run: CensusRun | None = None) -> Report:
     if run is None:
-        run = run_type_iib_census(test_mode=test_mode)
+        run = census_for_preset("IIb-deg2")
     return _census_table_report(
         run, "strong", TABLE7_EXPECTED, "strong-mode type-IIb census (degree 2)"
     )
 
 
-def verify_table8(run: CensusRun | None = None, test_mode: bool = False) -> Report:
+def verify_table8(run: CensusRun | None = None) -> Report:
     if run is None:
-        run = run_type_iib_census(test_mode=test_mode)
+        run = census_for_preset("IIb-deg2")
     return _census_table_report(
         run,
         "exceptional",
@@ -830,14 +813,14 @@ def verify_table8(run: CensusRun | None = None, test_mode: bool = False) -> Repo
     )
 
 
-def verify_degree2_type3to6(test_mode: bool = False) -> Report:
+def verify_degree2_type3to6() -> Report:
     """Censuses for the seven degree-2 type III-VI sequences: no output."""
     report = Report("degree-2 type III-VI censuses")
     for name in A11_PRESET_NAMES:
         preset = SEQUENCE_PRESETS[name]
         kind = classify_sequence(preset.squares)
         report.check(f"{name} kind", "second", kind.kind)
-        run = census_for_preset(name, test_mode=test_mode)
+        run = census_for_preset(name)
         strong_total = sum(
             c for (sn, m), c in run.raw_counts.items() if m == "strong"
         )

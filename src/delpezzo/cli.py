@@ -4,8 +4,8 @@ the reproduction suites.
 Exit codes: 0 success/pass, 1 verification mismatch, 2 input error,
 3 resource or internal error.  Every output carries a header with the
 package version and a hash of the invocation config, and all results are
-deterministic.  The environment variable DELPEZZO_ORBIT_MEMORY_BYTES
-bounds the memory of one orbit layer and the next.
+deterministic.  An orbit walk whose next layer would not fit in physical
+memory stops with a resource error.
 """
 
 from __future__ import annotations
@@ -63,13 +63,17 @@ def cmd_check(args) -> int:
         except json.JSONDecodeError as e:
             raise InputError(f"cannot parse {args.file}: {e}") from e
     A = toric.from_json(data)
-    kind = toric.classify_sequence(A.squares())
+    squares = A.squares()
+    # Two squares below -2 make no strong admissible sequence: no kind.
+    kind = None
+    if sum(x < -2 for x in squares) < 2:
+        kind = toric.classify_sequence(squares)
     verdict = {
         "valid": True,
         "degree": A.lattice.degree,
-        "squares": list(A.squares()),
-        "kind": kind.kind,
-        "type": kind.type_tag,
+        "squares": list(squares),
+        "kind": None if kind is None else kind.kind,
+        "type": None if kind is None else kind.type_tag,
     }
     if args.surface is not None:
         s = surface.catalog_load(A.lattice.degree).get(args.surface)
@@ -172,6 +176,7 @@ SUITE_RUNNERS = {
     "table9": census.verify_cyclic_strong_classification,
     "degree5-negative": census.verify_degree5_negative,
     "weyl-orders": census.verify_weyl_orders,
+    "types3to6-deg2": census.verify_degree2_type3to6,
 }
 SUITES = tuple(SUITE_RUNNERS)
 

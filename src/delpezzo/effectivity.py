@@ -345,10 +345,12 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
     return search(0, d)
 
 
-def is_hole(s: SurfaceModel, d: Divisor, max_multiple: int = 6) -> bool:
-    """Not effective, but some multiple k*d with 2 <= k <= max_multiple is."""
+#: Multiples k*d that `is_hole` tests.
+HOLE_MULTIPLES = range(2, 7)
+
+
+def is_hole(s: SurfaceModel, d: Divisor) -> bool:
+    """Not effective, but some multiple k*d with k in HOLE_MULTIPLES is."""
     if is_effective(s, d)[0]:
         return False
-    return any(
-        is_effective(s, vscale(k, d))[0] for k in range(2, max_multiple + 1)
-    )
+    return any(is_effective(s, vscale(k, d))[0] for k in HOLE_MULTIPLES)

@@ -421,22 +421,23 @@ def dynkin_adjacency(comps) -> list[list[int]]:
     return adj
 
 
-def find_configuration(
-    degree: int, type_text: str, require_orthogonal: int | None = None
-) -> tuple[Divisor, ...]:
+#: Mutually orthogonal roots a configuration's root subsystem must hold in
+#: degrees <= 2 (the census's selection of subsystems).
+LOW_DEGREE_ORTHOGONAL_ROOTS = 5
+
+
+def find_configuration(degree: int, type_text: str) -> tuple[Divisor, ...]:
     """Find simple roots realizing a Dynkin type, lexicographically least.
 
     For degrees <= 2 the resulting root subsystem is additionally required
-    to contain `require_orthogonal` mutually orthogonal roots (default 5,
-    matching the census's selection of subsystems); this pins down the
-    intended Weyl orbit when a type has several.
+    to contain LOW_DEGREE_ORTHOGONAL_ROOTS mutually orthogonal roots; this
+    pins down the intended Weyl orbit when a type has several.
     """
     lat = PicardLattice.standard(degree)
     comps = parse_dynkin_type(type_text)
     adj = dynkin_adjacency(comps)
     k = len(adj)
-    if require_orthogonal is None and degree <= 2:
-        require_orthogonal = 5
+    orthogonal = LOW_DEGREE_ORTHOGONAL_ROOTS if degree <= 2 else 0
     roots = lat.enumerate_classes(-2)
     products = {}
 
@@ -457,9 +458,7 @@ def find_configuration(
     def extend() -> tuple[Divisor, ...] | None:
         if len(chosen) == k:
             config = tuple(roots[i] for i in chosen)
-            if require_orthogonal and not _has_orthogonal_roots(
-                lat, config, require_orthogonal
-            ):
+            if orthogonal and not _has_orthogonal_roots(lat, config, orthogonal):
                 return None
             return config
         start = 0

@@ -10,7 +10,6 @@ window notation A_{k..l}.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -365,12 +364,16 @@ def classify_sequence(a) -> KindType:
 
     First kind: matched against the cyclic strong table up to shifts and
     symmetries.  Second kind: matched against the type II-VI templates up
-    to a symmetry (which fixes the last entry)."""
+    to a symmetry (which fixes the last entry), after a cyclic shift that
+    puts the one entry below -2 last."""
     a = tuple(int(x) for x in a)
     if not is_admissible(a):
         raise InputError(f"{a} is not an admissible sequence")
-    if any(x < -2 for x in a[:-1]):
+    low = [i for i, x in enumerate(a) if x < -2]
+    if len(low) > 1:
         raise InputError(f"{a} is not strong admissible")
+    if low:
+        a = a[low[0] + 1 :] + a[: low[0] + 1]
     if a[-1] >= -2:
         if len(a) == 3:
             return KindType("first", "P2")
@@ -386,21 +389,25 @@ def classify_sequence(a) -> KindType:
     raise InternalError(f"second-kind sequence {a} matches no type template")
 
 
-def enumerate_cyclic_strong_admissible(max_length: int = 9):
+#: Longest cyclic strong admissible sequence: a toric weak del Pezzo
+#: surface has degree >= 3, so at most 9 boundary rays.
+CYCLIC_STRONG_LONGEST = 9
+
+
+def enumerate_cyclic_strong_admissible():
     """All cyclic strong admissible sequences up to shifts and symmetries.
 
     Bounded augmentation search: every cyclic strong admissible sequence
     reduces (by reverse augmentations, which keep all entries >= -2) to a
     base (0,k,0,-k) with |k| <= 2, so forward search from those bases with
-    the >= -2 filter is exhaustive.  Lengths above max_length are
-    impossible for the filter (the search confirms this by exhaustion)."""
+    the >= -2 filter is exhaustive up to CYCLIC_STRONG_LONGEST terms."""
     bases = [(0, 0, 0, 0), (0, 1, 0, -1), (0, 2, 0, -2)]
     seen = {canonical_cyclic(b) for b in bases}
     frontier = list(seen)
     while frontier:
         new = []
         for a in frontier:
-            if len(a) >= max_length:
+            if len(a) >= CYCLIC_STRONG_LONGEST:
                 continue
             for m in range(1, len(a) + 2):
                 b = augment_sequence(a, m)
@@ -489,22 +496,13 @@ def is_cyclic_strong_exceptional(
 
 
 def _check(s: SurfaceModel, A: ToricSystem, what: str, method: str) -> CheckResult:
-    if method not in ("auto", "reference", "optimized"):
+    """With method "auto", the optimized checker where its hypothesis
+    holds (every A_i^2 >= -2, the last one exempt unless cyclic) and the
+    reference checker elsewhere; "reference" always uses the latter."""
+    if method not in ("auto", "reference"):
         raise InputError(f"unknown checker method {method!r}")
-    sq = A.squares()
-    first_kind_ok = all(x >= -2 for x in sq)
-    hypothesis = first_kind_ok if what == "cyclic-strong" else all(
-        x >= -2 for x in sq[:-1]
-    )
-    if method == "reference":
-        return _check_reference(s, A, what)
-    if not hypothesis:
-        if method == "optimized":
-            warnings.warn(
-                "optimized exceptionality checker invoked outside its "
-                "hypothesis (some A_i^2 < -2); falling back to the "
-                "reference checker"
-            )
+    sq = A.squares() if what == "cyclic-strong" else A.squares()[:-1]
+    if method == "reference" or any(x < -2 for x in sq):
         return _check_reference(s, A, what)
     return _check_optimized(s, A, what)
 

@@ -52,19 +52,10 @@ from .errors import InputError, InternalError, ResourceError
 from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank, is_root
 from .toric import ToricSystem
 
-#: Environment variable capping the memory (bytes) used by one orbit layer
-#: and the next together.
-MEMORY_BUDGET_ENV = "DELPEZZO_ORBIT_MEMORY_BYTES"
-
-
-def _memory_budget() -> int | None:
-    raw = os.environ.get(MEMORY_BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{MEMORY_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+@lru_cache(maxsize=None)
+def _physical_memory() -> int:
+    """Bytes of physical memory, the limit of one orbit layer and the next."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def simple_reflection_roots(lattice: PicardLattice) -> tuple[Divisor, ...]:
@@ -257,7 +248,6 @@ def orbit_layers(
     lattice: PicardLattice,
     payload0: np.ndarray | None = None,
     *,
-    memory_budget: int | None = None,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
     max_layers: int | None = None,
@@ -275,12 +265,14 @@ def orbit_layers(
     markers and payload are kept in the narrowest integer types that
     `orbit_bound` allows, so no image can overflow.
 
+    Before each layer, the memory of that layer and the current one is
+    estimated; past the machine's physical memory the walk raises
+    `ResourceError` rather than start it.
+
     With `checkpoint_dir`, the current layer is written after every layer
     and `resume=True` continues from it; the checkpoint must belong to the
     same lattice and initial payload.
     """
-    if memory_budget is None:
-        memory_budget = _memory_budget()
     roots = simple_reflection_roots(lattice)
     if not roots:
         raise InputError("trivial Weyl group: no simple roots on this lattice")
@@ -327,18 +319,17 @@ def orbit_layers(
         expected = sizes[index] if index < len(sizes) else 0
         markers, payload = layer.markers, layer.payload
         n = markers.shape[0]
-        if memory_budget is not None:
-            # this layer and the next (markers + payload), plus the pairings
-            per = markers.itemsize * markers.shape[1]
-            if payload is not None:
-                per += payload.itemsize * payload.shape[1] * payload.shape[2]
-            needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2
-            if needed > memory_budget:
-                raise ResourceError(
-                    f"orbit layer {index} needs ~{needed} bytes, over the budget "
-                    f"{memory_budget}; shard the traversal or raise "
-                    f"{MEMORY_BUDGET_ENV}"
-                )
+        # this layer and the next (markers + payload), plus the pairings
+        per = markers.itemsize * markers.shape[1]
+        if payload is not None:
+            per += payload.itemsize * payload.shape[1] * payload.shape[2]
+        needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2
+        limit = _physical_memory()
+        if needed > limit:
+            raise ResourceError(
+                f"orbit layer {index} needs ~{needed} bytes, more than the "
+                f"{limit} bytes of physical memory; shard the traversal"
+            )
         # m = w.rho has children s_i.m for the i that lengthen w (m.a_i > 0)
         # and are the smallest descent of s_i.w: for j < i, s_i.m pairs
         # positively with a_j.  So every element has exactly one parent.
@@ -470,23 +461,23 @@ def identity_element(lattice: PicardLattice) -> WeylElement:
     return WeylElement(lattice, eye)
 
 
-def enumerate_group(degree: int, *, verify_every: int = 10_000, verify_all: bool = False):
+def enumerate_group(degree: int):
     """Stream every element of W exactly once (deterministic order).
 
     Carries the identity's rows through the orbit, so each payload is
-    the stack of basis-vector images.  Gram/K preservation is asserted on
-    a sample (or everywhere with verify_all).
+    the stack of basis-vector images.  Every layer is checked to preserve
+    the form and fix K before its elements are yielded.
     """
     lattice = _lattice_for_degree(degree)
     eye = np.eye(lattice.rank, dtype=np.int64)
-    count = 0
     for layer in orbit_layers(lattice, eye):
-        for row in layer.payload:
-            el = WeylElement(lattice, tuple(tuple(int(x) for x in img) for img in row))
-            count += 1
-            if verify_all or count % verify_every == 0:
-                el.verify()
-            yield el
+        if not preserves_form_and_k(lattice, layer.payload).all():
+            raise InternalError(
+                f"orbit layer {layer.index} holds a map that does not preserve "
+                "the form or fix K"
+            )
+        for row in layer.payload.tolist():
+            yield WeylElement(lattice, tuple(map(tuple, row)))
 
 
 def _lattice_for_degree(degree: int) -> PicardLattice:
@@ -514,13 +505,6 @@ def orbit_of_toric_system(A0: ToricSystem):
     for layer in orbit_layers(lattice, payload0):
         for row in layer.payload:
             yield ToricSystem(lattice, tuple(tuple(int(x) for x in t) for t in row))
-
-
-def orbit_system_arrays(A0: ToricSystem, **kwargs):
-    """Raw layer arrays [N, n, rank] of the orbit of A0 (census fast path)."""
-    payload0 = np.array(A0.terms, dtype=np.int64)
-    for layer in orbit_layers(A0.lattice, payload0, **kwargs):
-        yield layer
 
 
 # -- stabilizers of root sets -------------------------------------------

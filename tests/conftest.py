@@ -10,4 +10,4 @@ def iib_run():
     test_mode cross-checks every fast anti-class effectiveness verdict
     against the general decider.
     """
-    return census.run_type_iib_census(test_mode=True)
+    return census.census_for_preset("IIb-deg2", test_mode=True)

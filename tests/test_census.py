@@ -34,7 +34,7 @@ def test_window_keys_match_packed_window_sums(preset):
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
     rows = 0
-    for layer in weyl.orbit_system_arrays(A0, max_layers=6):
+    for layer in weyl.orbit_layers(lat, A0.terms, max_layers=6):
         part = layer.payload
         slots2, slotsI = census._window_classes(lat, plan, part)
         for r, coeffs, slots in (
@@ -199,7 +199,7 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
     store = {(s.name, mode): [] for s in surfaces for mode in modes}
     candidates = {f"{s.name}/{mode}": 0 for s in surfaces for mode in modes}
     deep_tests = 0
-    for layer in weyl.orbit_system_arrays(A0, max_layers=max_layers):
+    for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers):
         for system in layer.payload:
             roots = [tuple(v) for v in (plan.root_coeffs @ system).tolist()]
             lines = [tuple(v) for v in (plan.ixa_coeffs @ system).tolist()]

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from delpezzo import census, cli
+from delpezzo import census, cli, toric
 from delpezzo.errors import InputError
 from delpezzo.toric import ToricSystem
 
@@ -34,6 +36,37 @@ def test_check_verb(tmp_path, capsys):
     assert body["valid"] and body["kind"] == "second" and body["type"] == "IIb"
     assert body["strong"] and not body["cyclic_strong"]
     assert body["augmentation_certificate"] is None
+
+
+#: A valid degree-5 toric system with two squares below -2 (-7 and -3).
+TWO_BELOW_MINUS_2 = {
+    "degree": 5,
+    "terms": [
+        [-3, 0, 0, 0, 4], [1, -1, -1, 0, -1], [0, 0, 1, 0, 0], [0, 1, -1, -1, 0],
+        [0, 0, 0, 1, 0], [4, -1, 0, -1, -3], [1, 0, 0, 0, -1],
+    ],
+}
+
+
+def test_check_shifted_system(tmp_path, capsys):
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(toric.shift(census.section13_system()).to_json()))
+    assert cli.main(["check", str(path), "--surface", "A1+2A3"]) == 0
+    body = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert body["squares"] == [-2, -2, -2, -1, -2, -2, -1, -2, -3, -1]
+    assert (body["kind"], body["type"]) == ("second", "IIb")
+    assert body["exceptional"] and not body["strong"]
+
+
+def test_check_without_kind(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_BELOW_MINUS_2))
+    assert cli.main(["check", str(path), "--surface", "A1"]) == 0
+    body = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert body["squares"] == [-7, -2, -1, -3, -1, 5, 0]
+    assert body["kind"] is None and body["type"] is None
+    assert body["surface"] == "X_{5,A1}"
+    assert body["exceptional"] and not body["strong"]
 
 
 def test_check_malformed(tmp_path, capsys):
@@ -80,6 +113,13 @@ def test_reproduce_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "table99"])
     assert exc.value.code == 2
+
+
+def test_readme_lists_every_suite():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listing = re.search(r"Available `reproduce` suites:(.*?)\.", readme, re.S)
+    assert listing is not None
+    assert tuple(re.findall(r"`([^`]+)`", listing.group(1))) == cli.SUITES
 
 
 def test_resolve_sequence():

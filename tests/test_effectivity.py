@@ -222,7 +222,7 @@ def test_anticlass_kernel_matches_loop(source, layers):
     plan = census._window_plan(A0.squares())
     anticlasses = [
         tuple(d)
-        for layer in weyl.orbit_system_arrays(A0, max_layers=layers)
+        for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=layers)
         for row, _ in plan.deep_windows
         for d in (-(np.array(row) @ layer.payload)).tolist()
     ]

@@ -138,6 +138,18 @@ def test_classify_sequence():
         assert name.startswith(tag), (name, tag)
 
 
+def test_classify_shifted_sequence():
+    # The one entry below -2 is rotated to the end before the match.
+    a = shift(SYS13).squares()
+    assert a == (-2, -2, -2, -1, -2, -2, -1, -2, -3, -1)
+    for seq in (a, sequence_shift(a), sequence_symmetry(SYS13.squares())):
+        kt = classify_sequence(seq)
+        assert (kt.kind, kt.type_tag) == ("second", "IIb")
+    # Two entries below -2: not strong admissible.
+    with pytest.raises(InputError, match="not strong admissible"):
+        classify_sequence((-7, -2, -1, -3, -1, 5, 0))
+
+
 def test_enumerate_cyclic_strong():
     rows = list(enumerate_cyclic_strong_admissible())
     assert len(rows) == 15
@@ -169,8 +181,21 @@ def test_checker_methods_agree_on_samples():
         for checker in (is_exceptional, is_strong_exceptional):
             assert (
                 checker(s, A, method="reference").ok
-                == checker(s, A, method="optimized").ok
+                == checker(s, A).ok
             )
+
+
+def test_checker_methods_are_auto_and_reference():
+    s = census.section13_surface()
+    for checker in (is_exceptional, is_strong_exceptional, is_cyclic_strong_exceptional):
+        for method in ("optimized", "fast", ""):
+            with pytest.raises(InputError, match="unknown checker method"):
+                checker(s, SYS13, method=method)
+    # Outside the optimized checker's hypothesis, "auto" is the reference.
+    A = shift(SYS13)
+    for checker in (is_exceptional, is_strong_exceptional):
+        assert checker(s, A) == checker(s, A, method="reference")
+    assert is_exceptional(s, A).ok and not is_strong_exceptional(s, A).ok
 
 
 def test_cyclic_strong_on_table_systems():
@@ -429,7 +454,7 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
     systems = [
         ToricSystem(A0.lattice, tuple(tuple(int(x) for x in t) for t in row))
-        for layer in weyl.orbit_system_arrays(A0, max_layers=1)
+        for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=1)
         for row in layer.payload
     ]
     assert len(systems) == 8

@@ -24,7 +24,7 @@ def test_group_orders_small():
 
 
 def test_enumerate_group_verifies():
-    elements = list(weyl.enumerate_group(6, verify_all=True))
+    elements = list(weyl.enumerate_group(6))
     assert len(elements) == 12
     ident = weyl.identity_element(PicardLattice.standard(6))
     assert ident in elements
@@ -98,11 +98,32 @@ def test_orbit_layers_match_poincare_and_closure(degree):
     assert set(emitted) == closure
 
 
-def test_orbit_memory_budget():
+def test_orbit_memory_budget(monkeypatch):
     lat = PicardLattice.standard(3)
-    with pytest.raises(ResourceError):
-        for _ in weyl.orbit_layers(lat, memory_budget=64):
+    monkeypatch.setattr(weyl, "_physical_memory", lambda: 64)
+    with pytest.raises(ResourceError, match="physical memory"):
+        for _ in weyl.orbit_layers(lat):
             pass
+
+
+def test_enumerate_group_checks_every_layer(monkeypatch):
+    preserves = weyl.preserves_form_and_k
+    layers = []
+
+    def broken_on_layer_3(lattice, images):
+        ok = preserves(lattice, images)
+        layers.append(len(images))
+        if len(layers) == 4:
+            ok[-1] = False
+        return ok
+
+    monkeypatch.setattr(weyl, "preserves_form_and_k", broken_on_layer_3)
+    elements = weyl.enumerate_group(5)
+    before = sum(weyl.poincare_coefficients(5)[:3])
+    assert len(list(itertools.islice(elements, before))) == before
+    with pytest.raises(InternalError, match="layer 3"):
+        next(elements)
+    assert layers == [1, 4, 9, 15]
 
 
 def test_checkpoint_resume(tmp_path):
@@ -366,7 +387,7 @@ def test_orbit_layers_match_matrix_reference(source, max_layers):
     else:
         A0 = census.SEQUENCE_PRESETS[source].initial_system()
     lat = A0.lattice
-    layers = list(weyl.orbit_system_arrays(A0, max_layers=max_layers))
+    layers = list(weyl.orbit_layers(lat, A0.terms, max_layers=max_layers))
     reference = list(_orbit_by_matrices(lat, A0.terms, max_layers))
     assert len(layers) == len(reference)
     for layer, (markers, payload) in zip(layers, reference):
@@ -384,7 +405,7 @@ def test_orbit_dtypes_of_census_presets(name):
     assert weyl.orbit_bound(lat, A0.terms).max() <= np.iinfo(np.int8).max
     marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)]).max()
     assert marker_bound == {2: 60, 1: 148}[lat.degree]
-    layer = next(weyl.orbit_system_arrays(A0))
+    layer = next(weyl.orbit_layers(lat, A0.terms))
     assert layer.payload.dtype == np.int8
     assert layer.markers.dtype == (np.int8 if lat.degree == 2 else np.int16)
 
@@ -395,7 +416,7 @@ def test_full_iib_orbit_within_bound():
     payload_bound = weyl.orbit_bound(lat, A0.terms)
     marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)])[0]
     top_payload = top_marker = 0
-    for layer in weyl.orbit_system_arrays(A0):
+    for layer in weyl.orbit_layers(lat, A0.terms):
         assert (np.abs(layer.payload) <= payload_bound).all()
         assert (np.abs(layer.markers) <= marker_bound).all()
         top_payload = max(top_payload, int(np.abs(layer.payload).max()))
