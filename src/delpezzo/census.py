@@ -15,14 +15,17 @@ to the stabilizer of the surface's set of irreducible (-2)-curves
 ("essentially different" systems).
 
 Tests (1)-(3) are vectorized: every (-2)-window of a toric system is a
-root and every I(X,A) window is a (-1)-class, so window keys are hashed
-into a table of the classes, whose slots carry the truth tables of all
-surfaces as bit masks.  Test (4) runs on the survivors in batches, with
-the batched anti-class effectiveness kernel.
+root and every I(X,A) window is a (-1)-class, and W permutes these
+classes.  So every window carries a class id: looked up exactly on the
+first layer, then carried down the orbit tree, one simple reflection per
+layer.  The ids index bit masks holding the truth tables of all
+surfaces.  Test (4) runs on the survivors in batches, with the batched
+anti-class effectiveness kernel.
 """
 
 from __future__ import annotations
 
+import time
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -248,10 +251,10 @@ MODES = ("strong", "exceptional")
 class _WindowPlan:
     """Precomputed windows of a second-kind squares sequence.
 
-    Coefficient rows select the terms of each window.  Packing is linear
-    (see `weyl.pack_layout`), so the keys of all windows of a batch of
-    systems are one product of the term keys with these rows; the keys
-    then index the class tables (see `_window_classes`).  The deep windows
+    Coefficient rows select the terms of each window, so the window sums
+    of a batch of systems [m, n, rank] are `coeffs @ batch`.  A sweep looks
+    them up as class ids on the first layer it sees and carries the ids
+    down the orbit tree after that (see `_layer_ids`).  The deep windows
     (square <= -3) all run through the last term and take test (4).
     """
 
@@ -265,6 +268,13 @@ class _WindowPlan:
 
 def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
     n = len(a)
+    low = [i for i, x in enumerate(a) if x < -2]
+    if len(low) == 1 and low[0] != n - 1:
+        k = low[0] + 1
+        raise InputError(
+            f"the census needs the entry below -2 last: rotate {a} left by "
+            f"{k} to {a[k:] + a[:k]}"
+        )
     if a[-1] > -3:
         raise InputError(f"{a} is not of the second kind (a_n <= -3 required)")
     if any(x < -2 for x in a[:-1]):
@@ -295,58 +305,106 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
     )
 
 
-# -- class tables and per-surface bit masks -----------------------------
+# -- class ids and per-surface bit masks --------------------------------
 
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """The r-classes of a lattice, hashed by the residue of their keys.
-
-    `modulus` is the smallest p >= #classes under which the class keys have
-    distinct residues, so slot `key % p` holds the class with that key.
-    An empty slot s holds the key s + 1, whose residue is not s, so no key
-    matches it.
+    """The r-classes of a lattice sorted by packed key; a class's id is its
+    position.  W permutes the classes: `perm[i, c]` is the id of s_i(class
+    c), s_i the i-th simple reflection of `weyl.simple_reflection_roots`.
+    Every lattice has at most 240 classes of each kind, so ids are uint8.
     """
 
-    classes: np.ndarray  # [c, rank] int64, in enumeration order
-    slots: np.ndarray  # [c] the slot of each class
-    modulus: np.uint64
-    slot_keys: np.ndarray  # [modulus] uint64
+    classes: np.ndarray  # [c, rank] int64
+    keys: np.ndarray  # [c] uint64, ascending
+    perm: np.ndarray  # [generators, c] uint8
+
+
+def _class_ids(keys: np.ndarray, vectors: np.ndarray, what: str) -> np.ndarray:
+    """uint8 ids of the int64 vectors [..., rank] among the classes with
+    the sorted `keys`.  `pack_rows` range-checks every coordinate, so an
+    equal key means an equal vector."""
+    found = weyl.pack_rows(vectors)
+    ids = np.minimum(np.searchsorted(keys, found), keys.size - 1)
+    if not np.array_equal(keys[ids], found):
+        raise InternalError(f"window sum is not a {what} (invariant violated)")
+    return ids.astype(np.uint8)
 
 
 @lru_cache(maxsize=None)
 def _class_table(lattice: PicardLattice, r: int) -> _ClassTable:
     classes = np.array(lattice.enumerate_classes(r), dtype=np.int64)
     keys = weyl.pack_rows(classes)
-    p = max(1, len(keys))
-    while len(set((keys % np.uint64(p)).tolist())) < len(keys):
-        p += 1
-    slots = (keys % np.uint64(p)).astype(np.intp)
-    slot_keys = np.arange(1, p + 1, dtype=np.uint64)
-    slot_keys[slots] = keys
-    for arr in (classes, slots, slot_keys):
+    order = np.argsort(keys)
+    classes, keys = classes[order], keys[order]
+    generators = len(weyl.simple_reflection_roots(lattice))
+    images = np.repeat(classes[None], generators, axis=0)
+    for i, image in enumerate(images):
+        weyl.reflect_rows(image, i)
+    table = _ClassTable(classes, keys, _class_ids(keys, images, f"{r}-class"))
+    for arr in (table.classes, table.keys, table.perm):
         arr.flags.writeable = False  # cached and shared by every caller
-    return _ClassTable(classes, slots, np.uint64(p), slot_keys)
+    return table
 
 
-@lru_cache(maxsize=None)
-def _key_room(lattice: PicardLattice) -> np.ndarray:
-    """Per coordinate, the largest window-sum magnitude whose key cannot
-    collide with the key of another (-2)- or (-1)-class: 2^bits less
-    the largest class coefficient, minus one."""
-    bits, _, _ = weyl.pack_layout(lattice.rank)
-    classes = np.concatenate([_class_table(lattice, r).classes for r in (-2, -1)])
-    return (1 << bits) - np.abs(classes).max(axis=0) - 1
+def _window_sums(plan: _WindowPlan, part: np.ndarray):
+    """int64 sums [m, w2, rank] and [m, wI, rank] of the (-2)- and I(X,A)
+    windows of the systems part [m, n, rank] (any integer dtype)."""
+    return plan.root_coeffs @ part, plan.ixa_coeffs @ part
+
+
+def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
+    """Class ids [N, w2] and [N, wI] (uint8) of the windows of every system
+    of the layer.
+
+    `prev` holds the ids of the previous layer, or None on the first layer
+    a sweep sees; that layer, and one loaded from a checkpoint, is looked
+    up exactly from its window sums.  Otherwise a row's windows are its
+    parent's windows reflected by the row's generator i, so its ids are
+    `perm[i, parent ids]`.  Audit: the classes of the first row of every
+    generator block must equal its window sums; under test_mode, those of
+    every row.
+    """
+    arr = layer.payload
+    tables = (_class_table(lattice, -2), _class_table(lattice, -1))
+    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, arr.shape[0], _CHUNK_ROWS)]
+    out = tuple(
+        np.empty((arr.shape[0], c.shape[0]), dtype=np.uint8)
+        for c in (plan.root_coeffs, plan.ixa_coeffs)
+    )
+    if prev is None or layer.parents is None:
+        for rows in chunks:
+            sums = _window_sums(plan, arr[rows])
+            for t, o, x, what in zip(tables, out, sums, ("(-2)-class", "(-1)-class")):
+                o[rows] = _class_ids(t.keys, x, what)
+        return out
+    blocks = layer.blocks
+    for i, (start, end) in enumerate(zip(blocks[:-1], blocks[1:])):
+        for lo in range(start, end, _CHUNK_ROWS):
+            parents = layer.parents[lo : min(lo + _CHUNK_ROWS, end)]
+            for t, p, o in zip(tables, prev, out):
+                o[lo : lo + parents.size] = t.perm[i].take(p.take(parents, axis=0))
+    for rows in chunks if test_mode else [blocks[:-1][np.diff(blocks) > 0]]:
+        sums = _window_sums(plan, arr[rows])
+        if not all(
+            np.array_equal(t.classes[o[rows]], x) for t, o, x in zip(tables, out, sums)
+        ):
+            raise InternalError(
+                f"propagated window class ids differ from the window sums "
+                f"on orbit layer {layer.index} (invariant violated)"
+            )
+    return out
 
 
 @dataclass(frozen=True)
 class _SurfaceMasks:
-    """Per-surface truth tables stacked as bits: bit t of a slot's mask is
-    the verdict of surface t on the class in that slot."""
+    """Per-surface truth tables stacked as bits: bit t of a class id's mask
+    is the verdict of surface t on that class."""
 
-    root_anti: np.ndarray  # [p2] uint64: -r is effective
-    root_eff: np.ndarray  # [p2] uint64: r is effective
-    line_fail: np.ndarray  # [p1] uint64: irreducible, or not slo (degree 1)
+    root_anti: np.ndarray  # [c2] uint64: -r is effective
+    root_eff: np.ndarray  # [c2] uint64: r is effective
+    line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (degree 1)
 
 
 def _surface_masks(
@@ -354,71 +412,26 @@ def _surface_masks(
 ) -> _SurfaceMasks:
     if len(surfaces) > 64:
         raise InputError(f"a census covers at most 64 surfaces, not {len(surfaces)}")
-    roots = _class_table(lattice, -2)
-    lines = _class_table(lattice, -1)
-    root_list = [tuple(int(x) for x in r) for r in roots.classes]
-    line_list = [tuple(int(x) for x in c) for c in lines.classes]
+    root_list = [tuple(r) for r in _class_table(lattice, -2).classes.tolist()]
+    line_list = [tuple(c) for c in _class_table(lattice, -1).classes.tolist()]
     masks = _SurfaceMasks(
-        np.zeros(roots.slot_keys.size, dtype=np.uint64),
-        np.zeros(roots.slot_keys.size, dtype=np.uint64),
-        np.zeros(lines.slot_keys.size, dtype=np.uint64),
+        np.zeros(len(root_list), dtype=np.uint64),
+        np.zeros(len(root_list), dtype=np.uint64),
+        np.zeros(len(line_list), dtype=np.uint64),
     )
     for t, s in enumerate(surfaces):
         bit = np.uint64(1 << t)
         eff = s.effective_roots_set()
         irr = s.irr_lines_set()
-        masks.root_anti[roots.slots[[vneg(r) in eff for r in root_list]]] |= bit
-        masks.root_eff[roots.slots[[r in eff for r in root_list]]] |= bit
+        masks.root_anti[[vneg(r) in eff for r in root_list]] |= bit
+        masks.root_eff[[r in eff for r in root_list]] |= bit
         # In degree 1 a (-1)-class C is slo iff C + K is not effective.
         fail = [
             c in irr or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
             for c in line_list
         ]
-        masks.line_fail[lines.slots[fail]] |= bit
+        masks.line_fail[fail] |= bit
     return masks
-
-
-def _slots(table: _ClassTable, keys: np.ndarray, what: str) -> np.ndarray:
-    slots = (keys % table.modulus).astype(np.intp)
-    if not np.array_equal(table.slot_keys[slots], keys):
-        raise InternalError(f"window sum is not a {what} (invariant violated)")
-    return slots
-
-
-def _check_key_room(lattice: PicardLattice, plan: _WindowPlan, terms) -> None:
-    """Prove that every window sum of every W-image of the system `terms`
-    [n, rank] stays within `_key_room`: W maps the window sums of the
-    system to those of its image, so `weyl.orbit_bound` of the system's
-    own window sums bounds them over the whole orbit."""
-    terms = np.asarray(terms, dtype=np.int64)
-    sums = np.concatenate([plan.root_coeffs, plan.ixa_coeffs]) @ terms
-    if (weyl.orbit_bound(lattice, sums) > _key_room(lattice)).any():
-        raise InternalError("window sums leave the packing fields")
-
-
-def _window_classes(
-    lattice: PicardLattice, plan: _WindowPlan, part: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class-table slots of the (-2)- and I(X,A) windows of each system in
-    `part` [m, n, rank] (any integer dtype, e.g. the int8 orbit payload):
-    [m, w2] into `_class_table(lattice, -2)` and [m, wI] into
-    `_class_table(lattice, -1)`.
-
-    A window's key is the sum of its terms' `x @ weights` plus the packing
-    offset, all mod 2^64.  The systems must lie in the W-orbit of a system
-    that passed `_check_key_room`, which proves once per plan that every
-    window-sum coordinate stays within `_key_room`; there equal keys mean
-    equal vectors, so a window whose key differs from the class key in its
-    slot is no class.
-    """
-    _, weights, offset = weyl.pack_layout(lattice.rank)
-    term_keys = part.astype(np.uint64) @ weights  # negatives wrap mod 2^64
-    keys = term_keys @ plan.root_coeffs.T.astype(np.uint64)
-    keys += offset
-    root_slots = _slots(_class_table(lattice, -2), keys, "(-2)-class")
-    keys = term_keys @ plan.ixa_coeffs.T.astype(np.uint64)
-    keys += offset
-    return root_slots, _slots(_class_table(lattice, -1), keys, "(-1)-class")
 
 
 # -- stabilizers --------------------------------------------------------
@@ -482,7 +495,11 @@ class CensusRun:
     `deep_candidates` (rows passing tests (1)-(3), keyed "surface/mode"),
     `deep_tests` (one per row, surface, mode and deep window tested) and
     `deep_cross_checks` (deep verdicts checked against `is_effective`
-    under test_mode).
+    under test_mode).  It times each phase in seconds: `orbit_s` (the
+    orbit walk), `window_ids_s` (window class ids), `mask_tests_s` (tests
+    (1)-(3)), `deep_tests_s` (test (4)), and in finalize `canonicalize_s`
+    and `reverify_s` (0 without finalize); `representatives_verified`
+    counts the representatives re-verified.
     """
 
     preset_name: str
@@ -495,6 +512,8 @@ class CensusRun:
 
 
 _CHUNK_ROWS = 4096
+#: Phase timers (seconds) of `CensusRun.stats` filled by the sweep.
+SWEEP_TIMERS = ("orbit_s", "window_ids_s", "mask_tests_s", "deep_tests_s")
 #: Buffered deep-test candidates that trigger a flush before the layer ends.
 _DEEP_BATCH_ROWS = 512
 
@@ -509,11 +528,13 @@ def _census_sweep(
     """Stream the orbit of A0 and collect counterexample systems.
 
     Tests (1)-(3) run on whole chunks for all surfaces at once: the window
-    slots gather the surfaces' bit masks, and an OR over the windows gives
-    each row's failure bits.  The survivors, buffered as (layer row,
-    surface, mode), take test (4) in batches, one `anticlass_effective`
-    call per deep window; a row leaves the batch at its first effective
-    deep anti-class.  The buffer is flushed at the end of every layer and
+    class ids of each layer (`_layer_ids`, carried down the orbit tree)
+    gather the surfaces' bit masks, and an OR over the windows gives each
+    row's failure bits.  Only two layers of ids are held at a time, w2 + wI
+    bytes per row each.  The survivors, buffered as (layer row, surface,
+    mode), take test (4) in batches, one `anticlass_effective` call per
+    deep window; a row leaves the batch at its first effective deep
+    anti-class.  The buffer is flushed at the end of every layer and
     whenever it holds `_DEEP_BATCH_ROWS` candidates.
 
     Returns (orbit_total, store, stats) where store maps (surface name,
@@ -522,7 +543,6 @@ def _census_sweep(
     """
     lat = A0.lattice
     plan = _window_plan(A0.squares())
-    _check_key_room(lat, plan, A0.terms)
     masks = _surface_masks(lat, surfaces)
     stacks = root_stacks(surfaces)
     noncyc = ~plan.root_through_n
@@ -533,10 +553,12 @@ def _census_sweep(
         (s.name, mode): [] for s in surfaces for mode in modes
     }
     stats = {"rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
+    stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
     candidates = np.zeros((len(modes), len(surfaces)), dtype=np.int64)
     pending: list[tuple[np.ndarray, np.ndarray, int]] = []  # rows, surfaces, mode
 
     def flush(arr: np.ndarray) -> None:
+        start = time.perf_counter()
         rows = np.concatenate([p[0] for p in pending])
         which = np.concatenate([p[1] for p in pending])
         mode_of = np.concatenate([np.full(p[0].size, p[2]) for p in pending])
@@ -558,18 +580,29 @@ def _census_sweep(
         for i in alive:
             key = (surfaces[which[i]].name, modes[mode_of[i]])
             store[key].append(arr[rows[i]].copy())
+        stats["deep_tests_s"] += time.perf_counter() - start
 
     orbit_total = 0
-    for layer in weyl.orbit_layers(A0.lattice, A0.terms, **orbit_kwargs):
+    ids = None
+    layers = weyl.orbit_layers(A0.lattice, A0.terms, **orbit_kwargs)
+    while True:
+        start = time.perf_counter()
+        layer = next(layers, None)
+        stats["orbit_s"] += time.perf_counter() - start
+        if layer is None:
+            break
         orbit_total = layer.total_so_far
         arr = layer.payload
         stats["rows"] += arr.shape[0]
+        start = time.perf_counter()
+        ids = _layer_ids(lat, plan, layer, ids, test_mode)
+        stats["window_ids_s"] += time.perf_counter() - start
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
-            part = arr[lo : lo + _CHUNK_ROWS]
-            slots2, slotsI = _window_classes(lat, plan, part)
-            anti = np.bitwise_or.reduce(masks.root_anti[slots2], axis=1)
-            eff2 = np.bitwise_or.reduce(masks.root_eff[slots2[:, noncyc]], axis=1)
-            fail3 = np.bitwise_or.reduce(masks.line_fail[slotsI], axis=1)
+            start = time.perf_counter()
+            ids2, idsI = (x[lo : lo + _CHUNK_ROWS] for x in ids)
+            anti = np.bitwise_or.reduce(masks.root_anti[ids2], axis=1)
+            eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[:, noncyc]], axis=1)
+            fail3 = np.bitwise_or.reduce(masks.line_fail[idsI], axis=1)
             base = ~(anti | fail3) & everyone
             for m, mode in enumerate(modes):
                 ok = base & ~eff2 if mode == "strong" else base
@@ -578,6 +611,7 @@ def _census_sweep(
                 rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
                 candidates[m] += np.bincount(which, minlength=len(surfaces))
                 pending.append((rows + lo, which, m))
+            stats["mask_tests_s"] += time.perf_counter() - start
             if sum(p[0].size for p in pending) >= _DEEP_BATCH_ROWS:
                 flush(arr)
         if pending:
@@ -712,6 +746,7 @@ def census_for_preset(
         )
     raw_counts = {key: len(rows) for key, rows in store.items()}
     records: dict[tuple[str, str], CensusRecord] = {}
+    stats.update(canonicalize_s=0.0, reverify_s=0.0, representatives_verified=0)
     if finalize:
         if not complete:
             raise InputError("cannot finalize a truncated census run")
@@ -729,11 +764,16 @@ def census_for_preset(
                 raise InternalError(
                     "counterexamples on a surface without (-2)-curves"
                 )
+            start = time.perf_counter()
             reps = _canonicalize(A0.lattice, rows, elements)
+            stats["canonicalize_s"] += time.perf_counter() - start
             record = CensusRecord(
                 sname, squares, mode, len(rows), stab_order, len(reps), reps
             )
+            start = time.perf_counter()
             extra = _verify_representatives(by_name[sname], mode, reps)
+            stats["reverify_s"] += time.perf_counter() - start
+            stats["representatives_verified"] += len(reps)
             if extra["hole_failures"]:
                 raise InternalError(
                     f"{extra['hole_failures']} counterexamples on {sname} "

@@ -746,7 +746,10 @@ def find_system_with_squares(
     """First toric system (lexicographic backtracking) with the given A^2.
 
     All entries except the last must lie in the enumerable range; the
-    last term is forced by the sum condition and only verified."""
+    last term is forced by the sum condition and only verified.  A
+    sequence whose one entry below -2 is not last is rotated to put it
+    last, as `classify_sequence` does, and the system found is shifted
+    back."""
     squares = tuple(int(x) for x in squares)
     n = len(squares)
     if n != 12 - lattice.degree:
@@ -754,6 +757,11 @@ def find_system_with_squares(
             f"sequence length {n} does not match 12 - degree = "
             f"{12 - lattice.degree}"
         )
+    low = [i for i, x in enumerate(squares) if x < -2]
+    if len(low) == 1 and low[0] != n - 1:
+        k = low[0] + 1
+        A = find_system_with_squares(lattice, squares[k:] + squares[:k])
+        return None if A is None else ToricSystem(lattice, A.terms[-k:] + A.terms[:-k])
     pools = [lattice.enumerate_classes(r) for r in squares[:-1]]
     minus_k = vneg(lattice.canonical)
     chosen: list[Divisor] = []

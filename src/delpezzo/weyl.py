@@ -21,14 +21,9 @@ in the narrowest integer type that bound allows, proven once per orbit
 rather than checked per row: int8 payloads for every census preset, int8
 markers in degrees 2-7 and int16 in degree 1.  Everything else is int64.
 
-Vectors are packed into uint64
-keys by a linear map, key(x) = x @ weights + offset (mod 2^64), with one
-bit field per coordinate (`pack_layout`); `pack_rows` asserts the field
-range of every coordinate.  By linearity the key of a sum is the sum of
-the terms' keys less the extra offsets, and keys of two vectors whose
-coordinates differ by less than 2^bits in every field are equal only if
-the vectors are, which is the bound the census checks before it compares
-window keys with class keys.
+Vectors are packed into uint64 keys with one bit field per coordinate;
+`pack_rows` checks the field range of every coordinate, so equal keys
+mean equal vectors.
 
 Stabilizers of root sets R are found without scanning W: an element
 is determined by the images of a basis of roots and K, which are roots
@@ -106,43 +101,25 @@ def regular_marker(lattice: PicardLattice) -> Divisor:
 #
 # Coordinate 0 gets an 8-bit field, the others 7 bits each; rank <= 9
 # fits a uint64 exactly.  Field i holds x_i + 2^(bits_i - 1) at bit
-# shift_i, and the biased fields never overlap, so the key is linear:
-#     key(x) = x @ weights + offset  (mod 2^64),  weights_i = 2^shift_i.
-# The key of a sum of vectors is thus the sum of their `x @ weights`
-# terms plus one offset.  Keys are also injective under a bound: if
-# |u_i - v_i| < 2^bits_i for every i, then key(u) == key(v) forces u == v
-# (compare the fields from the lowest one up).  pack_rows asserts the
+# shift_i and the biased fields never overlap.  pack_rows asserts the
 # range of every coordinate, so overflow is impossible rather than
-# unlikely.
+# unlikely, and keys are injective.
 
 _PACK_LEAD_BITS = 8
 _PACK_TAIL_BITS = 7
 
 
-@lru_cache(maxsize=None)
-def pack_layout(rank: int) -> tuple[np.ndarray, np.ndarray, np.uint64]:
-    """(field bits [rank] int64, weights [rank] uint64, offset) of the packing."""
-    bits = (_PACK_LEAD_BITS,) + (_PACK_TAIL_BITS,) * (rank - 1)
-    if sum(bits) > 64:
-        raise InternalError(f"rank {rank} does not fit the packing scheme")
-    shifts = [sum(bits[i + 1 :]) for i in range(rank)]
-    bits_arr = np.array(bits, dtype=np.int64)
-    weights = np.array([1 << s for s in shifts], dtype=np.uint64)
-    bits_arr.flags.writeable = weights.flags.writeable = False
-    offset = np.uint64(sum(1 << (b - 1 + s) for b, s in zip(bits, shifts)))
-    return bits_arr, weights, offset
-
-
 def pack_rows(arr: np.ndarray) -> np.ndarray:
     """Pack integer vectors [..., rank] into uint64 keys, checking bounds."""
-    bits, weights, offset = pack_layout(arr.shape[-1])
+    rank = arr.shape[-1]
+    bits = np.array([_PACK_LEAD_BITS] + [_PACK_TAIL_BITS] * (rank - 1))
+    if bits.sum() > 64:
+        raise InternalError(f"rank {rank} does not fit the packing scheme")
     half = 1 << (bits - 1)
     if (arr < -half).any() or (arr >= half).any():
         raise InternalError("coordinate out of the packing range [-2^(b-1), 2^(b-1))")
-    # Negative coordinates wrap to uint64 and the sums are taken mod 2^64;
-    # the in-place add on an array wraps silently where a scalar add warns.
-    keys = arr.reshape(-1, arr.shape[-1]).astype(np.uint64) @ weights
-    keys += offset
+    weights = np.uint64(1) << (bits.sum() - bits.cumsum()).astype(np.uint64)
+    keys = (arr.reshape(-1, rank) + half).astype(np.uint64) @ weights
     return keys.reshape(arr.shape[:-1])
 
 
@@ -236,12 +213,19 @@ class OrbitLayer:
     and the payload carried in lockstep.  Both are stored in the narrowest
     integer type that `orbit_bound` proves holds the whole orbit (int8
     payloads for every census preset; int8 markers in degrees 2-7, int16
-    in degree 1)."""
+    in degree 1).
+
+    Row k is the image of row `parents[k]` of the previous layer under the
+    simple reflection i (in the order of `simple_reflection_roots`) with
+    blocks[i] <= k < blocks[i + 1].  Both are None on layer 0 and on a
+    layer loaded from a checkpoint, which have no previous layer."""
 
     index: int
     markers: np.ndarray  # [N, rank]
     payload: np.ndarray | None  # [N, P, rank]
     total_so_far: int
+    parents: np.ndarray | None = None  # [N] intp
+    blocks: np.ndarray | None = None  # [generators + 1] row bounds
 
 
 def orbit_layers(
@@ -258,8 +242,9 @@ def orbit_layers(
     system or the rows of an identity matrix) is transformed by the same
     reflections as the marker.  Layer k holds the images under the
     elements of Coxeter length k, each exactly once, in a deterministic
-    order.  Every layer's size is checked against the Poincare
-    polynomial of W.
+    order, with each row's parent and generator (`OrbitLayer.parents`,
+    `OrbitLayer.blocks`).  Every layer's size is checked against the
+    Poincare polynomial of W.
 
     The reflections act on the coordinates directly (`reflect_rows`), and
     markers and payload are kept in the narrowest integer types that
@@ -319,8 +304,8 @@ def orbit_layers(
         expected = sizes[index] if index < len(sizes) else 0
         markers, payload = layer.markers, layer.payload
         n = markers.shape[0]
-        # this layer and the next (markers + payload), plus the pairings
-        per = markers.itemsize * markers.shape[1]
+        # this layer and the next (markers, payload, parents), plus the pairings
+        per = markers.itemsize * markers.shape[1] + 8
         if payload is not None:
             per += payload.itemsize * payload.shape[1] * payload.shape[2]
         needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2
@@ -345,6 +330,7 @@ def orbit_layers(
                 mask &= pair[j] + pair[i] * cartan[i][j] > 0
             children.append(np.flatnonzero(mask))
         rows = np.concatenate(children)
+        blocks = np.cumsum([0] + [sel.size for sel in children])
         count = rows.size
         if count != expected:
             raise InternalError(
@@ -355,14 +341,13 @@ def orbit_layers(
             return
         markers = markers[rows]
         payload = None if payload is None else np.take(payload, rows, axis=0)
-        lo = 0
-        for i, sel in enumerate(children):
-            hi = lo + sel.size
+        for i, (lo, hi) in enumerate(zip(blocks[:-1], blocks[1:])):
             reflect_rows(markers[lo:hi], i)
             if payload is not None:
                 reflect_rows(payload[lo:hi], i)
-            lo = hi
-        layer = OrbitLayer(index, markers, payload, layer.total_so_far + count)
+        layer = OrbitLayer(
+            index, markers, payload, layer.total_so_far + count, rows, blocks
+        )
         yield layer
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, marker0, payload0, layer)

@@ -29,77 +29,69 @@ def test_window_plan_iib():
 @pytest.mark.parametrize("preset", ["IIb-deg2", "VI-deg1"])
 def test_window_keys_match_packed_window_sums(preset):
     # Reference: every window sum formed explicitly, packed and found by
-    # binary search among the sorted class keys.
+    # binary search among the sorted class keys; the sweep's ids, carried
+    # down the orbit tree from layer 0, must be the positions found.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
     rows = 0
+    ids = None
     for layer in weyl.orbit_layers(lat, A0.terms, max_layers=6):
         part = layer.payload
-        slots2, slotsI = census._window_classes(lat, plan, part)
-        for r, coeffs, slots in (
-            (-2, plan.root_coeffs, slots2),
-            (-1, plan.ixa_coeffs, slotsI),
-        ):
+        ids = census._layer_ids(lat, plan, layer, ids, False)
+        for r, coeffs, got in zip((-2, -1), (plan.root_coeffs, plan.ixa_coeffs), ids):
             table = census._class_table(lat, r)
-            class_keys = weyl.pack_rows(table.classes)
+            class_keys = weyl.pack_rows(np.array(lat.enumerate_classes(r)))
             order = np.argsort(class_keys)
             sums = np.einsum("wi,mir->mwr", coeffs, part)
             idx = np.searchsorted(class_keys[order], weyl.pack_rows(sums))
             assert np.array_equal(class_keys[order][idx], weyl.pack_rows(sums))
-            slot_class = np.full(int(table.modulus), -1)
-            slot_class[table.slots] = np.arange(len(table.classes))
-            assert (slot_class[slots] >= 0).all()
-            assert np.array_equal(slot_class[slots], order[idx])
-            assert np.array_equal(table.classes[slot_class[slots]], sums)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, idx)
+            assert np.array_equal(table.classes[got], sums)
         rows += part.shape[0]
     assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
 
 
-#: Residue moduli of the (-2)- and (-1)-class tables, by degree.
-CLASS_TABLE_MODULI = {1: (871, 871), 2: (409, 157), 3: (249, 79)}
-
-
 @pytest.mark.parametrize("degree", [7, 6, 5, 4, 3, 2, 1])
 def test_class_table_is_a_bijection(degree):
+    # Every perm[i] permutes the class ids, is an involution (s_i^2 = 1)
+    # and sends each class to its image under `reflect_rows`.
     lat = PicardLattice.standard(degree)
-    for i, r in enumerate((-2, -1)):
+    generators = len(weyl.simple_reflection_roots(lat))
+    for r in (-2, -1):
         table = census._class_table(lat, r)
-        keys = weyl.pack_rows(table.classes)
-        p = int(table.modulus)
-        assert len(keys) == len(lat.enumerate_classes(r))
-        assert np.array_equal(table.slots, keys % table.modulus)
-        assert np.unique(table.slots).size == len(keys)
-        assert np.array_equal(table.slot_keys[table.slots], keys)
-        # An empty slot holds a key of another residue, so nothing matches it.
-        empty = np.setdiff1d(np.arange(p), table.slots)
-        assert (table.slot_keys[empty] % table.modulus != empty).all()
-        # The modulus is the smallest one that separates the keys.
-        for q in range(len(keys), p):
-            assert np.unique(keys % np.uint64(q)).size < len(keys)
-        if degree in CLASS_TABLE_MODULI:
-            assert p == CLASS_TABLE_MODULI[degree][i]
+        count = len(lat.enumerate_classes(r))
+        assert table.classes.shape[0] == count
+        assert set(map(tuple, table.classes.tolist())) == set(lat.enumerate_classes(r))
+        assert table.perm.shape == (generators, count)
+        assert table.perm.dtype == np.uint8
+        for i in range(generators):
+            perm = table.perm[i].astype(np.intp)
+            assert np.array_equal(np.sort(perm), np.arange(count))
+            assert np.array_equal(perm[perm], np.arange(count))
+            image = table.classes.copy()
+            weyl.reflect_rows(image, i)
+            assert np.array_equal(table.classes[perm], image)
 
 
-def test_window_keys_reject_non_classes(monkeypatch):
+def test_window_keys_reject_non_classes():
+    # Sums that are no class, inside the packing fields (2 * terms) and
+    # outside them (127 * terms), are refused at the layer-0 lookup.
     A0 = census.section13_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
     part = np.array([A0.terms], dtype=np.int64)
-    # Sums inside the packing fields that are not classes.
-    with pytest.raises(InternalError, match="not a"):
-        census._window_classes(lat, plan, 2 * part)
-    # Sums that can leave the fields somewhere in the orbit, where a key
-    # could alias a class: refused once per plan, before any sweep.
-    with pytest.raises(InternalError, match="packing fields"):
-        census._check_key_room(lat, plan, 127 * part[0])
-    for preset in census.SEQUENCE_PRESETS.values():
-        A = preset.initial_system()
-        census._check_key_room(A.lattice, census._window_plan(A.squares()), A.terms)
-    # The sweep proves the room before it streams the orbit.
-    monkeypatch.setattr(census, "_key_room", lambda lattice: np.zeros(lattice.rank))
-    with pytest.raises(InternalError, match="packing fields"):
-        census.census_for_preset(A0, max_layers=0, finalize=False)
+    marker = np.array([weyl.regular_marker(lat)])
+    for factor, match in ((2, "not a \\(-2\\)-class"), (127, "packing range")):
+        layer = weyl.OrbitLayer(0, marker, factor * part, 1)
+        with pytest.raises(InternalError, match=match):
+            census._layer_ids(lat, plan, layer, None, False)
+    layer = weyl.OrbitLayer(0, marker, part, 1)
+    assert all(ids.shape == (1, c.shape[0]) for ids, c in zip(
+        census._layer_ids(lat, plan, layer, None, False),
+        (plan.root_coeffs, plan.ixa_coeffs),
+    ))
 
 
 def test_window_plan_rejects_first_kind():
@@ -286,3 +278,89 @@ def test_surface_masks_reject_more_than_64_surfaces():
     s = catalog_load(3).get("A1")
     with pytest.raises(InputError, match="64 surfaces"):
         census._surface_masks(s.lattice, (s,) * 65)
+
+
+def _corrupt_table(monkeypatch, r, corrupt):
+    """Make `census._class_table(lat, r)` return a table whose perm is
+    `corrupt(perm)`."""
+    real = census._class_table
+
+    def table(lattice, rr):
+        t = real(lattice, rr)
+        if rr != r:
+            return t
+        return census._ClassTable(t.classes, t.keys, corrupt(t.perm.copy()))
+
+    monkeypatch.setattr(census, "_class_table", table)
+
+
+def test_test_mode_compares_every_row(monkeypatch):
+    # Under test_mode every row's propagated ids are checked against its
+    # window sums; otherwise only the first row of each generator block is.
+    A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+    real = census._window_sums
+    looked_up = []
+    monkeypatch.setattr(
+        census, "_window_sums",
+        lambda plan, part: looked_up.append(part.shape[0]) or real(plan, part),
+    )
+    sizes = weyl.poincare_coefficients(2)[:9]
+    census.census_for_preset(A0, max_layers=8, finalize=False, test_mode=True)
+    assert sum(looked_up) == sum(sizes)
+    looked_up.clear()
+    census.census_for_preset(A0, max_layers=8, finalize=False)
+    generators = len(weyl.simple_reflection_roots(A0.lattice))
+    assert 1 + 8 <= sum(looked_up) <= 1 + 8 * generators
+
+
+def test_corrupted_reflection_table_is_caught(monkeypatch):
+    A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+
+    def swap_two(perm):
+        # s_0 on two classes only: most rows never meet them.
+        a, b = perm[0, 0], perm[0, 1]
+        perm[0, [0, 1]] = b, a
+        return perm
+
+    _corrupt_table(monkeypatch, -2, swap_two)
+    with pytest.raises(InternalError, match="propagated window class ids differ"):
+        census.census_for_preset(A0, max_layers=10, finalize=False, test_mode=True)
+    # Every id wrong: the block audit catches it without test_mode.
+    _corrupt_table(monkeypatch, -1, lambda perm: (perm + 1) % perm.shape[1])
+    with pytest.raises(InternalError, match="propagated window class ids differ"):
+        census.census_for_preset(A0, max_layers=2, finalize=False)
+
+
+def test_resumed_census_keeps_counterexamples(tmp_path):
+    # Truncated at layer 8 with a checkpoint, then resumed to 16: the two
+    # runs' raw counts add up to the uninterrupted prefix's 540.
+    kwargs = dict(finalize=False, checkpoint_dir=tmp_path)
+    truncated = census.census_for_preset("IIb-deg2", **kwargs, max_layers=8)
+    resumed = census.census_for_preset("IIb-deg2", **kwargs, resume=True, max_layers=16)
+    fresh = census.census_for_preset("IIb-deg2", finalize=False, max_layers=16)
+    assert sum(fresh.raw_counts.values()) == 540
+    assert sum(truncated.raw_counts.values()) > 0
+    assert sum(resumed.raw_counts.values()) > 0
+    assert {
+        key: truncated.raw_counts[key] + resumed.raw_counts[key]
+        for key in fresh.raw_counts
+    } == fresh.raw_counts
+    assert resumed.orbit_total == fresh.orbit_total
+    assert truncated.stats["rows"] + resumed.stats["rows"] == fresh.stats["rows"]
+
+
+def test_census_stats_phase_keys():
+    run = census.census_for_preset(_deg3_system("VI-deg2", 3))
+    timers = census.SWEEP_TIMERS + ("canonicalize_s", "reverify_s")
+    assert set(timers) | {"representatives_verified"} <= set(run.stats)
+    assert all(isinstance(run.stats[k], float) and run.stats[k] >= 0 for k in timers)
+    assert all(run.stats[k] > 0 for k in census.SWEEP_TIMERS)
+    # Degree 3 has no counterexample, so finalize verifies none.
+    assert run.stats["representatives_verified"] == 0
+    assert run.stats["rows"] == census.EXPECTED_WEYL_ORDERS[3]
+
+
+def test_finalize_counts_verified_representatives(iib_run):
+    reps = sum(len(r.representatives) for r in iib_run.records.values())
+    assert iib_run.stats["representatives_verified"] == reps > 0
+    assert iib_run.stats["canonicalize_s"] > 0 and iib_run.stats["reverify_s"] > 0

@@ -139,6 +139,17 @@ def test_resolve_sequence():
             cli._resolve_sequence(Args())
 
 
+def test_census_names_the_rotation(capsys):
+    # The shifted IIb-deg2 squares are realized, and the census asks for
+    # the rotation that puts the entry below -2 last.
+    code = cli.main(["census", "--sequence", "[-2,-2,-2,-1,-2,-2,-1,-2,-3,-1]"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "rotate" in err and "left by 9" in err
+    assert "(-1, -2, -2, -2, -1, -2, -2, -1, -2, -3)" in err
+    assert "unsupported r-value" not in err
+
+
 def test_config_hash_stable():
     parser = cli.build_parser()
     a1 = parser.parse_args(["surfaces", "--degree", "3"])

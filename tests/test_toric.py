@@ -234,6 +234,18 @@ def test_find_system_with_squares():
         assert A is not None and A.squares() == a
 
 
+def test_find_system_with_rotated_squares():
+    # The entry below -2 need not be last: the squares are rotated to put
+    # it last, and the system found is shifted back.
+    lat = PicardLattice.standard(2)
+    iib = census.IIB_DEG2_SQUARES
+    for k in (1, 4, 9):
+        squares = iib[-k:] + iib[:-k]
+        A = find_system_with_squares(lat, squares)
+        assert A is not None and A.squares() == squares
+        assert classify_sequence(squares) == classify_sequence(iib)
+
+
 @pytest.mark.parametrize(
     "degree,longest", [(6, 2), (5, 2), (4, 3), (3, 3), (2, 4), (1, 6)]
 )
