@@ -25,10 +25,14 @@ anti-class effectiveness kernel.
 
 from __future__ import annotations
 
+import json
+import os
 import time
+import zipfile
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from .toric import (
 )
 from .effectivity import anticlass_effective, is_effective, is_hole, root_stacks
 from .report import Report
-from . import weyl
+from . import __version__, weyl
 
 #: Weyl group orders by degree (root systems A1, A1+A2, A4, D5, E6, E7, E8).
 EXPECTED_WEYL_ORDERS = {
@@ -253,8 +257,8 @@ class _WindowPlan:
 
     Coefficient rows select the terms of each window, so the window sums
     of a batch of systems [m, n, rank] are `coeffs @ batch`.  A sweep looks
-    them up as class ids on the first layer it sees and carries the ids
-    down the orbit tree after that (see `_layer_ids`).  The deep windows
+    them up as class ids on layer 0 and carries the ids down the orbit
+    tree after that (see `_layer_ids`).  The deep windows
     (square <= -3) all run through the last term and take test (4).
     """
 
@@ -358,11 +362,10 @@ def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
     """Class ids [N, w2] and [N, wI] (uint8) of the windows of every system
     of the layer.
 
-    `prev` holds the ids of the previous layer, or None on the first layer
-    a sweep sees; that layer, and one loaded from a checkpoint, is looked
-    up exactly from its window sums.  Otherwise a row's windows are its
-    parent's windows reflected by the row's generator i, so its ids are
-    `perm[i, parent ids]`.  Audit: the classes of the first row of every
+    Layer 0 is looked up exactly from its window sums.  On every later
+    layer a row's windows are its parent's windows reflected by the row's
+    generator i, so its ids are `perm[i, parent ids]`, with `prev` the ids
+    of the previous layer.  Audit: the classes of the first row of every
     generator block must equal its window sums; under test_mode, those of
     every row.
     """
@@ -373,7 +376,7 @@ def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
         np.empty((arr.shape[0], c.shape[0]), dtype=np.uint8)
         for c in (plan.root_coeffs, plan.ixa_coeffs)
     )
-    if prev is None or layer.parents is None:
+    if layer.parents is None:
         for rows in chunks:
             sums = _window_sums(plan, arr[rows])
             for t, o, x, what in zip(tables, out, sums, ("(-2)-class", "(-1)-class")):
@@ -518,12 +521,63 @@ SWEEP_TIMERS = ("orbit_s", "window_ids_s", "mask_tests_s", "deep_tests_s")
 _DEEP_BATCH_ROWS = 512
 
 
+#: The census checkpoint's file name inside a checkpoint directory.
+_CHECKPOINT = "census.npz"
+
+
+def _save_checkpoint(directory, config: dict, index: int, store, like) -> None:
+    """Write, atomically, the last finished layer and the counterexample
+    rows of every (surface, mode) so far, in `store` order; `like` is a
+    layer payload giving the rows' shape and dtype."""
+    path = Path(directory) / _CHECKPOINT
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = [row for found in store.values() for row in found]
+    with open(f"{path}.tmp", "wb") as fh:
+        np.savez(
+            fh,
+            config=np.array(json.dumps(config)),
+            layer=np.int64(index),
+            counts=np.array([len(found) for found in store.values()], dtype=np.int64),
+            rows=np.array(rows, dtype=like.dtype).reshape(-1, *like.shape[1:]),
+        )
+    os.replace(f"{path}.tmp", path)
+
+
+def _load_checkpoint(directory, config: dict, store, max_layers) -> int:
+    """Fill `store` from the checkpoint in `directory` and return its last
+    finished layer.  A missing or unreadable checkpoint, one written for
+    another configuration or one past `max_layers` is an `InputError`."""
+    if directory is None:
+        raise InputError("resume requires a checkpoint directory")
+    try:
+        with np.load(Path(directory) / _CHECKPOINT) as data:
+            saved = json.loads(str(data["config"]))
+            index, counts, rows = int(data["layer"]), data["counts"], data["rows"]
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise InputError(
+            f"no readable census checkpoint in {directory}: {exc}"
+        ) from exc
+    differ = [key for key in config if saved.get(key) != config[key]]
+    if differ:
+        raise InputError(
+            f"census checkpoint in {directory} was written for other "
+            + ", ".join(differ)
+        )
+    if max_layers is not None and max_layers < index:
+        raise InputError(f"the checkpoint has finished layer {index}, past max_layers")
+    for found, hi, count in zip(store.values(), np.cumsum(counts), counts):
+        found.extend(rows[hi - count : hi])
+    return index
+
+
 def _census_sweep(
     A0: ToricSystem,
     surfaces: tuple[SurfaceModel, ...],
     modes: tuple[str, ...],
     test_mode: bool,
-    orbit_kwargs: dict,
+    max_layers: int | None,
+    checkpoint_dir=None,
+    resume: bool = False,
 ):
     """Stream the orbit of A0 and collect counterexample systems.
 
@@ -536,6 +590,10 @@ def _census_sweep(
     deep window; a row leaves the batch at its first effective deep
     anti-class.  The buffer is flushed at the end of every layer and
     whenever it holds `_DEEP_BATCH_ROWS` candidates.
+
+    A resumed sweep (`_load_checkpoint`) starts from the saved
+    counterexamples and walks the orbit again from layer 0, testing only
+    the layers after the saved one.
 
     Returns (orbit_total, store, stats) where store maps (surface name,
     mode) to the list of counterexample system arrays in deterministic
@@ -582,9 +640,18 @@ def _census_sweep(
             store[key].append(arr[rows[i]].copy())
         stats["deep_tests_s"] += time.perf_counter() - start
 
+    config = {  # what a checkpoint is bound to
+        "terms": [list(t) for t in A0.terms],
+        "surfaces": [[s.name, [list(r) for r in s.simple_roots]] for s in surfaces],
+        "modes": list(modes),
+        "version": __version__,
+    }
+    # the last layer whose counterexamples are in store
+    done = _load_checkpoint(checkpoint_dir, config, store, max_layers) if resume else -1
+
     orbit_total = 0
     ids = None
-    layers = weyl.orbit_layers(A0.lattice, A0.terms, **orbit_kwargs)
+    layers = weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers)
     while True:
         start = time.perf_counter()
         layer = next(layers, None)
@@ -597,6 +664,8 @@ def _census_sweep(
         start = time.perf_counter()
         ids = _layer_ids(lat, plan, layer, ids, test_mode)
         stats["window_ids_s"] += time.perf_counter() - start
+        if layer.index <= done:
+            continue
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
             ids2, idsI = (x[lo : lo + _CHUNK_ROWS] for x in ids)
@@ -616,6 +685,8 @@ def _census_sweep(
                 flush(arr)
         if pending:
             flush(arr)
+        if checkpoint_dir is not None:
+            _save_checkpoint(checkpoint_dir, config, layer.index, store, arr)
     stats["deep_candidates"] = {
         f"{s.name}/{mode}": int(candidates[m, t])
         for t, s in enumerate(surfaces)
@@ -631,8 +702,11 @@ def _canonicalize(
 ):
     """Group counterexamples into stabilizer orbits; return canonical reps.
 
-    The canonical representative of an orbit is the lexicographically
-    least transformed coefficient stack.
+    The canonical representative of an orbit is the image whose stack,
+    as little-endian int64 `tobytes()`, is the least byte string, and the
+    representatives come in that order.  Low bytes compare first, so
+    coefficients in -128..127 (every census orbit) are compared one by
+    one as x mod 256: 0 < 1 < ... < 127 < -128 < ... < -1.
     """
     total = len(arrays)
     stack = np.stack(arrays)
@@ -712,6 +786,10 @@ def census_for_preset(
     counts are reduced to essentially-different counts by the stabilizer
     of each surface's simple roots, and every representative re-verifies
     under the reference checker.
+
+    With `checkpoint_dir`, progress is saved after every layer, and
+    `resume=True` continues from it to the raw counts and records of an
+    uninterrupted run (see `_census_sweep`).
     """
     if isinstance(preset, str):
         if preset not in SEQUENCE_PRESETS:
@@ -733,11 +811,8 @@ def census_for_preset(
     if surfaces is None:
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
-    orbit_kwargs = dict(
-        checkpoint_dir=checkpoint_dir, resume=resume, max_layers=max_layers
-    )
     orbit_total, store, stats = _census_sweep(
-        A0, surfaces, tuple(modes), test_mode, orbit_kwargs
+        A0, surfaces, tuple(modes), test_mode, max_layers, checkpoint_dir, resume
     )
     complete = max_layers is None
     if complete and orbit_total != EXPECTED_WEYL_ORDERS[degree]:

@@ -231,10 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
+    except (InputError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (InternalError, ResourceError, MemoryError) as e:

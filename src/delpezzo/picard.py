@@ -148,9 +148,6 @@ class PicardLattice:
             return sq
         return None
 
-    def is_class(self, d: Divisor) -> bool:
-        return self.classify_r(d) is not None
-
     # -- enumeration --------------------------------------------------
 
     def enumerate_classes(self, r: int) -> tuple[Divisor, ...]:

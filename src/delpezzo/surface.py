@@ -31,7 +31,6 @@ class SurfaceModel:
     lattice: PicardLattice
     simple_roots: tuple[Divisor, ...]
     name: str = ""
-    line_count: int | None = None
 
     def __post_init__(self):
         lat = self.lattice
@@ -339,7 +338,7 @@ def catalog_load(degree: int) -> SurfaceCatalog:
     if degree >= 3:
         for label, roots_text, irr_count, _good in _TABLE_ROWS[degree]:
             roots = parse_divisor_list(lat, roots_text)
-            model = SurfaceModel(lat, roots, surface_name(degree, label), irr_count)
+            model = SurfaceModel(lat, roots, surface_name(degree, label))
             derived = len(model.irr_lines_set())
             if derived != irr_count:
                 raise InputError(
@@ -347,13 +346,13 @@ def catalog_load(degree: int) -> SurfaceCatalog:
                 )
             entries.append(model)
     else:
-        entries.append(SurfaceModel(lat, (), surface_name(degree, "dP"), None))
+        entries.append(SurfaceModel(lat, (), surface_name(degree, "dP")))
         for label in DEGREE2_TYPES:
             if degree == 2 and label == "A1+2A3":
                 roots = parse_divisor_list(lat, _A1_2A3_ROOTS)
             else:
                 roots = find_configuration(degree, label)
-            entries.append(SurfaceModel(lat, roots, surface_name(degree, label), None))
+            entries.append(SurfaceModel(lat, roots, surface_name(degree, label)))
     return SurfaceCatalog(degree, tuple(entries))
 
 

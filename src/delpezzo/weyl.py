@@ -39,7 +39,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -193,18 +192,11 @@ def orbit_bound(lattice: PicardLattice, vectors) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, lattice.rank)
 
 
-def _narrowest_int(bound: int) -> np.dtype:
+def _int_type_for(bound: int) -> np.dtype:
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     raise InputError(f"orbit coordinates up to {bound} do not fit int64")
-
-
-def _narrow(arr: np.ndarray, bound: np.ndarray, dtype: np.dtype, what: str) -> np.ndarray:
-    """arr cast to dtype, after checking |arr| <= bound (broadcast)."""
-    if (np.abs(arr.astype(np.int64)) > bound).any():
-        raise InputError(f"{what} has coordinates outside the orbit bound")
-    return arr.astype(dtype, copy=False)
 
 
 @dataclass
@@ -217,8 +209,7 @@ class OrbitLayer:
 
     Row k is the image of row `parents[k]` of the previous layer under the
     simple reflection i (in the order of `simple_reflection_roots`) with
-    blocks[i] <= k < blocks[i + 1].  Both are None on layer 0 and on a
-    layer loaded from a checkpoint, which have no previous layer."""
+    blocks[i] <= k < blocks[i + 1].  Both are None on layer 0 only."""
 
     index: int
     markers: np.ndarray  # [N, rank]
@@ -232,8 +223,6 @@ def orbit_layers(
     lattice: PicardLattice,
     payload0: np.ndarray | None = None,
     *,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
     max_layers: int | None = None,
 ):
     """Yield the W-orbit of (marker, payload) layer by layer.
@@ -254,9 +243,9 @@ def orbit_layers(
     estimated; past the machine's physical memory the walk raises
     `ResourceError` rather than start it.
 
-    With `checkpoint_dir`, the current layer is written after every layer
-    and `resume=True` continues from it; the checkpoint must belong to the
-    same lattice and initial payload.
+    Every layer is a function of the initial point and its index, so the
+    walk keeps no state beyond the current layer: to continue a cut
+    traversal, walk again from layer 0.
     """
     roots = simple_reflection_roots(lattice)
     if not roots:
@@ -277,25 +266,15 @@ def orbit_layers(
         payload0 = np.asarray(payload0, dtype=np.int64)
         bounds["payload"] = orbit_bound(lattice, payload0.reshape(-1, lattice.rank))
         bounds["payload"] = bounds["payload"].reshape(payload0.shape)
-    dtypes = {key: _narrowest_int(int(b.max())) for key, b in bounds.items()}
+    dtypes = {key: _int_type_for(int(b.max())) for key, b in bounds.items()}
 
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    if resume:
-        if checkpoint_dir is None:
-            raise InputError("resume requires a checkpoint directory")
-        layer = _load_checkpoint(checkpoint_dir, marker0, payload0, bounds, dtypes)
-    else:
-        layer = OrbitLayer(
-            0,
-            marker0[None, :].astype(dtypes["markers"]),
-            None if payload0 is None else payload0[None].astype(dtypes["payload"]),
-            1,
-        )
-        yield layer
-        if checkpoint_dir is not None:
-            _save_checkpoint(checkpoint_dir, marker0, payload0, layer)
+    layer = OrbitLayer(
+        0,
+        marker0[None, :].astype(dtypes["markers"]),
+        None if payload0 is None else payload0[None].astype(dtypes["payload"]),
+        1,
+    )
+    yield layer
 
     while True:
         index = layer.index + 1
@@ -349,57 +328,6 @@ def orbit_layers(
             index, markers, payload, layer.total_so_far + count, rows, blocks
         )
         yield layer
-        if checkpoint_dir is not None:
-            _save_checkpoint(checkpoint_dir, marker0, payload0, layer)
-
-
-def _save_checkpoint(directory: Path, marker0, payload0, layer: OrbitLayer):
-    tmp = directory / "state.npz.tmp"
-    data = {
-        "rank": np.int64(marker0.size),
-        "marker0": marker0,
-        "layer": np.int64(layer.index),
-        "total": np.int64(layer.total_so_far),
-        "markers": layer.markers,
-    }
-    if payload0 is not None:
-        data["payload0"] = payload0
-        data["payload"] = layer.payload
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(fh, **data)
-    os.replace(tmp, directory / "state.npz")
-
-
-def _load_checkpoint(directory: Path, marker0, payload0, bounds, dtypes) -> OrbitLayer:
-    """The checkpointed layer, if it belongs to the orbit of (marker0,
-    payload0), in the dtypes the orbit bounds pick (a checkpoint written
-    in int64 is narrowed after a range check)."""
-    path = directory / "state.npz"
-    if not path.exists():
-        raise InputError(f"no checkpoint found in {directory}")
-    with np.load(path) as data:
-        saved = {key: data[key] for key in data.files}
-    rank = int(saved.get("rank", -1))
-    if rank != marker0.size:
-        raise InputError(
-            f"checkpoint in {directory} is for rank {rank}, not {marker0.size}"
-        )
-    # array_equal also tells None (no payload) from an array.
-    if not (
-        np.array_equal(saved["marker0"], marker0)
-        and np.array_equal(saved.get("payload0"), payload0)
-    ):
-        raise InputError(
-            f"checkpoint in {directory} belongs to a different orbit "
-            "(initial marker or payload differ)"
-        )
-    arrays = {
-        key: _narrow(saved[key], bounds[key], dtypes[key], f"checkpoint {key}")
-        for key in bounds
-    }
-    return OrbitLayer(
-        int(saved["layer"]), arrays["markers"], arrays.get("payload"), int(saved["total"])
-    )
 
 
 # -- group enumeration --------------------------------------------------

@@ -254,7 +254,7 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     # A small batch bound also exercises the flushes inside a layer.
     monkeypatch.setattr(census, "_DEEP_BATCH_ROWS", batch_rows)
     total, store, stats = census._census_sweep(
-        A0, tuple(surfaces), modes, False, {"max_layers": layers}
+        A0, tuple(surfaces), modes, False, layers
     )
     ref_store, ref_candidates, ref_deep = _reference_sweep(A0, surfaces, modes, layers)
     assert total == stats["rows"] == sum(
@@ -332,21 +332,67 @@ def test_corrupted_reflection_table_is_caught(monkeypatch):
 
 
 def test_resumed_census_keeps_counterexamples(tmp_path):
-    # Truncated at layer 8 with a checkpoint, then resumed to 16: the two
-    # runs' raw counts add up to the uninterrupted prefix's 540.
+    # Truncated at layer 8 with a checkpoint, then resumed to 16: the
+    # resumed run starts from the saved counterexamples and ends with the
+    # raw counts of the uninterrupted prefix (540 in all).
     kwargs = dict(finalize=False, checkpoint_dir=tmp_path)
     truncated = census.census_for_preset("IIb-deg2", **kwargs, max_layers=8)
     resumed = census.census_for_preset("IIb-deg2", **kwargs, resume=True, max_layers=16)
     fresh = census.census_for_preset("IIb-deg2", finalize=False, max_layers=16)
     assert sum(fresh.raw_counts.values()) == 540
-    assert sum(truncated.raw_counts.values()) > 0
-    assert sum(resumed.raw_counts.values()) > 0
-    assert {
-        key: truncated.raw_counts[key] + resumed.raw_counts[key]
-        for key in fresh.raw_counts
-    } == fresh.raw_counts
+    assert 0 < sum(truncated.raw_counts.values()) < 540
+    assert resumed.raw_counts == fresh.raw_counts
     assert resumed.orbit_total == fresh.orbit_total
-    assert truncated.stats["rows"] + resumed.stats["rows"] == fresh.stats["rows"]
+    # The orbit is walked again, but only the layers after 8 are tested.
+    assert resumed.stats["rows"] == fresh.stats["rows"]
+    assert 0 < resumed.stats["deep_tests"] < fresh.stats["deep_tests"]
+
+
+def test_resumed_census_finalizes_like_uninterrupted(tmp_path):
+    surfaces = (catalog_load(2).get("A1+2A3"),)
+    census.census_for_preset(
+        "IIb-deg2", surfaces, finalize=False, checkpoint_dir=tmp_path, max_layers=8
+    )
+    resumed = census.census_for_preset(
+        "IIb-deg2", surfaces, checkpoint_dir=tmp_path, resume=True
+    )
+    fresh = census.census_for_preset("IIb-deg2", surfaces)
+    assert resumed.raw_counts == fresh.raw_counts
+    assert resumed.records == fresh.records
+    assert {r.essentially_different_count for r in fresh.records.values()} == {72}
+
+
+def test_resume_rejects_other_configuration(tmp_path, monkeypatch):
+    surfaces = catalog_load(2).entries[:2]
+    census.census_for_preset(
+        "IIb-deg2", surfaces, finalize=False, checkpoint_dir=tmp_path, max_layers=2
+    )
+    kwargs = dict(finalize=False, checkpoint_dir=tmp_path, resume=True)
+    for preset, others, modes, what in (
+        ("VI-deg2", surfaces, census.MODES, "terms"),
+        ("IIb-deg2", surfaces[:1], census.MODES, "surfaces"),
+        ("IIb-deg2", surfaces, ("strong",), "modes"),
+    ):
+        with pytest.raises(InputError, match=f"written for other {what}"):
+            census.census_for_preset(preset, others, modes, **kwargs)
+    with pytest.raises(InputError, match="past max_layers"):
+        census.census_for_preset("IIb-deg2", surfaces, **kwargs, max_layers=1)
+    # The configuration that wrote it resumes; another package version not.
+    census.census_for_preset("IIb-deg2", surfaces, **kwargs, max_layers=3)
+    monkeypatch.setattr(census, "__version__", "0.0.0")
+    with pytest.raises(InputError, match="written for other version"):
+        census.census_for_preset("IIb-deg2", surfaces, **kwargs)
+
+
+def test_resume_without_checkpoint(tmp_path):
+    kwargs = dict(finalize=False, checkpoint_dir=tmp_path, resume=True)
+    with pytest.raises(InputError, match="no readable census checkpoint"):
+        census.census_for_preset("IIb-deg2", **kwargs)
+    (tmp_path / "census.npz").write_bytes(b"not a checkpoint")
+    with pytest.raises(InputError, match="no readable census checkpoint"):
+        census.census_for_preset("IIb-deg2", **kwargs)
+    with pytest.raises(InputError, match="requires a checkpoint directory"):
+        census.census_for_preset("IIb-deg2", finalize=False, resume=True)
 
 
 def test_census_stats_phase_keys():

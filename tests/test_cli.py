@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +98,28 @@ def test_check_malformed(tmp_path, capsys):
 
 def test_check_missing_file(capsys):
     assert cli.main(["check", "/nonexistent/system.json"]) == 2
+
+
+def test_check_unreadable_inputs(tmp_path, capsys):
+    # A directory and a non-UTF-8 file are input errors, not tracebacks
+    # ending in the mismatch code 1.
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"degree": 2, "terms": "\xe9"}')
+    for path in (tmp_path, latin1):
+        capsys.readouterr()
+        assert cli.main(["check", str(path)]) == 2, path
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_python_m_delpezzo():
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "delpezzo", "reproduce", "table1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS class inventories by degree" in done.stdout
 
 
 def test_reproduce_pass(capsys):

@@ -126,81 +126,6 @@ def test_enumerate_group_checks_every_layer(monkeypatch):
     assert layers == [1, 4, 9, 15]
 
 
-def test_checkpoint_resume(tmp_path):
-    lat = PicardLattice.standard(4)
-    eye = np.eye(lat.rank, dtype=np.int64)
-    full = list(weyl.orbit_layers(lat, eye))
-    # Truncate at layer 2 with checkpointing, then resume to the end.
-    list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, max_layers=2))
-    resumed = list(
-        weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True)
-    )
-    _assert_same_tail(resumed, full, 2)
-
-
-def _assert_same_tail(resumed, full, cut):
-    tail = [layer for layer in full if layer.index > cut]
-    assert len(resumed) == len(tail)
-    for a, b in zip(resumed, tail):
-        assert a.index == b.index
-        assert a.markers.dtype == b.markers.dtype == np.int8
-        assert a.payload.dtype == b.payload.dtype == np.int8
-        assert np.array_equal(a.markers, b.markers)
-        assert np.array_equal(a.payload, b.payload)
-    assert resumed[-1].total_so_far == full[-1].total_so_far == 1920
-
-
-def test_resume_from_int64_checkpoint(tmp_path):
-    # A checkpoint written with int64 layers resumes in the narrow dtypes
-    # the orbit bound picks, after a range check.
-    lat = PicardLattice.standard(4)
-    eye = np.eye(lat.rank, dtype=np.int64)
-    full = list(weyl.orbit_layers(lat, eye))
-    list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, max_layers=3))
-    path = tmp_path / "state.npz"
-    with np.load(path) as data:
-        saved = {key: data[key] for key in data.files}
-    assert saved["markers"].dtype == saved["payload"].dtype == np.int8
-    wide = dict(saved, markers=saved["markers"].astype(np.int64))
-    wide["payload"] = saved["payload"].astype(np.int64)
-    np.savez_compressed(path, **wide)
-    resumed = list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True))
-    _assert_same_tail(resumed, full, 3)
-    # Coordinates outside the proven bound are no orbit point.
-    bad = dict(wide, payload=wide["payload"].copy())
-    bad["payload"][0, 0, 0] = 1000
-    np.savez_compressed(path, **bad)
-    with pytest.raises(InputError, match="outside the orbit bound"):
-        list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, resume=True))
-
-
-def test_resume_rejects_other_payload(tmp_path):
-    lat = PicardLattice.standard(4)
-    eye = np.eye(lat.rank, dtype=np.int64)
-    list(weyl.orbit_layers(lat, eye, checkpoint_dir=tmp_path, max_layers=2))
-    with pytest.raises(InputError):
-        list(weyl.orbit_layers(lat, 2 * eye, checkpoint_dir=tmp_path, resume=True))
-    with pytest.raises(InputError):
-        list(weyl.orbit_layers(lat, checkpoint_dir=tmp_path, resume=True))
-
-
-def test_resume_rejects_other_degree(tmp_path):
-    lat4 = PicardLattice.standard(4)
-    list(weyl.orbit_layers(lat4, checkpoint_dir=tmp_path, max_layers=2))
-    with pytest.raises(InputError):
-        list(
-            weyl.orbit_layers(
-                PicardLattice.standard(3), checkpoint_dir=tmp_path, resume=True
-            )
-        )
-
-
-def test_resume_without_checkpoint():
-    lat = PicardLattice.standard(5)
-    with pytest.raises(InputError):
-        list(weyl.orbit_layers(lat, resume=True))
-
-
 def test_stabilizers():
     # Empty root set: the whole group.
     assert len(weyl.stabilizer_elements_of_root_set(6, ())) == 12
