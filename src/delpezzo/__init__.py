@@ -6,7 +6,8 @@ Modules:
   effectivity  effectiveness tests for divisor classes
   toric        toric systems, admissible sequences, exceptionality checkers
   weyl         Weyl group enumeration, orbits, stabilizers
-  census       counterexample search and verification suites
+  census       counterexample census over Weyl orbits (the engine)
+  paper        the paper's printed tables and the suites that check them
   cli          command-line interface
 """
 

@@ -15,10 +15,9 @@ import hashlib
 import json
 import sys
 
-from . import __version__, census, surface, toric
+from . import __version__, census, paper, surface, toric
 from .errors import InputError, InternalError, ResourceError
 from .picard import PicardLattice, format_divisor
-from .report import Report
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -157,26 +156,19 @@ def cmd_census(args) -> int:
     return EXIT_PASS
 
 
-def _good_classes() -> Report:
-    report = census.verify_good_class_tables()
-    for degree in (5, 4, 3):
-        report.extend(census.verify_good_class_propositions(degree))
-    return report
-
-
 #: The `reproduce` suites: name -> the function producing its report.
 SUITE_RUNNERS = {
-    "table1": census.verify_table1,
-    "table3": census.verify_table3,
-    "table5-IXA": census.verify_ixa_counts,
-    "table7": census.verify_table7,
-    "table8": census.verify_table8,
-    "section13": census.verify_section13,
-    "good-classes": _good_classes,
-    "table9": census.verify_cyclic_strong_classification,
-    "degree5-negative": census.verify_degree5_negative,
-    "weyl-orders": census.verify_weyl_orders,
-    "types3to6-deg2": census.verify_degree2_type3to6,
+    "table1": paper.verify_table1,
+    "table3": paper.verify_table3,
+    "table5-IXA": paper.verify_ixa_counts,
+    "table7": paper.verify_table7,
+    "table8": paper.verify_table8,
+    "section13": paper.verify_section13,
+    "good-classes": paper.verify_good_classes,
+    "table9": paper.verify_cyclic_strong_classification,
+    "degree5-negative": paper.verify_degree5_negative,
+    "weyl-orders": paper.verify_weyl_orders,
+    "types3to6-deg2": paper.verify_degree2_type3to6,
 }
 SUITES = tuple(SUITE_RUNNERS)
 

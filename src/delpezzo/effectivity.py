@@ -1,6 +1,6 @@
 """Effectiveness tests for divisor classes on weak del Pezzo surfaces.
 
-Three deciders plus a search oracle:
+Two deciders plus a search oracle:
 
 * `is_effective` -- the general loop: positivity against the canonical
   class, an exact integer solve over the simple roots when D.K = 0, and
@@ -11,8 +11,6 @@ Three deciders plus a search oracle:
   products with the irreducible (-2)-curves of each surface, read from
   zero-padded root stacks (`root_stacks`); one row on one surface is
   `anticlass_effective(root_stacks((s,)), [d], [0])`.
-* `is_absolutely_effective` -- exact rational membership in the cone
-  spanned by the (-1)-classes.
 * `brute_force_effective` -- direct search for a decomposition in the
   effective monoid; used as a test oracle only.
 """
@@ -20,7 +18,6 @@ Three deciders plus a search oracle:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -232,66 +229,6 @@ def anticlass_effective(
         if (cap[active] <= steps).any():
             raise InternalError("anti-class loop did not terminate")
     return verdict
-
-
-# -- absolute effectiveness (rational cone membership) ------------------
-
-
-def is_absolutely_effective(s_or_degree, d: Divisor) -> bool:
-    """Is d a nonnegative rational combination of the (-1)-classes?"""
-    degree = s_or_degree if isinstance(s_or_degree, int) else s_or_degree.degree
-    lat = PicardLattice.standard(degree)
-    lat.check_divisor(d)
-    generators = lat.enumerate_classes(-1)
-    return _cone_member(generators, d)
-
-
-def _cone_member(generators, d) -> bool:
-    """Exact LP feasibility of {x >= 0 : sum x_i g_i = d} (phase-1 simplex)."""
-    m = len(d)
-    n = len(generators)
-    # Rows: equations; make right-hand sides nonnegative.
-    rows = []
-    b = []
-    for i in range(m):
-        coeffs = [Fraction(g[i]) for g in generators]
-        rhs = Fraction(d[i])
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        rows.append(coeffs)
-        b.append(rhs)
-    # Tableau with artificial variables n..n+m-1 in the basis.
-    tab = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    total = n + m
-    # Objective: minimize sum of artificials; reduced cost row.
-    cost = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            cost[j] -= tab[i][j]
-    while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (tab[i][total] / tab[i][enter], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
-            raise InternalError("unbounded phase-1 LP")
-        _, leave = min(ratios, key=lambda t: (t[0], basis[t[1]]))
-        pv = tab[leave][enter]
-        tab[leave] = [v / pv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        cost = [v - f * w for v, w in zip(cost, tab[leave])]
-        basis[leave] = enter
-    return -cost[total] == 0
 
 
 # -- brute-force oracle -------------------------------------------------

@@ -17,7 +17,6 @@ from .errors import InputError
 from .picard import (
     Divisor,
     PicardLattice,
-    parse_divisor,
     parse_divisor_list,
     vadd,
     vneg,
@@ -225,56 +224,6 @@ _D3 = [
     ("E6", "L123,E1-E2,E2-E3,E3-E4,E4-E5,E5-E6", 1, 17),
 ]
 
-_EXPECTED_IRR = {
-    (7, "dP"): "E1,E2,L12",
-    (7, "A1"): "E2,L12",
-    (6, "dP"): "E1,E2,E3,L12,L13,L23",
-    (6, "A1,4"): "E2,E3,L12,L13",
-    (6, "A1,3"): "E1,E2,E3",
-    (6, "2A1"): "E2,E3",
-    (6, "A2"): "E3,L12",
-    (6, "A1+A2"): "E3",
-    (5, "A1"): "E2,E3,E4,L12,L13,L14,L34",
-    (5, "2A1"): "E2,E4,L12,L13,L34",
-    (5, "A2"): "E3,E4,L12,L14",
-    (5, "A1+A2"): "E3,E4,L14",
-    (5, "A3"): "E4,L12",
-    (5, "A4"): "E4",
-    (4, "2A1,9"): "E1,E3,E5,L12,L14,L23,L45,L24,Q",
-    (4, "2A1,8"): "E1,E2,E3,E5,L14,L24,L34,L45",
-    (4, "A2"): "E1,E2,E5,L12,L13,L23,L34,Q",
-    (4, "3A1"): "E1,E3,E5,L14,L24,L45",
-    (4, "A1+A2"): "E2,E5,L12,L13,L34,Q",
-    (4, "A3,5"): "E1,E5,L12,L23,Q",
-    (4, "A3,4"): "E1,E2,E5,L34",
-    (4, "4A1"): "E2,E3,E5,L14",
-    (4, "2A1+A2"): "E3,E5,L14,L45",
-    (4, "A1+A3"): "E2,E5,L34",
-    (4, "A4"): "E5,L12,Q",
-    (4, "2A1+A3"): "E2,E5",
-    (4, "D4"): "E1,E5",
-    (4, "D5"): "E5",
-    (3, "A2"): "E3,E4,E5,E6,L12,L14,L15,L16,L45,L46,L56,Q3,Q4,Q5,Q6",
-    (3, "3A1"): "E2,E4,E6,L12,L34,L56,L13,L15,L35,Q2,Q4,Q6",
-    (3, "A1+A2"): "E3,E5,E6,L12,L14,L16,L45,L46,Q3,Q5,Q6",
-    (3, "A3"): "E4,E5,E6,L12,L15,L16,L56,Q4,Q5,Q6",
-    (3, "4A1"): "E2,E4,E6,L12,L34,L56,L13,L15,L35",
-    (3, "2A1+A2"): "E3,E5,E6,L14,L16,L45,L46,Q3",
-    (3, "A1+A3"): "E4,E6,L12,L15,L56,Q4,Q6",
-    (3, "2A2"): "E3,E6,L12,L14,L45,Q3,Q6",
-    (3, "A4"): "E5,E6,L12,L16,Q5,Q6",
-    (3, "D4"): "E2,E4,E6,L12,L34,L56",
-    (3, "2A1+A3"): "E4,E6,L12,L15,L56",
-    (3, "A1+2A2"): "E3,E6,L14,L45,Q3",
-    (3, "A1+A4"): "E5,E6,L12,L16",
-    (3, "A5"): "E6,L12,Q6",
-    (3, "D5"): "E5,E6,Q6",
-    (3, "3A2"): "E3,E6,L14",
-    (3, "A1+A5"): "E6,L12",
-    (3, "E6"): "E6",
-}
-
-# On degree-4 surfaces Q denotes 2L - E12345.
 _TABLE_ROWS = {7: _D7, 6: _D6, 5: _D5, 4: _D4, 3: _D3}
 
 #: Degree-2 root subsystem types covered by the counterexample census.
@@ -354,17 +303,6 @@ def catalog_load(degree: int) -> SurfaceCatalog:
                 roots = find_configuration(degree, label)
             entries.append(SurfaceModel(lat, roots, surface_name(degree, label)))
     return SurfaceCatalog(degree, tuple(entries))
-
-
-def expected_irr_lines(degree: int, label: str) -> tuple[Divisor, ...] | None:
-    """The irreducible (-1)-classes printed in the source table, if any."""
-    text = _EXPECTED_IRR.get((degree, label))
-    if text is None:
-        return None
-    lat = PicardLattice.standard(degree)
-    if degree == 4:
-        text = text.replace("Q", "2L-E12345")
-    return tuple(sorted(parse_divisor(lat, t) for t in text.split(",")))
 
 
 def expected_good_zero_classes(degree: int, label: str):

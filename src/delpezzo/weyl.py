@@ -67,16 +67,6 @@ def simple_reflection_roots(lattice: PicardLattice) -> tuple[Divisor, ...]:
     return tuple(roots)
 
 
-def reflection_matrix(lattice: PicardLattice, root: Divisor) -> np.ndarray:
-    """Matrix M with M @ v = v + (v.root) root, acting on coefficient vectors."""
-    if not is_root(lattice, root):
-        raise InputError(f"{root} is not a (-2)-class root")
-    r = lattice.rank
-    gram = np.array(lattice.gram, dtype=np.int64)
-    rt = np.array(root, dtype=np.int64)
-    return np.eye(r, dtype=np.int64) + np.outer(rt, gram @ rt)
-
-
 @lru_cache(maxsize=None)
 def regular_marker(lattice: PicardLattice) -> Divisor:
     """An integer vector pairing 1 with every simple root (hence positively
@@ -560,14 +550,3 @@ def stabilizer_elements_of_root_set(
         for el in enumerate_group(degree)
         if frozenset(el.apply(r) for r in roots) == target
     )
-
-
-def stabilizer_order_of_root_set(degree: int, roots) -> int:
-    _lattice_for_degree(degree)
-    roots = tuple(roots)
-    if not roots:
-        return _weyl_order(degree)
-    order = len(stabilizer_elements_of_root_set(degree, roots))
-    if _weyl_order(degree) % order != 0:
-        raise InternalError("stabilizer order does not divide the group order")
-    return order

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from delpezzo import census, weyl
+from delpezzo import census, paper, weyl
 from delpezzo.effectivity import brute_force_effective, is_effective
 from delpezzo.picard import PicardLattice, vneg
 from delpezzo.surface import SurfaceModel, catalog_load
@@ -21,7 +21,7 @@ def _gate(number, label, ok, detail=""):
 
 def test_criterion_01_class_inventories():
     t0 = time.time()
-    report = census.verify_table1()
+    report = paper.verify_table1()
     elapsed = time.time() - t0
     _gate(
         1,
@@ -41,37 +41,37 @@ def test_criterion_02_weyl_order_and_freeness(iib_run):
 
 
 def test_criterion_03_strong_census(iib_run):
-    report = census.verify_table7(iib_run)
+    report = paper.verify_table7(iib_run)
     _gate(3, "strong-mode census counts", report.passed, report.render())
 
 
 def test_criterion_04_exceptional_census(iib_run):
-    report = census.verify_table8(iib_run)
+    report = paper.verify_table8(iib_run)
     _gate(4, "exceptional-mode census counts", report.passed, report.render())
 
 
 def test_criterion_05_explicit_counterexample():
-    report = census.verify_section13()
+    report = paper.verify_section13()
     _gate(5, "explicit degree-2 counterexample verifies", report.passed,
           report.render())
 
 
 def test_criterion_06_admissible_sequence_table():
-    report = census.verify_table3()
+    report = paper.verify_table3()
     _gate(6, "15 cyclic strong admissible sequences", report.passed,
           report.render())
 
 
 def test_criterion_07_ixa_cardinalities():
-    report = census.verify_ixa_counts()
+    report = paper.verify_ixa_counts()
     _gate(7, "I(X,A) cardinalities for first-kind rows", report.passed,
           report.render())
 
 
 def test_criterion_08_good_class_propositions():
-    report = census.verify_good_class_tables()
+    report = paper.verify_good_class_tables()
     for degree in (5, 4, 3):
-        report.extend(census.verify_good_class_propositions(degree))
+        report.extend(paper.verify_good_class_propositions(degree))
     _gate(8, "good-class propositions, degrees 3-5", report.passed,
           report.render())
 
@@ -104,7 +104,7 @@ def test_criterion_10_checker_equivalence():
     surfaces = [
         catalog_load(2).get(label) for label in ("A1+2A3", "7A1", "D4+3A1")
     ]
-    names = ("IIb-deg2",) + census.A11_PRESET_NAMES
+    names = ("IIb-deg2",) + paper.A11_PRESET_NAMES
     pairs = 0
     for i, name in enumerate(names):
         A0 = census.SEQUENCE_PRESETS[name].initial_system()
@@ -120,7 +120,7 @@ def test_criterion_10_checker_equivalence():
 
 
 def test_criterion_11_classification():
-    report = census.verify_cyclic_strong_classification()
+    report = paper.verify_cyclic_strong_classification()
     _gate(11, "cyclic strong classification incl. degree-5 negatives",
           report.passed, report.render())
 

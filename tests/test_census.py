@@ -109,9 +109,23 @@ def test_census_for_preset_validation():
         census.census_for_preset(A0, modes=("bogus",))
 
 
-def test_type_label():
-    assert census._type_label("X_{2,A1+2A3}") == "A1+2A3"
-    assert census._type_label("X_{2}") == "dP"
+def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(weyl, "orbit_layers", no_walk)
+    with pytest.raises(InputError, match="truncated"):
+        census.census_for_preset("IIb-deg2", max_layers=3)
+
+
+def test_stabilizer_order_must_divide_the_group_order(monkeypatch):
+    elements = census.stabilizer_table(3)["X_{3,A1}"]
+    assert census._stabilizer_order(3, "X_{3,A1}") == len(elements) == 720
+    assert census._stabilizer_order(3, "X_{3}") == 51840
+    # 7 does not divide |W(E6)| = 51840.
+    monkeypatch.setattr(census, "stabilizer_table", lambda degree: {"X": elements[:7]})
+    with pytest.raises(InternalError, match="does not divide"):
+        census._stabilizer_order(3, "X")
 
 
 def test_stabilizer_table_degree2():
@@ -128,31 +142,6 @@ def test_stabilizer_table_degree2():
     assert orders["X_{2,D4+2A1}"] == 4
     assert orders["X_{2,D4+3A1}"] == 6
     assert orders["X_{2,D6+A1}"] == 1
-
-
-def test_fast_suites_pass():
-    assert census.verify_table1().passed
-    assert census.verify_table3().passed
-    assert census.verify_ixa_counts().passed
-    assert census.verify_section13().passed
-
-
-def test_good_class_suites():
-    assert census.verify_good_class_tables().passed
-    with pytest.raises(InputError):
-        census.verify_good_class_propositions(6)
-
-
-def test_good_sets():
-    s = catalog_load(6).get("A2")
-    lat = PicardLattice.standard(6)
-    l3 = (1, 0, 0, -1)
-    assert census.good_zero_classes(s) == frozenset({l3})
-    assert census.is_good_set(s, (l3,))
-    dp5 = catalog_load(5).get("dP")
-    assert census.good_zero_classes(dp5) == frozenset()
-    e6 = catalog_load(3).get("E6")
-    assert len(census.good_zero_classes(e6)) == 17
 
 
 def test_report():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from delpezzo.effectivity import (
     anticlass_effective,
     brute_force_effective,
-    is_absolutely_effective,
     is_effective,
     is_hole,
     root_stacks,
@@ -83,16 +82,6 @@ def test_holes():
     assert not is_hole(s, parse_divisor(lat, "E1"))
     dp = catalog_load(3).get("dP")
     assert not is_hole(dp, parse_divisor(dp.lattice, "E1-E2"))
-
-
-def test_absolutely_effective():
-    lat3 = catalog_load(3).get("dP").lattice
-    assert is_absolutely_effective(3, parse_divisor(lat3, "E1"))
-    assert is_absolutely_effective(3, parse_divisor(lat3, "-K"))
-    # Roots pair to zero with K; the line cone has strictly negative
-    # K-degree away from the origin.
-    assert not is_absolutely_effective(3, parse_divisor(lat3, "L123"))
-    assert not is_absolutely_effective(3, parse_divisor(lat3, "-E1"))
 
 
 def test_solve_root_combination():

@@ -1,0 +1,63 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from delpezzo import paper
+from delpezzo.errors import InputError
+from delpezzo.picard import PicardLattice
+from delpezzo.surface import catalog_load
+
+
+def test_census_does_not_import_paper():
+    # The census engine stands alone: importing it loads none of the
+    # paper's tables or suites.
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, delpezzo.census; print('delpezzo.paper' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_irr_lines_suite():
+    report = paper.verify_irr_lines()
+    assert report.passed
+    # One line per catalog row of degrees 7-3 that prints its I^irr.
+    assert len(report.lines) == len(paper._EXPECTED_IRR) == 46
+    labels = {line.label for line in paper.verify_good_classes().lines}
+    assert {line.label for line in report.lines} <= labels
+
+
+def test_type_label():
+    assert paper._type_label("X_{2,A1+2A3}") == "A1+2A3"
+    assert paper._type_label("X_{2}") == "dP"
+
+
+def test_fast_suites_pass():
+    assert paper.verify_table1().passed
+    assert paper.verify_table3().passed
+    assert paper.verify_ixa_counts().passed
+    assert paper.verify_section13().passed
+
+
+def test_good_class_suites():
+    assert paper.verify_good_class_tables().passed
+    with pytest.raises(InputError):
+        paper.verify_good_class_propositions(6)
+
+
+def test_good_sets():
+    s = catalog_load(6).get("A2")
+    lat = PicardLattice.standard(6)
+    l3 = (1, 0, 0, -1)
+    assert paper.good_zero_classes(s) == frozenset({l3})
+    assert paper.is_good_set(s, (l3,))
+    dp5 = catalog_load(5).get("dP")
+    assert paper.good_zero_classes(dp5) == frozenset()
+    e6 = catalog_load(3).get("E6")
+    assert len(paper.good_zero_classes(e6)) == 17

@@ -217,10 +217,12 @@ def test_integer_adjugate_rejects_non_square():
 
 
 def test_library_has_no_floating_point():
-    # The exact-integer contract: no float dtypes, float linear algebra or
-    # einsum (whose integer paths are easy to swap for float ones).
+    # The exact-integer contract: no float dtypes, float linear algebra,
+    # einsum (whose integer paths are easy to swap for float ones) or
+    # rational arithmetic.
     src = Path(delpezzo.__file__).parent
+    banned = ("np.linalg", "float64", "float32", "einsum", "Fraction", "fractions")
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        for word in ("np.linalg", "float64", "float32", "einsum"):
+        for word in banned:
             assert word not in text, f"{path.name} uses {word}"

@@ -1,12 +1,12 @@
 import pytest
 
 from delpezzo.errors import InputError
+from delpezzo.paper import expected_irr_lines
 from delpezzo.picard import PicardLattice, parse_divisor_list, vneg
 from delpezzo.surface import (
     SurfaceModel,
     catalog_load,
     expected_good_zero_classes,
-    expected_irr_lines,
     find_configuration,
     is_lo,
     is_slo,

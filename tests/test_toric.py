@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from delpezzo import census, toric, weyl
+from delpezzo import census, paper, toric, weyl
 from delpezzo.effectivity import is_effective
 from delpezzo.errors import InputError
 from delpezzo.picard import (
@@ -53,7 +53,7 @@ def _system(degree, text):
 
 
 SYS13 = census.section13_system()
-SYS9_DEG6 = _system(6, census.TABLE9_SYSTEM_TEXTS[6])
+SYS9_DEG6 = _system(6, paper.TABLE9_SYSTEM_TEXTS[6])
 
 
 def test_validation_errors():
@@ -202,7 +202,7 @@ def test_cyclic_strong_on_table_systems():
     dp6 = catalog_load(6).get("dP")
     assert is_cyclic_strong_exceptional(dp6, SYS9_DEG6).ok
     s = catalog_load(3).get("3A2")
-    A3 = _system(3, census.TABLE9_SYSTEM_TEXTS[3])
+    A3 = _system(3, paper.TABLE9_SYSTEM_TEXTS[3])
     assert is_cyclic_strong_exceptional(s, A3).ok
     # Cyclic strong exceptionality is preserved by shift and symmetry.
     assert is_cyclic_strong_exceptional(s, shift(A3)).ok
@@ -438,10 +438,10 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         assert plan.deep_windows == deep
 
     # The classification suite's window checks, degree-5 search left out.
-    monkeypatch.setattr(census, "verify_degree5_negative", lambda: Report("skipped"))
+    monkeypatch.setattr(paper, "verify_degree5_negative", lambda: Report("skipped"))
     lines = {
         line.label: line.computed
-        for line in census.verify_cyclic_strong_classification().lines
+        for line in paper.verify_cyclic_strong_classification().lines
     }
     lat8 = PicardLattice.standard(8)
     lat9 = PicardLattice.standard(9)
@@ -454,7 +454,7 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         computed = lines[f"{label} system window r-values all in [-1, d-3]"]
         assert computed is _old_first_kind_windows_in_range(A) is True
     for degree in (5, 4, 3):
-        A = _system(degree, census.TABLE9_SYSTEM_TEXTS[degree])
+        A = _system(degree, paper.TABLE9_SYSTEM_TEXTS[degree])
         assert lines[f"degree {degree} cyclic (-2)-windows"] == {
             A.window(k, l)
             for k, l in _old_cyclic_windows(A.n)
