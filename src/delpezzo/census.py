@@ -30,7 +30,6 @@ import math
 import os
 import time
 import zipfile
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -272,40 +271,42 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """The r-classes of a lattice sorted by packed key; a class's id is its
-    position.  W permutes the classes: `perm[i, c]` is the id of s_i(class
-    c), s_i the i-th simple reflection of `weyl.simple_reflection_roots`.
-    Every lattice has at most 240 classes of each kind, so ids are uint8.
+    """The r-classes of a lattice in `enumerate_classes` order; a class's id
+    is its position, and `index` maps each class to its id.  W permutes the
+    classes: `perm[i, c]` is the id of s_i(class c), s_i the i-th simple
+    reflection of `weyl.simple_reflection_roots`.  Every lattice has at
+    most 240 classes of each kind, so ids are uint8.
     """
 
     classes: np.ndarray  # [c, rank] int64
-    keys: np.ndarray  # [c] uint64, ascending
+    index: dict[tuple[int, ...], int]
     perm: np.ndarray  # [generators, c] uint8
 
 
-def _class_ids(keys: np.ndarray, vectors: np.ndarray, what: str) -> np.ndarray:
-    """uint8 ids of the int64 vectors [..., rank] among the classes with
-    the sorted `keys`.  `pack_rows` range-checks every coordinate, so an
-    equal key means an equal vector."""
-    found = weyl.pack_rows(vectors)
-    ids = np.minimum(np.searchsorted(keys, found), keys.size - 1)
-    if not np.array_equal(keys[ids], found):
-        raise InternalError(f"window sum is not a {what} (invariant violated)")
-    return ids.astype(np.uint8)
+def _class_ids(index: dict, vectors: np.ndarray, what: str) -> np.ndarray:
+    """uint8 ids of the integer vectors [..., rank], looked up exactly in a
+    class table's `index`."""
+    rows = vectors.reshape(-1, vectors.shape[-1]).tolist()
+    try:
+        ids = [index[tuple(v)] for v in rows]
+    except KeyError:
+        raise InternalError(
+            f"window sum is not a {what} (invariant violated)"
+        ) from None
+    return np.array(ids, dtype=np.uint8).reshape(vectors.shape[:-1])
 
 
 @lru_cache(maxsize=None)
 def _class_table(lattice: PicardLattice, r: int) -> _ClassTable:
-    classes = np.array(lattice.enumerate_classes(r), dtype=np.int64)
-    keys = weyl.pack_rows(classes)
-    order = np.argsort(keys)
-    classes, keys = classes[order], keys[order]
+    listed = lattice.enumerate_classes(r)
+    classes = np.array(listed, dtype=np.int64)
+    index = {c: i for i, c in enumerate(listed)}
     generators = len(weyl.simple_reflection_roots(lattice))
     images = np.repeat(classes[None], generators, axis=0)
     for i, image in enumerate(images):
         weyl.reflect_rows(image, i)
-    table = _ClassTable(classes, keys, _class_ids(keys, images, f"{r}-class"))
-    for arr in (table.classes, table.keys, table.perm):
+    table = _ClassTable(classes, index, _class_ids(index, images, f"{r}-class"))
+    for arr in (table.classes, table.perm):
         arr.flags.writeable = False  # cached and shared by every caller
     return table
 
@@ -338,7 +339,7 @@ def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
         for rows in chunks:
             sums = _window_sums(plan, arr[rows])
             for t, o, x, what in zip(tables, out, sums, ("(-2)-class", "(-1)-class")):
-                o[rows] = _class_ids(t.keys, x, what)
+                o[rows] = _class_ids(t.index, x, what)
         return out
     blocks = layer.blocks
     for i, (start, end) in enumerate(zip(blocks[:-1], blocks[1:])):
@@ -591,7 +592,7 @@ def _census_sweep(
             stats["deep_tests"] += alive.size
             if test_mode:
                 for row_d, t, fast in zip(d.tolist(), which[alive], verdict):
-                    if is_effective(surfaces[t], tuple(row_d))[0] != fast:
+                    if is_effective(surfaces[t], tuple(row_d)) != fast:
                         raise InternalError(
                             f"fast anti-class test disagrees with the general "
                             f"test on {tuple(row_d)} ({surfaces[t].name})"
@@ -665,44 +666,52 @@ def _canonicalize(
 ):
     """Group counterexamples into stabilizer orbits; return canonical reps.
 
+    The rows are indexed once by their exact int64 bytes.  One orbit at a
+    time, the |Stab| images of the first row not yet seen are computed in
+    one matmul, looked up and all marked seen.  Every image must be a
+    counterexample, and neither two images nor two rows may be equal.
+
     The canonical representative of an orbit is the image whose stack,
     as little-endian int64 `tobytes()`, is the least byte string, and the
     representatives come in that order.  Low bytes compare first, so
     coefficients in -128..127 (every census orbit) are compared one by
     one as x mod 256: 0 < 1 < ... < 127 < -128 < ... < -1.
     """
-    total = len(arrays)
-    stack = np.stack(arrays)
-    canonical: list[bytes] | None = None
-    for el in elements:
-        images = np.array(el.images, dtype=np.int64)  # v -> v @ images
-        t = np.ascontiguousarray(stack @ images).reshape(total, -1)
-        kb = [row.tobytes() for row in t]
-        canonical = kb if canonical is None else [
-            min(x, y) for x, y in zip(canonical, kb)
-        ]
-    groups: dict[bytes, list[int]] = defaultdict(list)
-    for i, key in enumerate(canonical):
-        groups[key].append(i)
-    for members in groups.values():
-        if len(members) != len(elements):
-            raise InternalError(
-                "stabilizer orbit of a counterexample has unexpected size "
-                f"{len(members)} (stabilizer order {len(elements)})"
-            )
-    n, rank = arrays[0].shape
-    reps = []
-    for key in sorted(groups):
-        rep = np.frombuffer(key, dtype=np.int64).reshape(n, rank)
-        reps.append(
-            ToricSystem(lattice, tuple(tuple(int(x) for x in t) for t in rep))
+    stack = np.stack(arrays).astype(np.int64)
+    index = {row.tobytes(): i for i, row in enumerate(stack)}
+    if len(index) != len(arrays):
+        raise InternalError(
+            "two counterexamples are the same system (invariant violated)"
         )
+    group = np.array([el.images for el in elements], dtype=np.int64)  # v -> v @ g
+    seen = np.zeros(len(arrays), dtype=bool)
+    keys = []
+    for i in range(len(arrays)):
+        if seen[i]:
+            continue
+        images = [image.tobytes() for image in stack[i] @ group]
+        members = [index.get(key) for key in images]
+        if None in members:
+            raise InternalError(
+                "a stabilizer image of a counterexample is not a counterexample"
+            )
+        if len(set(members)) != len(members):
+            raise InternalError(
+                "two stabilizer images of a counterexample are the same system"
+            )
+        seen[members] = True
+        keys.append(min(images))
+    n, rank = stack.shape[1:]
+    reps = []
+    for key in sorted(keys):
+        rep = np.frombuffer(key, dtype=np.int64).reshape(n, rank)
+        reps.append(ToricSystem(lattice, tuple(map(tuple, rep.tolist()))))
     return tuple(reps)
 
 
 def _verify_representatives(
     s: SurfaceModel, mode: str, reps: tuple[ToricSystem, ...]
-) -> dict:
+) -> None:
     """Re-verify canonical representatives independently of the sweep.
 
     Each representative must pass the reference exceptionality checker,
@@ -710,7 +719,6 @@ def _verify_representatives(
     of the windows -A_n, -A_{n-1,n} is a hole in the effective cone.
     """
     red = s.red_lines_set()
-    hole_failures = 0
     for A in reps:
         checker = is_strong_exceptional if mode == "strong" else is_exceptional
         result = checker(s, A, method="reference")
@@ -728,8 +736,9 @@ def _verify_representatives(
             is_hole(s, vneg(A.window(n, n)))
             or is_hole(s, vneg(A.window(n - 1, n)))
         ):
-            hole_failures += 1
-    return {"hole_failures": hole_failures}
+            raise InternalError(
+                f"census counterexample lacks the hole property on {s.name}"
+            )
 
 
 def census_for_preset(
@@ -810,14 +819,9 @@ def census_for_preset(
                 sname, squares, mode, len(rows), stab_order, len(reps), reps
             )
             start = time.perf_counter()
-            extra = _verify_representatives(by_name[sname], mode, reps)
+            _verify_representatives(by_name[sname], mode, reps)
             stats["reverify_s"] += time.perf_counter() - start
             stats["representatives_verified"] += len(reps)
-            if extra["hole_failures"]:
-                raise InternalError(
-                    f"{extra['hole_failures']} counterexamples on {sname} "
-                    "lack the hole property"
-                )
             if mode == "strong" and len(rows) >= 0.003 * orbit_total:
                 raise InternalError(
                     f"{sname}: counterexample fraction exceeds 0.3%"

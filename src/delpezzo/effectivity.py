@@ -17,7 +17,7 @@ Two deciders plus a search oracle:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,29 +25,6 @@ import numpy as np
 from .errors import InputError, InternalError
 from .picard import Divisor, PicardLattice, integer_adjugate, vneg, vscale, vsub, vsum
 from .surface import SurfaceModel
-
-
-@dataclass
-class EffectivityTrace:
-    """Auditable record of one is_effective run."""
-
-    start: Divisor
-    steps: list[tuple[Divisor, tuple[tuple[Divisor, int], ...], str]] = field(
-        default_factory=list
-    )
-    verdict: bool | None = None
-    certificate: tuple | None = None
-    iterations: int = 0
-
-    def replay(self, lattice: PicardLattice) -> Divisor:
-        """Re-apply the recorded subtractions; returns the terminal divisor."""
-        d = self.start
-        for before, subtracted, _rule in self.steps:
-            if before != d:
-                raise InternalError("trace does not replay")
-            for curve, mult in subtracted:
-                d = vsub(d, vscale(mult, curve))
-        return d
 
 
 def _negative_curves(s: SurfaceModel) -> tuple[Divisor, ...]:
@@ -88,35 +65,19 @@ def solve_root_combination(s: SurfaceModel, d: Divisor):
     return tuple(xs)
 
 
-def is_effective(s: SurfaceModel, d: Divisor) -> tuple[bool, EffectivityTrace]:
-    """Decide effectiveness of d on s; returns (verdict, trace)."""
+def is_effective(s: SurfaceModel, d: Divisor) -> bool:
+    """Decide effectiveness of d on s."""
     lat = s.lattice
     lat.check_divisor(d)
-    trace = EffectivityTrace(start=d)
     curves = _negative_curves(s)
     cap = max(1, 10 * (lat.rank + abs(lat.k_product(d))))
     current = d
-    while True:
-        trace.iterations += 1
-        if trace.iterations > cap:
-            raise InternalError(f"effectiveness loop exceeded {cap} iterations")
+    for _ in range(cap):
         dk = lat.k_product(current)
         if dk > 0:
-            trace.verdict = False
-            trace.certificate = ("K-positive", current)
-            return False, trace
+            return False
         if dk == 0:
-            combo = solve_root_combination(s, current)
-            if combo is None:
-                trace.verdict = False
-                trace.certificate = ("not-root-combination", current)
-                return False, trace
-            trace.verdict = True
-            trace.certificate = (
-                "roots",
-                tuple((r, m) for r, m in zip(s.simple_roots, combo) if m),
-            )
-            return True, trace
+            return solve_root_combination(s, current) is not None
         violating = []
         for c in curves:
             p = lat.intersect(current, c)
@@ -125,13 +86,10 @@ def is_effective(s: SurfaceModel, d: Divisor) -> tuple[bool, EffectivityTrace]:
                 mult = (-p + csq - 1) // csq  # ceil(-p / -c^2)
                 violating.append((c, mult))
         if not violating:
-            trace.verdict = True
-            trace.certificate = ("nef", current)
-            return True, trace
-        before = current
+            return True  # nef
         for c, m in violating:
             current = vsub(current, vscale(m, c))
-        trace.steps.append((before, tuple(violating), "subtract-negative-curves"))
+    raise InternalError(f"effectiveness loop exceeded {cap} iterations")
 
 
 @dataclass(frozen=True)
@@ -288,6 +246,6 @@ HOLE_MULTIPLES = range(2, 7)
 
 def is_hole(s: SurfaceModel, d: Divisor) -> bool:
     """Not effective, but some multiple k*d with k in HOLE_MULTIPLES is."""
-    if is_effective(s, d)[0]:
+    if is_effective(s, d):
         return False
-    return any(is_effective(s, vscale(k, d))[0] for k in HOLE_MULTIPLES)
+    return any(is_effective(s, vscale(k, d)) for k in HOLE_MULTIPLES)

@@ -212,7 +212,7 @@ def verify_section13() -> Report:
         report.check(f"window [{k}..{l}] value", d, A.window(k, l))
         report.check_true(
             f"window [{k}..{l}] neither effective nor anti-effective",
-            not is_effective(s, d)[0] and not is_effective(s, vneg(d))[0],
+            not is_effective(s, d) and not is_effective(s, vneg(d)),
         )
     report.check("-A_10", parse_divisor(lat, "2L-E12257"), vneg(A.window(10, 10)))
     report.check(
@@ -235,7 +235,7 @@ def verify_section13() -> Report:
         )
         report.check_true(
             f"{text}: not effective",
-            not is_effective(s, parse_divisor(lat, text))[0],
+            not is_effective(s, parse_divisor(lat, text)),
         )
     report.check_true(
         "strong exceptional", is_strong_exceptional(s, A, method="reference").ok
@@ -413,7 +413,7 @@ def verify_good_class_propositions(degree: int) -> Report:
     k_class = PicardLattice.standard(degree).canonical
 
     def eff(s, d):
-        return is_effective(s, d)[0]
+        return is_effective(s, d)
 
     for s in catalog.entries:
         lat = s.lattice
@@ -497,8 +497,8 @@ def _check_line_triples(s: SurfaceModel, k_class: Divisor) -> bool:
                     continue
                 base = vadd(k_class, vscale(2, h))
                 if not (
-                    is_effective(s, vsub(base, lines[j]))[0]
-                    or is_effective(s, vsub(base, lines[k]))[0]
+                    is_effective(s, vsub(base, lines[j]))
+                    or is_effective(s, vsub(base, lines[k]))
                 ):
                     return False
     return True
@@ -523,7 +523,7 @@ def _check_pair_triangles(s: SurfaceModel, pairs, k_class: Divisor) -> bool:
                     vadd(vadd(members[i], members[k]), k_class),
                     vadd(vadd(members[j], members[k]), k_class),
                 ]
-                if not any(is_effective(s, d)[0] for d in sums):
+                if not any(is_effective(s, d) for d in sums):
                     return False
     return True
 

@@ -5,6 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def _show(value) -> str:
+    """str(value), with the members of a set in sorted order, so that a
+    rendered report does not depend on string hashing."""
+    if isinstance(value, (set, frozenset)) and value:
+        body = "{" + ", ".join(map(repr, sorted(value))) + "}"
+        return body if isinstance(value, set) else f"frozenset({body})"
+    return str(value)
+
+
 @dataclass
 class ReportLine:
     label: str
@@ -43,12 +52,12 @@ class Report:
         out = [self.title]
         for line in self.lines:
             if line.expected is None and line.ok:
-                out.append(f"  NOTE {line.label}: {line.computed}")
+                out.append(f"  NOTE {line.label}: {_show(line.computed)}")
             else:
                 status = "PASS" if line.ok else "FAIL"
                 out.append(
-                    f"  {status} {line.label}: expected {line.expected}, "
-                    f"computed {line.computed}"
+                    f"  {status} {line.label}: expected {_show(line.expected)}, "
+                    f"computed {_show(line.computed)}"
                 )
         out.append(f"{'PASS' if self.passed else 'FAIL'} {self.title}")
         return "\n".join(out)

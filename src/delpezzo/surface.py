@@ -120,9 +120,9 @@ def is_lo(s: SurfaceModel, d: Divisor) -> bool:
     if -1 <= r <= dd - 3:
         return True
     if r <= -2:
-        return not effectivity.is_effective(s, vneg(d))[0]
+        return not effectivity.is_effective(s, vneg(d))
     # r >= d - 2
-    return not effectivity.is_effective(s, vadd(lat.canonical, d))[0]
+    return not effectivity.is_effective(s, vadd(lat.canonical, d))
 
 
 def is_slo(s: SurfaceModel, d: Divisor) -> bool:
@@ -140,11 +140,11 @@ def is_slo(s: SurfaceModel, d: Divisor) -> bool:
         return True
     if r == -2:
         return (
-            not effectivity.is_effective(s, d)[0]
-            and not effectivity.is_effective(s, vneg(d))[0]
+            not effectivity.is_effective(s, d)
+            and not effectivity.is_effective(s, vneg(d))
         )
     # r >= d - 2
-    return not effectivity.is_effective(s, vadd(lat.canonical, d))[0]
+    return not effectivity.is_effective(s, vadd(lat.canonical, d))
 
 
 # -- embedded catalog --------------------------------------------------

@@ -541,10 +541,10 @@ def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
     n = A.n
 
     def anti_effective(d):
-        return effectivity.is_effective(s, vneg(d))[0]
+        return effectivity.is_effective(s, vneg(d))
 
     def effective(d):
-        return effectivity.is_effective(s, d)[0]
+        return effectivity.is_effective(s, d)
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
         strong = what == "cyclic-strong"

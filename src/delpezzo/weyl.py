@@ -21,10 +21,6 @@ in the narrowest integer type that bound allows, proven once per orbit
 rather than checked per row: int8 payloads for every census preset, int8
 markers in degrees 2-7 and int16 in degree 1.  Everything else is int64.
 
-Vectors are packed into uint64 keys with one bit field per coordinate;
-`pack_rows` checks the field range of every coordinate, so equal keys
-mean equal vectors.
-
 Stabilizers of root sets R are found without scanning W: an element
 is determined by the images of a basis of roots and K, which are roots
 with the same products, so a breadth-first search over the basis
@@ -84,32 +80,6 @@ def regular_marker(lattice: PicardLattice) -> Divisor:
         if lattice.intersect(v, root) != 1:
             raise InternalError(f"marker {v} is not dominant-regular at {root}")
     return v
-
-
-# -- uint64 packing -----------------------------------------------------
-#
-# Coordinate 0 gets an 8-bit field, the others 7 bits each; rank <= 9
-# fits a uint64 exactly.  Field i holds x_i + 2^(bits_i - 1) at bit
-# shift_i and the biased fields never overlap.  pack_rows asserts the
-# range of every coordinate, so overflow is impossible rather than
-# unlikely, and keys are injective.
-
-_PACK_LEAD_BITS = 8
-_PACK_TAIL_BITS = 7
-
-
-def pack_rows(arr: np.ndarray) -> np.ndarray:
-    """Pack integer vectors [..., rank] into uint64 keys, checking bounds."""
-    rank = arr.shape[-1]
-    bits = np.array([_PACK_LEAD_BITS] + [_PACK_TAIL_BITS] * (rank - 1))
-    if bits.sum() > 64:
-        raise InternalError(f"rank {rank} does not fit the packing scheme")
-    half = 1 << (bits - 1)
-    if (arr < -half).any() or (arr >= half).any():
-        raise InternalError("coordinate out of the packing range [-2^(b-1), 2^(b-1))")
-    weights = np.uint64(1) << (bits.sum() - bits.cumsum()).astype(np.uint64)
-    keys = (arr.reshape(-1, rank) + half).astype(np.uint64) @ weights
-    return keys.reshape(arr.shape[:-1])
 
 
 # -- orbit reverse search ----------------------------------------------

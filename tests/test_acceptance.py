@@ -86,7 +86,7 @@ def test_criterion_09_effectiveness_oracles(iib_run):
             for _ in range(1000):
                 d = tuple(rng.randint(-4, 4) for _ in range(lat.rank))
                 bound = max(0, lat.intersect(d, minus_k))
-                got = is_effective(s, d)[0]
+                got = is_effective(s, d)
                 want = brute_force_effective(s, d, bound)
                 assert got == want, (s.name, d)
                 checked += 1

@@ -7,7 +7,7 @@ from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
 from delpezzo.surface import catalog_load
-from delpezzo.toric import blow_down, classify_sequence
+from delpezzo.toric import ToricSystem, blow_down, classify_sequence
 
 
 def test_presets_validate():
@@ -28,8 +28,8 @@ def test_window_plan_iib():
 
 @pytest.mark.parametrize("preset", ["IIb-deg2", "VI-deg1"])
 def test_window_keys_match_packed_window_sums(preset):
-    # Reference: every window sum formed explicitly, packed and found by
-    # binary search among the sorted class keys; the sweep's ids, carried
+    # Reference: every window sum formed explicitly and found by its
+    # coordinates among the enumerated classes; the sweep's ids, carried
     # down the orbit tree from layer 0, must be the positions found.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
@@ -41,13 +41,11 @@ def test_window_keys_match_packed_window_sums(preset):
         ids = census._layer_ids(lat, plan, layer, ids, False)
         for r, coeffs, got in zip((-2, -1), (plan.root_coeffs, plan.ixa_coeffs), ids):
             table = census._class_table(lat, r)
-            class_keys = weyl.pack_rows(np.array(lat.enumerate_classes(r)))
-            order = np.argsort(class_keys)
+            position = {c: i for i, c in enumerate(lat.enumerate_classes(r))}
             sums = np.einsum("wi,mir->mwr", coeffs, part)
-            idx = np.searchsorted(class_keys[order], weyl.pack_rows(sums))
-            assert np.array_equal(class_keys[order][idx], weyl.pack_rows(sums))
+            idx = [[position[tuple(v)] for v in row] for row in sums.tolist()]
             assert got.dtype == np.uint8
-            assert np.array_equal(got, idx)
+            assert np.array_equal(got, np.array(idx).reshape(got.shape))
             assert np.array_equal(table.classes[got], sums)
         rows += part.shape[0]
     assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
@@ -76,16 +74,16 @@ def test_class_table_is_a_bijection(degree):
 
 
 def test_window_keys_reject_non_classes():
-    # Sums that are no class, inside the packing fields (2 * terms) and
-    # outside them (127 * terms), are refused at the layer-0 lookup.
+    # Sums that are no class, small (2 * terms) and large (127 * terms),
+    # are refused at the layer-0 lookup.
     A0 = census.section13_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
     part = np.array([A0.terms], dtype=np.int64)
     marker = np.array([weyl.regular_marker(lat)])
-    for factor, match in ((2, "not a \\(-2\\)-class"), (127, "packing range")):
+    for factor in (2, 127):
         layer = weyl.OrbitLayer(0, marker, factor * part, 1)
-        with pytest.raises(InternalError, match=match):
+        with pytest.raises(InternalError, match="not a \\(-2\\)-class"):
             census._layer_ids(lat, plan, layer, None, False)
     layer = weyl.OrbitLayer(0, marker, part, 1)
     assert all(ids.shape == (1, c.shape[0]) for ids, c in zip(
@@ -203,7 +201,7 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
                     candidates[f"{s.name}/{mode}"] += 1
                     for row in deep:
                         deep_tests += 1
-                        if is_effective(s, tuple((-(row @ system)).tolist()))[0]:
+                        if is_effective(s, tuple((-(row @ system)).tolist())):
                             break
                     else:
                         store[(s.name, mode)].append(system.tolist())
@@ -278,7 +276,7 @@ def _corrupt_table(monkeypatch, r, corrupt):
         t = real(lattice, rr)
         if rr != r:
             return t
-        return census._ClassTable(t.classes, t.keys, corrupt(t.perm.copy()))
+        return census._ClassTable(t.classes, t.index, corrupt(t.perm.copy()))
 
     monkeypatch.setattr(census, "_class_table", table)
 
@@ -399,3 +397,54 @@ def test_finalize_counts_verified_representatives(iib_run):
     reps = sum(len(r.representatives) for r in iib_run.records.values())
     assert iib_run.stats["representatives_verified"] == reps > 0
     assert iib_run.stats["canonicalize_s"] > 0 and iib_run.stats["reverify_s"] > 0
+
+
+def _canonicalize_by_minimum(lattice, arrays, elements):
+    """Reference: every row mapped by every stabilizer element (N x |Stab|
+    images), each row's least image bytes its key, one key per orbit."""
+    total = len(arrays)
+    stack = np.stack(arrays)
+    canonical = None
+    for el in elements:
+        images = np.array(el.images, dtype=np.int64)  # v -> v @ images
+        t = np.ascontiguousarray(stack @ images).reshape(total, -1)
+        kb = [row.tobytes() for row in t]
+        canonical = kb if canonical is None else [
+            min(x, y) for x, y in zip(canonical, kb)
+        ]
+    assert len(set(canonical)) * len(elements) == total
+    n, rank = arrays[0].shape
+    reps = []
+    for key in sorted(set(canonical)):
+        rep = np.frombuffer(key, dtype=np.int64).reshape(n, rank)
+        reps.append(ToricSystem(lattice, tuple(tuple(int(x) for x in t) for t in rep)))
+    return tuple(reps)
+
+
+def test_canonicalize_one_orbit_at_a_time_matches_minimum():
+    # A few IIb orbit rows, closed under the 168-element stabilizer of
+    # X_{2,7A1}, then shuffled: the representatives, and their order, are
+    # those of the N x |Stab| minimum.
+    A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+    lat = A0.lattice
+    elements = census.stabilizer_table(2)["X_{2,7A1}"]
+    assert len(elements) == 168
+    layer = list(weyl.orbit_layers(lat, A0.terms, max_layers=4))[-1]
+    group = np.array([el.images for el in elements], dtype=np.int64)
+    closed = {
+        image.tobytes(): image
+        for row in layer.payload[[0, 5, 10]]
+        for image in row.astype(np.int64) @ group
+    }
+    values = list(closed.values())
+    rows = [values[i] for i in np.random.default_rng(12).permutation(len(values))]
+    assert len(rows) % 168 == 0 and len(rows) > 168
+    reps = census._canonicalize(lat, rows, elements)
+    assert reps == _canonicalize_by_minimum(lat, rows, elements)
+    assert len(reps) == len(rows) // 168
+    with pytest.raises(InternalError, match="not a counterexample"):
+        census._canonicalize(lat, rows[1:], elements)
+    with pytest.raises(InternalError, match="two counterexamples are the same"):
+        census._canonicalize(lat, rows + rows[-1:], elements)
+    with pytest.raises(InternalError, match="two stabilizer images"):
+        census._canonicalize(lat, rows, elements + elements[:1])

@@ -122,6 +122,23 @@ def test_python_m_delpezzo():
     assert "PASS class inventories by degree" in done.stdout
 
 
+def test_reproduce_does_not_depend_on_string_hashing():
+    # table9 compares sets of type labels; their rendered order must not
+    # follow PYTHONHASHSEED.
+    src = Path(__file__).parent.parent / "src"
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "delpezzo", "reproduce", "table9"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert "listed + excluded = all types" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_reproduce_pass(capsys):
     assert cli.main(["reproduce", "table1"]) == 0
     out = capsys.readouterr().out

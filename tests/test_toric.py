@@ -385,10 +385,10 @@ def _old_check(s, A, what, method):
         return True, None
 
     def anti_effective(d):
-        return is_effective(s, vneg(d))[0]
+        return is_effective(s, vneg(d))
 
     def effective(d):
-        return is_effective(s, d)[0]
+        return is_effective(s, d)
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
         for k, l in _old_cyclic_windows(n):

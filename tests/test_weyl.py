@@ -46,37 +46,6 @@ def test_orbit_freeness_degree5():
     assert len(set(systems)) == 120
 
 
-def test_pack_rows_injective_on_classes():
-    lat = PicardLattice.standard(2)
-    for r in (-2, -1):
-        arr = np.array(lat.enumerate_classes(r), dtype=np.int64)
-        keys = weyl.pack_rows(arr)
-        assert len(set(keys.tolist())) == arr.shape[0]
-
-
-def test_pack_rows_bounds():
-    with pytest.raises(InternalError):
-        weyl.pack_rows(np.array([[0, 999]], dtype=np.int64))
-    with pytest.raises(InternalError):
-        weyl.pack_rows(np.array([[-129, 0]], dtype=np.int64))
-    with pytest.raises(InternalError):
-        weyl.pack_rows(np.zeros((1, 10), dtype=np.int64))
-
-
-@pytest.mark.parametrize("rank", range(1, 10))
-def test_pack_rows_matches_bit_fields(rank):
-    # Reference: an 8-bit field for coordinate 0, then 7-bit fields.
-    rng = np.random.default_rng(rank)
-    arr = rng.integers(-64, 64, size=(200, 3, rank))
-    arr[..., 0] = rng.integers(-128, 128, size=(200, 3))
-    expected = np.zeros(arr.shape[:-1], dtype=object)
-    for i in range(rank):
-        bits = 8 if i == 0 else 7
-        expected = (expected << bits) + arr[..., i].astype(object) + (1 << (bits - 1))
-    assert [int(k) for k in weyl.pack_rows(arr).ravel()] == expected.ravel().tolist()
-    assert int(weyl.pack_rows(arr[7, 2])) == expected[7, 2]
-
-
 @pytest.mark.parametrize("degree", [7, 6, 5, 4])
 def test_orbit_layers_match_poincare_and_closure(degree):
     lat = PicardLattice.standard(degree)
@@ -162,8 +131,10 @@ def _group_filter(degree, roots):
     """Reference: the elements of W (as basis-image stacks) permuting roots."""
     group = _group_stack(degree)
     arr = np.array(roots, dtype=np.int64)
-    images = np.sort(weyl.pack_rows(arr @ group), axis=1)
-    mask = (images == np.sort(weyl.pack_rows(arr))).all(axis=1)
+    # hit[g, i, j]: element g sends root i to root j; a permutation of the
+    # roots has exactly one hit in every row and every column.
+    hit = ((arr @ group)[:, :, None, :] == arr).all(axis=-1)
+    mask = (hit.sum(axis=2) == 1).all(axis=1) & (hit.sum(axis=1) == 1).all(axis=1)
     return {tuple(map(tuple, m)) for m in group[mask].tolist()}
 
 
