@@ -111,6 +111,10 @@ def _resolve_sequence(args):
         )
     squares = tuple(squares)
     lat = PicardLattice.standard(12 - len(squares))
+    # The census takes second-kind sequences only; refusing the rest here
+    # spares a search for a system that nothing may realize.
+    if toric.classify_sequence(squares).kind != "second":
+        raise InputError(f"{squares} is not of the second kind (a_n <= -3 required)")
     A0 = toric.find_system_with_squares(lat, squares)
     if A0 is None:
         raise InputError(f"no toric system realizes the squares {squares}")

@@ -5,7 +5,8 @@ Two deciders plus a search oracle:
 * `is_effective` -- the general loop: positivity against the canonical
   class, an exact integer solve over the simple roots when D.K = 0, and
   repeated subtraction of negative curves met negatively until the
-  divisor becomes nef (nef implies effective here).
+  divisor becomes nef (nef implies effective here); the
+  left-orthogonality criteria `is_lo` and `is_slo` rest on it.
 * `anticlass_effective` -- the short loop for anti-classes, batched over
   rows and surfaces for the counterexample census; it only looks at
   products with the irreducible (-2)-curves of each surface, read from
@@ -23,7 +24,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, InternalError
-from .picard import Divisor, PicardLattice, integer_adjugate, vneg, vscale, vsub, vsum
+from .picard import (
+    Divisor,
+    PicardLattice,
+    integer_adjugate,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+    vsum,
+)
 from .surface import SurfaceModel
 
 
@@ -90,6 +100,41 @@ def is_effective(s: SurfaceModel, d: Divisor) -> bool:
         for c, m in violating:
             current = vsub(current, vscale(m, c))
     raise InternalError(f"effectiveness loop exceeded {cap} iterations")
+
+
+# -- left-orthogonality criteria --------------------------------------
+
+
+def is_lo(s: SurfaceModel, d: Divisor) -> bool:
+    """Left-orthogonality criterion for an r-class, by effectiveness tests."""
+    lat = s.lattice
+    r = lat.classify_r(d)
+    if r is None:
+        raise InputError(f"{d} is not an r-class")
+    dd = lat.degree
+    if -1 <= r <= dd - 3:
+        return True
+    if r <= -2:
+        return not is_effective(s, vneg(d))
+    # r >= d - 2
+    return not is_effective(s, vadd(lat.canonical, d))
+
+
+def is_slo(s: SurfaceModel, d: Divisor) -> bool:
+    """Strong left-orthogonality criterion for an r-class."""
+    lat = s.lattice
+    r = lat.classify_r(d)
+    if r is None:
+        raise InputError(f"{d} is not an r-class")
+    dd = lat.degree
+    if r <= -3:
+        return False
+    if -1 <= r <= dd - 3:
+        return True
+    if r == -2:
+        return not is_effective(s, d) and not is_effective(s, vneg(d))
+    # r >= d - 2
+    return not is_effective(s, vadd(lat.canonical, d))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .census import (
     section13_surface,
     section13_system,
 )
-from .effectivity import is_effective, is_hole
+from .effectivity import is_effective, is_hole, is_slo
 from .errors import InputError, InternalError
 from .picard import (
     Divisor,
@@ -38,7 +38,7 @@ from .picard import (
     vsub,
 )
 from .report import Report
-from .surface import SurfaceModel, catalog_load, expected_good_zero_classes, is_slo
+from .surface import SurfaceModel, catalog_load, expected_good_zero_classes
 from .toric import (
     TABLE_CYCLIC_STRONG,
     ToricSystem,

@@ -7,6 +7,7 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -211,14 +212,36 @@ def _sum_square_solutions(m: int, total: int, total_sq: int):
         )
 
 
+def class_tuples(lattice: PicardLattice, pools, products):
+    """Every tuple (x_0, ..., x_{k-1}) with x_i in pools[i] and
+    x_j . x_i = products[j][i] for all j < i, depth first in pool order."""
+    chosen: list[Divisor] = []
+
+    def extend(i: int):
+        if i == len(pools):
+            yield tuple(chosen)
+            return
+        for cand in pools[i]:
+            if all(
+                lattice.intersect(x, cand) == products[j][i]
+                for j, x in enumerate(chosen)
+            ):
+                chosen.append(cand)
+                yield from extend(i + 1)
+                chosen.pop()
+
+    return extend(0)
+
+
 # -- exact linear algebra (fraction-free Bareiss elimination) ------------
 #
 # Bareiss, Math. Comp. 22 (1968): every intermediate entry is a minor of
 # the input, so each division below is exact and all values are integers.
 
 
-def integer_rank(rows) -> int:
-    """Exact rank of an integer matrix."""
+def _bareiss(rows) -> tuple[int, int]:
+    """(rank, last pivot) of an integer matrix.  The last pivot of a
+    nonsingular square matrix is its determinant up to sign."""
     m = [[int(x) for x in row] for row in rows]
     rank, prev = 0, 1
     for col in range(len(m[0]) if m else 0):
@@ -231,7 +254,24 @@ def integer_rank(rows) -> int:
             m[r] = [(p * x - m[r][col] * y) // prev for x, y in zip(m[r], m[rank])]
         prev = p
         rank += 1
-    return rank
+    return rank, prev
+
+
+def integer_rank(rows) -> int:
+    """Exact rank of an integer matrix."""
+    return _bareiss(rows)[0]
+
+
+def generates_lattice(rows, rank: int) -> bool:
+    """Do the integer rows (of length rank) span Z^rank?  Exactly when the
+    gcd of their rank x rank minors is 1."""
+    g = 0
+    for minor in itertools.combinations(rows, rank):
+        found, pivot = _bareiss(minor)
+        g = math.gcd(g, pivot if found == rank else 0)
+        if g == 1:
+            return True
+    return False
 
 
 def integer_adjugate(rows) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -1,9 +1,11 @@
 """Weak del Pezzo surface types: lattice plus irreducible (-2)-curves.
 
 A surface type is modeled by its Picard lattice together with the set of
-simple roots (classes of irreducible (-2)-curves).  Everything else the
-package needs -- effective roots, irreducible (-1)-curves, left-orthogonality
--- is derived from that data.
+simple roots (classes of irreducible (-2)-curves); its effective roots and
+irreducible (-1)-curves are derived from that data.  Degrees 7-3 come from
+the embedded tables; degrees 2 and 1 hold the census's root subsystems,
+each the first configuration `picard.class_tuples` finds with its Dynkin
+diagram's products.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
-from .picard import (
-    Divisor,
-    PicardLattice,
-    parse_divisor_list,
-    vadd,
-    vneg,
-)
+from .picard import Divisor, PicardLattice, class_tuples, parse_divisor_list, vadd
 
 
 @dataclass(frozen=True)
@@ -63,16 +59,6 @@ class SurfaceModel:
         return frozenset(self.lattice.enumerate_classes(-1)) - self.irr_lines_set()
 
 
-def effective_roots(s: SurfaceModel) -> tuple[Divisor, ...]:
-    """All effective (-2)-classes (positive roots of the simple-root subsystem)."""
-    return tuple(sorted(s.effective_roots_set()))
-
-
-def irreducible_minus_one_curves(s: SurfaceModel) -> tuple[Divisor, ...]:
-    """(-1)-classes meeting every simple root non-negatively."""
-    return tuple(sorted(s.irr_lines_set()))
-
-
 @lru_cache(maxsize=None)
 def _effective_roots(
     lattice: PicardLattice, simple_roots: tuple[Divisor, ...]
@@ -103,48 +89,6 @@ def _irr_lines(
         for c in lattice.enumerate_classes(-1)
         if all(lattice.intersect(c, r) >= 0 for r in simple_roots)
     )
-
-
-# -- left-orthogonality criteria --------------------------------------
-
-
-def is_lo(s: SurfaceModel, d: Divisor) -> bool:
-    """Left-orthogonality criterion for an r-class, by effectiveness tests."""
-    from . import effectivity
-
-    lat = s.lattice
-    r = lat.classify_r(d)
-    if r is None:
-        raise InputError(f"{d} is not an r-class")
-    dd = lat.degree
-    if -1 <= r <= dd - 3:
-        return True
-    if r <= -2:
-        return not effectivity.is_effective(s, vneg(d))
-    # r >= d - 2
-    return not effectivity.is_effective(s, vadd(lat.canonical, d))
-
-
-def is_slo(s: SurfaceModel, d: Divisor) -> bool:
-    """Strong left-orthogonality criterion for an r-class."""
-    from . import effectivity
-
-    lat = s.lattice
-    r = lat.classify_r(d)
-    if r is None:
-        raise InputError(f"{d} is not an r-class")
-    dd = lat.degree
-    if r <= -3:
-        return False
-    if -1 <= r <= dd - 3:
-        return True
-    if r == -2:
-        return (
-            not effectivity.is_effective(s, d)
-            and not effectivity.is_effective(s, vneg(d))
-        )
-    # r >= d - 2
-    return not effectivity.is_effective(s, vadd(lat.canonical, d))
 
 
 # -- embedded catalog --------------------------------------------------
@@ -358,83 +302,16 @@ def dynkin_adjacency(comps) -> list[list[int]]:
     return adj
 
 
-#: Mutually orthogonal roots a configuration's root subsystem must hold in
-#: degrees <= 2 (the census's selection of subsystems).
-LOW_DEGREE_ORTHOGONAL_ROOTS = 5
-
-
 def find_configuration(degree: int, type_text: str) -> tuple[Divisor, ...]:
-    """Find simple roots realizing a Dynkin type, lexicographically least.
-
-    For degrees <= 2 the resulting root subsystem is additionally required
-    to contain LOW_DEGREE_ORTHOGONAL_ROOTS mutually orthogonal roots; this
-    pins down the intended Weyl orbit when a type has several.
-    """
+    """Simple roots realizing a Dynkin type: the lexicographically least
+    tuple of (-2)-classes whose products are the diagram's adjacency."""
     lat = PicardLattice.standard(degree)
-    comps = parse_dynkin_type(type_text)
-    adj = dynkin_adjacency(comps)
-    k = len(adj)
-    orthogonal = LOW_DEGREE_ORTHOGONAL_ROOTS if degree <= 2 else 0
+    adj = dynkin_adjacency(parse_dynkin_type(type_text))
     roots = lat.enumerate_classes(-2)
-    products = {}
-
-    def prod(a, b):
-        key = (a, b)
-        if key not in products:
-            products[key] = lat.intersect(roots[a], roots[b])
-        return products[key]
-
-    chosen: list[int] = []
-
-    def ok(candidate: int) -> bool:
-        return all(
-            prod(chosen[j], candidate) == adj[j][len(chosen)]
-            for j in range(len(chosen))
-        )
-
-    def extend() -> tuple[Divisor, ...] | None:
-        if len(chosen) == k:
-            config = tuple(roots[i] for i in chosen)
-            if orthogonal and not _has_orthogonal_roots(lat, config, orthogonal):
-                return None
-            return config
-        start = 0
-        for cand in range(start, len(roots)):
-            if cand in chosen:
-                continue
-            if ok(cand):
-                chosen.append(cand)
-                result = extend()
-                if result is not None:
-                    return result
-                chosen.pop()
-        return None
-
-    result = extend()
-    if result is None:
+    found = next(class_tuples(lat, [roots] * len(adj), adj), None)
+    if found is None:
         raise InputError(f"no configuration of type {type_text!r} in degree {degree}")
-    return result
-
-
-def _has_orthogonal_roots(lat: PicardLattice, config, count: int) -> bool:
-    """Does the subsystem generated by config contain `count` mutually
-    orthogonal roots?"""
-    positive = sorted(_effective_roots(lat, tuple(config)))
-    found: list[Divisor] = []
-
-    def search(start: int) -> bool:
-        if len(found) == count:
-            return True
-        for i in range(start, len(positive)):
-            r = positive[i]
-            if all(lat.intersect(r, f) == 0 for f in found):
-                found.append(r)
-                if search(i + 1):
-                    return True
-                found.pop()
-        return False
-
-    return search(0)
+    return found
 
 
 def catalog_export(catalog: SurfaceCatalog) -> list[dict]:
@@ -446,8 +323,8 @@ def catalog_export(catalog: SurfaceCatalog) -> list[dict]:
                 "degree": catalog.degree,
                 "name": s.name,
                 "simple_roots": [list(r) for r in s.simple_roots],
-                "irr_minus_one": [list(c) for c in irreducible_minus_one_curves(s)],
-                "eff_roots": [list(r) for r in effective_roots(s)],
+                "irr_minus_one": [list(c) for c in sorted(s.irr_lines_set())],
+                "eff_roots": [list(r) for r in sorted(s.effective_roots_set())],
             }
         )
     return out

@@ -13,17 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .effectivity import is_effective, is_lo, is_slo
 from .errors import InputError, InternalError
 from .picard import (
     Divisor,
     PicardLattice,
+    class_tuples,
+    generates_lattice,
     reflect,
     vadd,
     vneg,
     vsub,
     vsum,
 )
-from .surface import SurfaceModel, is_lo, is_slo
+from .surface import SurfaceModel
 
 
 # -- the toric-system type ---------------------------------------------
@@ -100,7 +103,7 @@ def system_violations(lattice: PicardLattice, terms) -> list[str]:
                 problems.append(f"A_{i + 1}.A_{j + 1} = {p}, expected {want}")
     if vsum(terms, lattice.rank) != vneg(lattice.canonical):
         problems.append("sum of terms != -K")
-    if not problems and not _generates_lattice(terms, lattice.rank):
+    if not problems and not generates_lattice(terms, lattice.rank):
         problems.append("terms do not generate the lattice")
     return problems
 
@@ -123,34 +126,6 @@ def from_json(data) -> ToricSystem:
     ):
         raise InputError("the degree and every term entry must be integers")
     return ToricSystem(PicardLattice.standard(degree), tuple(tuple(t) for t in terms))
-
-
-def _generates_lattice(terms, rank: int) -> bool:
-    """Do the rows span Z^rank?  (Hermite elimination; pivot product +-1.)"""
-    rows = [list(t) for t in terms]
-    det = 1
-    for col in range(rank):
-        pivot = None
-        for r in range(col, len(rows)):
-            if rows[r][col] != 0:
-                if pivot is None or abs(rows[r][col]) < abs(rows[pivot][col]):
-                    pivot = r
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        # Euclidean reduction of the column below the pivot.
-        changed = True
-        while changed:
-            changed = False
-            for r in range(col + 1, len(rows)):
-                if rows[r][col] != 0:
-                    q = rows[r][col] // rows[col][col]
-                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[col])]
-                    if rows[r][col] != 0:
-                        rows[col], rows[r] = rows[r], rows[col]
-                        changed = True
-        det *= rows[col][col]
-    return abs(det) == 1
 
 
 # -- the three operations ----------------------------------------------
@@ -535,16 +510,14 @@ def _through_n_minimal_windows(sq: tuple[int, ...]):
 
 
 def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
-    from . import effectivity
-
     sq = A.squares()
     n = A.n
 
     def anti_effective(d):
-        return effectivity.is_effective(s, vneg(d))
+        return is_effective(s, vneg(d))
 
     def effective(d):
-        return effectivity.is_effective(s, d)
+        return is_effective(s, d)
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
         strong = what == "cyclic-strong"
@@ -743,10 +716,11 @@ def augmentation_chain(s: SurfaceModel, A: ToricSystem):
 def find_system_with_squares(
     lattice: PicardLattice, squares
 ) -> ToricSystem | None:
-    """First toric system (lexicographic backtracking) with the given A^2.
+    """First toric system with the given A^2: the first head A_1..A_{n-1}
+    that `picard.class_tuples` yields (consecutive products 1, others 0)
+    whose forced last term -K - (A_1 + ... + A_{n-1}) completes a system.
 
-    All entries except the last must lie in the enumerable range; the
-    last term is forced by the sum condition and only verified.  A
+    All entries except the last must lie in the enumerable range.  A
     sequence whose one entry below -2 is not last is rotated to put it
     last, as `classify_sequence` does, and the system found is shifted
     back."""
@@ -763,32 +737,12 @@ def find_system_with_squares(
         A = find_system_with_squares(lattice, squares[k:] + squares[:k])
         return None if A is None else ToricSystem(lattice, A.terms[-k:] + A.terms[:-k])
     pools = [lattice.enumerate_classes(r) for r in squares[:-1]]
+    products = [[int(i == j + 1) for i in range(n - 1)] for j in range(n - 1)]
     minus_k = vneg(lattice.canonical)
-    chosen: list[Divisor] = []
-
-    def ok_next(cand: Divisor) -> bool:
-        for j, prev in enumerate(chosen):
-            want = 1 if j == len(chosen) - 1 else 0
-            if lattice.intersect(prev, cand) != want:
-                return False
-        return True
-
-    def search(i: int) -> ToricSystem | None:
-        if i == n - 1:
-            lastv = vsub(minus_k, vsum(chosen, lattice.rank))
-            if lattice.square(lastv) != squares[-1]:
-                return None
-            terms = tuple(chosen) + (lastv,)
-            if system_violations(lattice, terms):
-                return None
+    for head in class_tuples(lattice, pools, products):
+        terms = head + (vsub(minus_k, vsum(head, lattice.rank)),)
+        if lattice.square(terms[-1]) == squares[-1] and not system_violations(
+            lattice, terms
+        ):
             return ToricSystem(lattice, terms)
-        for cand in pools[i]:
-            if ok_next(cand):
-                chosen.append(cand)
-                result = search(i + 1)
-                if result is not None:
-                    return result
-                chosen.pop()
-        return None
-
-    return search(0)
+    return None

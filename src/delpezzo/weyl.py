@@ -399,10 +399,6 @@ def orbit_of_toric_system(A0: ToricSystem):
 STABILIZER_LIMIT = 100_000
 
 
-def _weyl_order(degree: int) -> int:
-    return math.prod(INVARIANT_DEGREES[degree])
-
-
 @lru_cache(maxsize=None)
 def _root_table(lattice: PicardLattice):
     """(roots [N, rank], root-by-root products [N, N] int8, root -> index)."""
@@ -508,7 +504,7 @@ def stabilizer_elements_of_root_set(
     found = _root_basis(lattice, roots) if roots else None
     if found is not None:
         return _stabilizer_search(lattice, roots, *found)
-    if _weyl_order(degree) > STABILIZER_LIMIT:
+    if math.prod(INVARIANT_DEGREES[degree]) > STABILIZER_LIMIT:
         raise ResourceError(
             f"the stabilizer of {len(roots)} roots in degree {degree} is "
             f"enumerated from all of W, which has more than {STABILIZER_LIMIT} "

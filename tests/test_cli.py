@@ -169,8 +169,13 @@ def test_resolve_sequence():
         sequence = "IIb-deg2"
 
     assert isinstance(cli._resolve_sequence(Args()), census.SequencePreset)
+    Args.sequence = "[0,1,-1,-2,-1,-3]"
+    A = cli._resolve_sequence(Args())
+    assert isinstance(A, ToricSystem) and A.squares() == (0, 1, -1, -2, -1, -3)
+    # A first-kind sequence is refused before any search.
     Args.sequence = "[0,0,-1,-1,-1]"
-    assert isinstance(cli._resolve_sequence(Args()), ToricSystem)
+    with pytest.raises(InputError, match="second kind"):
+        cli._resolve_sequence(Args())
     Args.sequence = "not json"
     with pytest.raises(Exception):
         cli._resolve_sequence(Args())
@@ -190,6 +195,20 @@ def test_census_names_the_rotation(capsys):
     assert "rotate" in err and "left by 9" in err
     assert "(-1, -2, -2, -2, -1, -2, -2, -1, -2, -3)" in err
     assert "unsupported r-value" not in err
+
+
+def test_census_refuses_a_non_admissible_sequence_at_once():
+    # No system realizes these squares; the refusal comes from the
+    # classification, not from an exhausted search over every candidate.
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "delpezzo", "census", "--sequence",
+         "[-1,-2,-2,-2,-1,-2,-2,-1,-3,-2]"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == cli.EXIT_INPUT
+    assert "not an admissible sequence" in done.stderr
 
 
 def test_config_hash_stable():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 from pathlib import Path
@@ -9,7 +10,9 @@ import delpezzo
 from delpezzo.errors import InputError
 from delpezzo.picard import (
     PicardLattice,
+    class_tuples,
     format_divisor,
+    generates_lattice,
     integer_adjugate,
     parse_divisor,
     parse_divisor_list,
@@ -216,6 +219,89 @@ def test_integer_adjugate_rejects_non_square():
         integer_adjugate([[1, 2, 3], [4, 5, 6]])
 
 
+def _product_filter(lat, pools, products):
+    """Reference for class_tuples: filter the full product, in order."""
+    return [
+        xs
+        for xs in itertools.product(*pools)
+        if all(
+            lat.intersect(xs[j], xs[i]) == products[j][i]
+            for i in range(len(xs))
+            for j in range(i)
+        )
+    ]
+
+
+def test_class_tuples_match_product_filter_on_a3_roots():
+    lat = PicardLattice.standard(4)
+    roots = lat.enumerate_classes(-2)
+    a3 = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    found = list(class_tuples(lat, [roots] * 3, a3))
+    assert found == _product_filter(lat, [roots] * 3, a3)
+    assert found  # A3 embeds in D5
+
+
+@pytest.mark.parametrize("squares", [(-1, -1, -2, -1), (-2, -1, -2, -2)])
+def test_class_tuples_match_product_filter_on_toric_heads(squares):
+    # Heads A_1..A_4 of degree-5 systems (the 7a and 7b squares):
+    # consecutive products 1, all others 0.
+    lat = PicardLattice.standard(5)
+    pools = [lat.enumerate_classes(r) for r in squares]
+    k = len(squares)
+    products = [[int(i == j + 1) for i in range(k)] for j in range(k)]
+    found = list(class_tuples(lat, pools, products))
+    assert found == _product_filter(lat, pools, products)
+    assert found
+
+
+def _hermite_generates_lattice(terms, rank):
+    """The earlier Hermite-elimination span test: pivot product +-1."""
+    rows = [list(t) for t in terms]
+    det = 1
+    for col in range(rank):
+        pivot = None
+        for r in range(col, len(rows)):
+            if rows[r][col] != 0:
+                if pivot is None or abs(rows[r][col]) < abs(rows[pivot][col]):
+                    pivot = r
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        changed = True
+        while changed:
+            changed = False
+            for r in range(col + 1, len(rows)):
+                if rows[r][col] != 0:
+                    q = rows[r][col] // rows[col][col]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[col])]
+                    if rows[r][col] != 0:
+                        rows[col], rows[r] = rows[r], rows[col]
+                        changed = True
+        det *= rows[col][col]
+    return abs(det) == 1
+
+
+row_sets = st.integers(1, 4).flatmap(
+    lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=rank, max_size=rank), max_size=rank + 2
+        ),
+    )
+)
+
+
+@given(row_sets)
+def test_generates_lattice_matches_hermite(case):
+    rank, rows = case
+    assert generates_lattice(rows, rank) == _hermite_generates_lattice(rows, rank)
+
+
+def test_generates_lattice_by_hand():
+    assert not generates_lattice([(2, 0), (0, 1), (0, 3)], 2)
+    assert generates_lattice([(2, 0), (3, 0), (0, 1)], 2)
+
+
 def test_library_has_no_floating_point():
     # The exact-integer contract: no float dtypes, float linear algebra,
     # einsum (whose integer paths are easy to swap for float ones) or
@@ -226,3 +312,17 @@ def test_library_has_no_floating_point():
         text = path.read_text()
         for word in banned:
             assert word not in text, f"{path.name} uses {word}"
+
+
+def test_library_imports_at_module_level():
+    # Every import of the package sits at the top of its module, so no
+    # function hides an import cycle.
+    src = Path(delpezzo.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    assert not isinstance(node, (ast.Import, ast.ImportFrom)), (
+                        f"{path.name}:{node.lineno} imports inside {fn.name}"
+                    )

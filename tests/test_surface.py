@@ -1,5 +1,9 @@
+import hashlib
+import itertools
+
 import pytest
 
+from delpezzo.effectivity import is_lo, is_slo
 from delpezzo.errors import InputError
 from delpezzo.paper import expected_irr_lines
 from delpezzo.picard import PicardLattice, parse_divisor_list, vneg
@@ -8,8 +12,6 @@ from delpezzo.surface import (
     catalog_load,
     expected_good_zero_classes,
     find_configuration,
-    is_lo,
-    is_slo,
     parse_dynkin_type,
     surface_name,
 )
@@ -72,8 +74,6 @@ def test_degree2_configurations_have_five_orthogonal_roots():
         roots = s.simple_roots
         lat = s.lattice
         found = False
-        import itertools
-
         for combo in itertools.combinations(range(len(roots)), 5):
             if all(
                 lat.intersect(roots[i], roots[j]) == 0
@@ -131,10 +131,23 @@ def test_find_configuration_7A1():
     roots = find_configuration(2, "7A1")
     lat = PicardLattice.standard(2)
     assert len(roots) == 7
-    import itertools
-
     for r1, r2 in itertools.combinations(roots, 2):
         assert lat.intersect(r1, r2) == 0
+
+
+#: sha256 of repr([(name, simple_roots), ...]) for the degree-1 and -2
+#: catalogs, as the search with the orthogonal-roots filter chose them.
+CATALOG_ROOT_DIGESTS = {
+    1: "b2a6c9b1519ce1849a6e5080edd7b845d58ed619fb0819cf8205648c41ddda19",
+    2: "966939e62da6933625b433dfa89d6f52b6c6077e86b0ca16843882add08a6dea",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(CATALOG_ROOT_DIGESTS))
+def test_low_degree_catalog_roots_are_pinned(degree):
+    rows = [(s.name, s.simple_roots) for s in catalog_load(degree).entries]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == CATALOG_ROOT_DIGESTS[degree]
 
 
 def test_surface_model_validation():

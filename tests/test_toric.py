@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import census, paper, toric, weyl
-from delpezzo.effectivity import is_effective
+from delpezzo.effectivity import is_effective, is_lo, is_slo
 from delpezzo.errors import InputError
 from delpezzo.picard import (
     PicardLattice,
@@ -14,7 +14,7 @@ from delpezzo.picard import (
     vneg,
 )
 from delpezzo.report import Report
-from delpezzo.surface import catalog_load, is_lo, is_slo
+from delpezzo.surface import catalog_load
 from delpezzo.toric import (
     TABLE_CYCLIC_STRONG,
     ToricSystem,
