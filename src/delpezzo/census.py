@@ -19,8 +19,10 @@ root and every I(X,A) window is a (-1)-class, and W permutes these
 classes.  So every window carries a class id: looked up exactly on the
 first layer, then carried down the orbit tree, one simple reflection per
 layer.  The ids index bit masks holding the truth tables of all
-surfaces.  Test (4) runs on the survivors in batches, with the batched
-anti-class effectiveness kernel.
+surfaces.  Test (4) is one more gather: the deep windows' classes are the
+W-orbits of the initial system's deep window sums, carried down the tree
+like the others, and their verdicts on every surface come from one pass of
+the batched anti-class effectiveness kernel before the walk.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InternalError
-from .picard import PicardLattice, parse_divisor_list, vadd, vneg
+from .picard import Divisor, PicardLattice, parse_divisor_list, vadd, vneg
 from .surface import SurfaceModel, catalog_load
 from .toric import (
     ToricSystem,
@@ -66,9 +68,12 @@ class SequencePreset:
     """A named second-kind squares sequence with its initial system."""
 
     name: str
-    degree: int
     squares: tuple[int, ...]
     system_text: str
+
+    @property
+    def degree(self) -> int:
+        return 12 - len(self.squares)
 
     def initial_system(self) -> ToricSystem:
         lat = PicardLattice.standard(self.degree)
@@ -93,98 +98,83 @@ SECTION13_SYSTEM_TEXT = (
 SEQUENCE_PRESETS: dict[str, SequencePreset] = {
     p.name: p
     for p in [
-        SequencePreset("IIb-deg2", 2, IIB_DEG2_SQUARES, SECTION13_SYSTEM_TEXT),
+        SequencePreset("IIb-deg2", IIB_DEG2_SQUARES, SECTION13_SYSTEM_TEXT),
         SequencePreset(
             "VI-deg2",
-            2,
             (-2, -2, -1, -2, 0, -2, -2, -2, -1, -4),
             "E2-E3,L127,E7,E1-E7,L-E1,L234,E4-E5,E5-E6,E6,E3-E4-E5-E6",
         ),
         SequencePreset(
             "V-deg2",
-            2,
             (-2, -1, -1, 0, -2, -2, -2, -2, -1, -5),
             "E2-E3,L12,E1,L-E1,L234,E4-E5,E5-E6,E6-E7,E7,E3-E4-E5-E6-E7",
         ),
         SequencePreset(
             "IV-deg2",
-            2,
             (-2, 0, 1, -2, -2, -2, -2, -2, -1, -6),
             "E1-E2,L-E1,L,L123,E3-E4,E4-E5,E5-E6,E6-E7,E7,E2-E3-E4-E5-E6-E7",
         ),
         SequencePreset(
             "IIIc-1-deg2",
-            2,
             (-1, -2, -2, -2, 0, 0, -2, -2, -1, -6),
             "E7,E5-E7,E4-E5,E3-E4,L-E3,L-E1,E1-E2,E2-E6,E6,L1234567",
         ),
         SequencePreset(
             "IIIc-2-deg2",
-            2,
             (-1, -2, -2, -2, -2, 0, 0, -2, -1, -6),
             "E7,E5-E7,E4-E5,E3-E4,E2-E3,L-E2,L-E1,E1-E6,E6,L1234567",
         ),
         SequencePreset(
             "IIIc-3-deg2",
-            2,
             (-1, -2, -2, -2, -2, -2, 0, 0, -1, -6),
             "E7,E5-E7,E4-E5,E3-E4,E2-E3,E1-E2,L-E1,L-E6,E6,L1234567",
         ),
         SequencePreset(
             "IIIa-deg2",
-            2,
             (-1, -2, -2, -2, -2, -2, -2, 0, 1, -6),
             "E7,E6-E7,E5-E6,E4-E5,E3-E4,E2-E3,E1-E2,L-E1,L,L1234567",
         ),
         # Degree 1 (long-run only).
         SequencePreset(
             "VI-deg1",
-            1,
             (-2, -2, -1, -2, 0, -2, -2, -2, -2, -1, -5),
             "E2-E3,L127,E7,E1-E7,L-E1,L234,E4-E5,E5-E6,E6-E8,E8,"
             "E3-E4-E5-E6-E8",
         ),
         SequencePreset(
             "V-deg1",
-            1,
             (-2, -1, -1, 0, -2, -2, -2, -2, -2, -1, -6),
             "E2-E3,L12,E1,L-E1,L234,E4-E5,E5-E6,E6-E7,E7-E8,E8,"
             "E3-E4-E5-E6-E7-E8",
         ),
         SequencePreset(
             "IV-deg1",
-            1,
             (-2, 0, 1, -2, -2, -2, -2, -2, -2, -1, -7),
             "E1-E2,L-E1,L,L123,E3-E4,E4-E5,E5-E6,E6-E7,E7-E8,E8,"
             "E2-E3-E4-E5-E6-E7-E8",
         ),
         SequencePreset(
             "IIIc-1-deg1",
-            1,
             (-1, -2, -2, -2, -2, 0, 0, -2, -2, -1, -7),
             "E8,E7-E8,E5-E7,E4-E5,E3-E4,L-E3,L-E1,E1-E2,E2-E6,E6,L12345678",
         ),
         SequencePreset(
             "IIIc-2-deg1",
-            1,
             (-1, -2, -2, -2, 0, 0, -2, -2, -2, -1, -7),
             "E7,E5-E7,E4-E5,E3-E4,L-E3,L-E1,E1-E2,E2-E6,E6-E8,E8,L12345678",
         ),
         SequencePreset(
             "IIIc-3-deg1",
-            1,
             (-1, -2, -2, -2, -2, -2, 0, 0, -2, -1, -7),
             "E8,E7-E8,E5-E7,E4-E5,E3-E4,E2-E3,L-E2,L-E1,E1-E6,E6,L12345678",
         ),
         SequencePreset(
             "IIIc-4-deg1",
-            1,
             (-1, -2, -2, -2, -2, -2, -2, 0, 0, -1, -7),
             "E8,E7-E8,E5-E7,E4-E5,E3-E4,E2-E3,E1-E2,L-E1,L-E6,E6,L12345678",
         ),
         SequencePreset(
             "IIIa-deg1",
-            1,
             (-1, -2, -2, -2, -2, -2, -2, -2, 0, 1, -7),
             "E8,E7-E8,E6-E7,E5-E6,E4-E5,E3-E4,E2-E3,E1-E2,L-E1,L,L12345678",
         ),
@@ -219,12 +209,14 @@ class _WindowPlan:
     (square <= -3) all run through the last term and take test (4).
     """
 
-    n: int
-    squares: tuple[int, ...]
     root_coeffs: np.ndarray  # [w2, n] 0/1, all (-2)-windows
     root_through_n: np.ndarray  # [w2] bool, cyclic (through position n)
     ixa_coeffs: np.ndarray  # [wI, n], the I(X,A) windows
-    deep_windows: tuple[tuple[tuple[int, ...], tuple[int, int]], ...]
+    deep_coeffs: np.ndarray  # [wD, n], the windows of square <= -3
+
+    @property
+    def coeffs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.root_coeffs, self.ixa_coeffs, self.deep_coeffs
 
 
 def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
@@ -240,30 +232,25 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
         raise InputError(f"{a} is not of the second kind (a_n <= -3 required)")
     if any(x < -2 for x in a[:-1]):
         raise InputError(f"{a} is not strong admissible (a_i >= -2 for i < n)")
-    root_rows, root_through, ixa_rows, deep = [], [], [], []
-    for k, l, pos in cyclic_windows(n):
+    root_rows, ixa_rows, deep_rows = [], [], []
+    for _k, _l, pos in cyclic_windows(n):
         sq = sum(a[p] + 2 for p in pos) - 2
-        through = n - 1 in pos
         row = tuple(int(p in pos) for p in range(n))
         if sq == -2:
             root_rows.append(row)
-            root_through.append(through)
         elif sq <= -3:
-            if not through:
+            if not row[-1]:
                 raise InternalError("window of square <= -3 avoiding the last term")
-            deep.append((row, (k, l)))
+            deep_rows.append(row)
         elif is_ixa_window(a, pos):
-            if through:
+            if row[-1]:
                 raise InternalError("I(X,A) window through the last term")
             ixa_rows.append(row)
-    return _WindowPlan(
-        n=n,
-        squares=tuple(a),
-        root_coeffs=np.array(root_rows, dtype=np.int64).reshape(-1, n),
-        root_through_n=np.array(root_through, dtype=bool),
-        ixa_coeffs=np.array(ixa_rows, dtype=np.int64).reshape(-1, n),
-        deep_windows=tuple(deep),
+    root, ixa, deep = (
+        np.array(rows, dtype=np.int64).reshape(-1, n)
+        for rows in (root_rows, ixa_rows, deep_rows)
     )
+    return _WindowPlan(root, root[:, -1] == 1, ixa, deep)
 
 
 # -- class ids and per-surface bit masks --------------------------------
@@ -271,55 +258,64 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
 
 @dataclass(frozen=True)
 class _ClassTable:
-    """The r-classes of a lattice in `enumerate_classes` order; a class's id
-    is its position, and `index` maps each class to its id.  W permutes the
-    classes: `perm[i, c]` is the id of s_i(class c), s_i the i-th simple
-    reflection of `weyl.simple_reflection_roots`.  Every lattice has at
-    most 240 classes of each kind, so ids are uint8.
+    """The classes of the W-orbits through some seeds: the seeds first, in
+    order, then the classes their reflections reach, breadth first.  A
+    class's id is its position, `index` maps each class to its id, and
+    `perm[i, c]` is the id of s_i(class c), s_i the i-th simple reflection
+    of `weyl.simple_reflection_roots`.  Ids take the narrowest unsigned
+    dtype that holds them: uint8 for the (-2)- or (-1)-classes (240 at
+    most), up to uint32 for deep classes (88,560 for VI-deg1).
     """
 
     classes: np.ndarray  # [c, rank] int64
     index: dict[tuple[int, ...], int]
-    perm: np.ndarray  # [generators, c] uint8
-
-
-def _class_ids(index: dict, vectors: np.ndarray, what: str) -> np.ndarray:
-    """uint8 ids of the integer vectors [..., rank], looked up exactly in a
-    class table's `index`."""
-    rows = vectors.reshape(-1, vectors.shape[-1]).tolist()
-    try:
-        ids = [index[tuple(v)] for v in rows]
-    except KeyError:
-        raise InternalError(
-            f"window sum is not a {what} (invariant violated)"
-        ) from None
-    return np.array(ids, dtype=np.uint8).reshape(vectors.shape[:-1])
+    perm: np.ndarray  # [generators, c]
 
 
 @lru_cache(maxsize=None)
-def _class_table(lattice: PicardLattice, r: int) -> _ClassTable:
-    listed = lattice.enumerate_classes(r)
-    classes = np.array(listed, dtype=np.int64)
-    index = {c: i for i, c in enumerate(listed)}
-    generators = len(weyl.simple_reflection_roots(lattice))
-    images = np.repeat(classes[None], generators, axis=0)
-    for i, image in enumerate(images):
-        weyl.reflect_rows(image, i)
-    table = _ClassTable(classes, index, _class_ids(index, images, f"{r}-class"))
+def _class_table(lattice: PicardLattice, seeds: tuple[Divisor, ...]) -> _ClassTable:
+    index = {c: i for i, c in enumerate(dict.fromkeys(seeds))}
+    perm: list[list[int]] = [[] for _ in weyl.simple_reflection_roots(lattice)]
+    done = 0
+    while done < len(index):  # reflect the classes found in the last round
+        block = np.array(list(index)[done:], dtype=np.int64)
+        done = len(index)
+        for i, ids in enumerate(perm):
+            image = block.copy()
+            weyl.reflect_rows(image, i)
+            ids += [index.setdefault(c, len(index)) for c in map(tuple, image.tolist())]
+    table = _ClassTable(
+        np.array(list(index), dtype=np.int64),
+        index,
+        np.array(perm, dtype=np.min_scalar_type(len(index) - 1)),
+    )
     for arr in (table.classes, table.perm):
         arr.flags.writeable = False  # cached and shared by every caller
     return table
 
 
+def _window_tables(A0: ToricSystem, plan: _WindowPlan) -> tuple[_ClassTable, ...]:
+    """The class tables of the (-2)-, I(X,A) and deep windows of W.A0: all
+    (-2)- and (-1)-classes of the lattice, and the W-orbits of A0's deep
+    window sums (the r-spheres of the deep windows are not single orbits)."""
+    lat = A0.lattice
+    deep = plan.deep_coeffs @ np.array(A0.terms, dtype=np.int64)
+    return (
+        _class_table(lat, lat.enumerate_classes(-2)),
+        _class_table(lat, lat.enumerate_classes(-1)),
+        _class_table(lat, tuple(map(tuple, deep.tolist()))),
+    )
+
+
 def _window_sums(plan: _WindowPlan, part: np.ndarray):
-    """int64 sums [m, w2, rank] and [m, wI, rank] of the (-2)- and I(X,A)
-    windows of the systems part [m, n, rank] (any integer dtype)."""
-    return plan.root_coeffs @ part, plan.ixa_coeffs @ part
+    """int64 sums [m, w, rank] of the (-2)-, I(X,A) and deep windows of the
+    systems part [m, n, rank] (any integer dtype)."""
+    return tuple(c @ part for c in plan.coeffs)
 
 
-def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
-    """Class ids [N, w2] and [N, wI] (uint8) of the windows of every system
-    of the layer.
+def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
+    """Class ids [N, w2], [N, wI] and [N, wD] of the windows of every system
+    of the layer, in the dtypes of the `_window_tables` tables.
 
     Layer 0 is looked up exactly from its window sums.  On every later
     layer a row's windows are its parent's windows reflected by the row's
@@ -329,17 +325,20 @@ def _layer_ids(lattice, plan, layer: weyl.OrbitLayer, prev, test_mode: bool):
     every row.
     """
     arr = layer.payload
-    tables = (_class_table(lattice, -2), _class_table(lattice, -1))
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, arr.shape[0], _CHUNK_ROWS)]
     out = tuple(
-        np.empty((arr.shape[0], c.shape[0]), dtype=np.uint8)
-        for c in (plan.root_coeffs, plan.ixa_coeffs)
+        np.empty((arr.shape[0], c.shape[0]), dtype=t.perm.dtype)
+        for t, c in zip(tables, plan.coeffs)
     )
-    if layer.parents is None:
-        for rows in chunks:
-            sums = _window_sums(plan, arr[rows])
-            for t, o, x, what in zip(tables, out, sums, ("(-2)-class", "(-1)-class")):
-                o[rows] = _class_ids(t.index, x, what)
+    if layer.parents is None:  # the initial system alone
+        kinds = ("(-2)-class", "(-1)-class", "deep-window class")
+        for t, o, x, what in zip(tables, out, _window_sums(plan, arr), kinds):
+            try:
+                o[:] = [[t.index[tuple(v)] for v in row] for row in x.tolist()]
+            except KeyError:
+                raise InternalError(
+                    f"window sum is not a {what} (invariant violated)"
+                ) from None
         return out
     blocks = layer.blocks
     for i, (start, end) in enumerate(zip(blocks[:-1], blocks[1:])):
@@ -367,33 +366,55 @@ class _SurfaceMasks:
     root_anti: np.ndarray  # [c2] uint64: -r is effective
     root_eff: np.ndarray  # [c2] uint64: r is effective
     line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (degree 1)
+    deep_anti: np.ndarray  # [cD] uint64: -D is effective
 
 
-def _surface_masks(
-    lattice: PicardLattice, surfaces: tuple[SurfaceModel, ...]
-) -> _SurfaceMasks:
+def _bits(verdicts) -> np.ndarray:
+    """The uint64 masks [c] of boolean verdicts [c, surfaces]."""
+    verdicts = np.asarray(verdicts, dtype=np.uint64)
+    shifts = np.arange(verdicts.shape[1], dtype=np.uint64)
+    return np.bitwise_or.reduce(verdicts << shifts, axis=1)
+
+
+def _surface_masks(lattice, tables, surfaces, test_mode: bool) -> _SurfaceMasks:
+    """The masks of the `_window_tables` classes.  The deep verdicts come
+    from the batched anti-class kernel, a block of classes on every surface
+    per call; under test_mode every one is checked against `is_effective`."""
     if len(surfaces) > 64:
         raise InputError(f"a census covers at most 64 surfaces, not {len(surfaces)}")
-    root_list = [tuple(r) for r in _class_table(lattice, -2).classes.tolist()]
-    line_list = [tuple(c) for c in _class_table(lattice, -1).classes.tolist()]
-    masks = _SurfaceMasks(
-        np.zeros(len(root_list), dtype=np.uint64),
-        np.zeros(len(root_list), dtype=np.uint64),
-        np.zeros(len(line_list), dtype=np.uint64),
-    )
-    for t, s in enumerate(surfaces):
-        bit = np.uint64(1 << t)
-        eff = s.effective_roots_set()
-        irr = s.irr_lines_set()
-        masks.root_anti[[vneg(r) in eff for r in root_list]] |= bit
-        masks.root_eff[[r in eff for r in root_list]] |= bit
-        # In degree 1 a (-1)-class C is slo iff C + K is not effective.
-        fail = [
-            c in irr or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
-            for c in line_list
+    roots, lines = ([tuple(c) for c in t.classes.tolist()] for t in tables[:2])
+    effs = [s.effective_roots_set() for s in surfaces]
+    # In degree 1 a (-1)-class C is slo iff C + K is not effective.
+    line_fail = [
+        [
+            c in s.irr_lines_set()
+            or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
+            for s, eff in zip(surfaces, effs)
         ]
-        masks.line_fail[fail] |= bit
-    return masks
+        for c in lines
+    ]
+    stacks = root_stacks(surfaces)
+    which = np.arange(len(surfaces))
+    step = max(1, 1024 // len(surfaces))  # bounds the kernel's [B, rank, R] gathers
+    deep_anti = []
+    for lo in range(0, tables[2].classes.shape[0], step):
+        anti = -tables[2].classes[lo : lo + step]
+        deep_anti += anticlass_effective(
+            stacks, np.repeat(anti, which.size, axis=0), np.tile(which, anti.shape[0])
+        ).reshape(anti.shape[0], which.size).tolist()
+        for d, row in zip(anti.tolist() if test_mode else (), deep_anti[lo:]):
+            for s, fast in zip(surfaces, row):
+                if is_effective(s, tuple(d)) != fast:
+                    raise InternalError(
+                        f"fast anti-class test disagrees with the general "
+                        f"test on {tuple(d)} ({s.name})"
+                    )
+    return _SurfaceMasks(
+        _bits([[vneg(r) in eff for eff in effs] for r in roots]),
+        _bits([[r in eff for eff in effs] for r in roots]),
+        _bits(line_fail),
+        _bits(deep_anti),
+    )
 
 
 # -- stabilizers --------------------------------------------------------
@@ -460,13 +481,16 @@ class CensusRun:
 
     `stats` counts the sweep's work: `rows` (orbit rows scanned),
     `deep_candidates` (rows passing tests (1)-(3), keyed "surface/mode"),
-    `deep_tests` (one per row, surface, mode and deep window tested) and
-    `deep_cross_checks` (deep verdicts checked against `is_effective`
-    under test_mode).  It times each phase in seconds: `orbit_s` (the
-    orbit walk), `window_ids_s` (window class ids), `mask_tests_s` (tests
-    (1)-(3)), `deep_tests_s` (test (4)), and in finalize `canonicalize_s`
-    and `reverify_s` (0 without finalize); `representatives_verified`
-    counts the representatives re-verified.
+    `deep_tests` (per candidate, its deep windows in plan order up to the
+    first with an effective anti-class, or all of them) and
+    `deep_cross_checks` (under test_mode, the deep verdicts checked against
+    `is_effective`: every deep class on every surface).  It times each
+    phase in seconds: `orbit_s` (the orbit walk), `window_ids_s` (class
+    tables and window class ids), `mask_tests_s` (tests (1)-(3)),
+    `deep_tests_s` (test (4): the surface masks and the candidates' deep
+    gathers), and in finalize `canonicalize_s` and `reverify_s` (0 without
+    finalize); `representatives_verified` counts the representatives
+    re-verified.
     """
 
     preset_name: str
@@ -481,8 +505,6 @@ class CensusRun:
 _CHUNK_ROWS = 4096
 #: Phase timers (seconds) of `CensusRun.stats` filled by the sweep.
 SWEEP_TIMERS = ("orbit_s", "window_ids_s", "mask_tests_s", "deep_tests_s")
-#: Buffered deep-test candidates that trigger a flush before the layer ends.
-_DEEP_BATCH_ROWS = 512
 
 
 #: The census checkpoint's file name inside a checkpoint directory.
@@ -548,12 +570,10 @@ def _census_sweep(
     Tests (1)-(3) run on whole chunks for all surfaces at once: the window
     class ids of each layer (`_layer_ids`, carried down the orbit tree)
     gather the surfaces' bit masks, and an OR over the windows gives each
-    row's failure bits.  Only two layers of ids are held at a time, w2 + wI
-    bytes per row each.  The survivors, buffered as (layer row, surface,
-    mode), take test (4) in batches, one `anticlass_effective` call per
-    deep window; a row leaves the batch at its first effective deep
-    anti-class.  The buffer is flushed at the end of every layer and
-    whenever it holds `_DEEP_BATCH_ROWS` candidates.
+    row's failure bits.  Each (row, surface, mode) that passes is a
+    candidate for test (4): its deep window ids gather `deep_anti`, and it
+    is a counterexample when the surface's bit is clear in every one.  Only
+    two layers of ids are held at a time, w2 + wI + wD ids per row each.
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
     counterexamples and walks the orbit again from layer 0, testing only
@@ -563,46 +583,23 @@ def _census_sweep(
     mode) to the list of counterexample system arrays in deterministic
     orbit order.
     """
-    lat = A0.lattice
     plan = _window_plan(A0.squares())
-    masks = _surface_masks(lat, surfaces)
-    stacks = root_stacks(surfaces)
+    start = time.perf_counter()
+    tables = _window_tables(A0, plan)
+    built = time.perf_counter()
+    masks = _surface_masks(A0.lattice, tables, surfaces, test_mode)
+    stats = {"rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
+    stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
+    stats.update(window_ids_s=built - start, deep_tests_s=time.perf_counter() - built)
+    if test_mode:
+        stats["deep_cross_checks"] = masks.deep_anti.size * len(surfaces)
     noncyc = ~plan.root_through_n
-    deep_terms = [np.flatnonzero(row) for row, _ in plan.deep_windows]
     everyone = np.uint64((1 << len(surfaces)) - 1)
     bit_shifts = np.arange(len(surfaces), dtype=np.uint64)
     store: dict[tuple[str, str], list[np.ndarray]] = {
         (s.name, mode): [] for s in surfaces for mode in modes
     }
-    stats = {"rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
-    stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
     candidates = np.zeros((len(modes), len(surfaces)), dtype=np.int64)
-    pending: list[tuple[np.ndarray, np.ndarray, int]] = []  # rows, surfaces, mode
-
-    def flush(arr: np.ndarray) -> None:
-        start = time.perf_counter()
-        rows = np.concatenate([p[0] for p in pending])
-        which = np.concatenate([p[1] for p in pending])
-        mode_of = np.concatenate([np.full(p[0].size, p[2]) for p in pending])
-        pending.clear()
-        alive = np.arange(rows.size)
-        for terms in deep_terms:
-            d = -arr[rows[alive, None], terms].sum(axis=1)
-            verdict = anticlass_effective(stacks, d, which[alive])
-            stats["deep_tests"] += alive.size
-            if test_mode:
-                for row_d, t, fast in zip(d.tolist(), which[alive], verdict):
-                    if is_effective(surfaces[t], tuple(row_d)) != fast:
-                        raise InternalError(
-                            f"fast anti-class test disagrees with the general "
-                            f"test on {tuple(row_d)} ({surfaces[t].name})"
-                        )
-                stats["deep_cross_checks"] += alive.size
-            alive = alive[~verdict]
-        for i in alive:
-            key = (surfaces[which[i]].name, modes[mode_of[i]])
-            store[key].append(arr[rows[i]].copy())
-        stats["deep_tests_s"] += time.perf_counter() - start
 
     config = {  # what a checkpoint is bound to
         "terms": [list(t) for t in A0.terms],
@@ -626,29 +623,35 @@ def _census_sweep(
         arr = layer.payload
         stats["rows"] += arr.shape[0]
         start = time.perf_counter()
-        ids = _layer_ids(lat, plan, layer, ids, test_mode)
+        ids = _layer_ids(plan, tables, layer, ids, test_mode)
         stats["window_ids_s"] += time.perf_counter() - start
         if layer.index <= done:
             continue
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
-            ids2, idsI = (x[lo : lo + _CHUNK_ROWS] for x in ids)
+            ids2, idsI, idsD = (x[lo : lo + _CHUNK_ROWS] for x in ids)
             anti = np.bitwise_or.reduce(masks.root_anti[ids2], axis=1)
             eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[:, noncyc]], axis=1)
             fail3 = np.bitwise_or.reduce(masks.line_fail[idsI], axis=1)
             base = ~(anti | fail3) & everyone
             for m, mode in enumerate(modes):
                 ok = base & ~eff2 if mode == "strong" else base
-                if not ok.any():
-                    continue
                 rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
                 candidates[m] += np.bincount(which, minlength=len(surfaces))
-                pending.append((rows + lo, which, m))
-            stats["mask_tests_s"] += time.perf_counter() - start
-            if sum(p[0].size for p in pending) >= _DEEP_BATCH_ROWS:
-                flush(arr)
-        if pending:
-            flush(arr)
+                tested = time.perf_counter()
+                stats["mask_tests_s"] += tested - start
+                # Test (4): hit[j, w] is the verdict of candidate j's surface
+                # on its w-th deep window; the first hit ends its tests.
+                bits = masks.deep_anti[idsD[rows]] >> bit_shifts[which, None]
+                hit = (bits & np.uint64(1)).astype(bool)
+                found = ~hit.any(axis=1)
+                stats["deep_tests"] += int(
+                    np.where(found, hit.shape[1], hit.argmax(axis=1) + 1).sum()
+                )
+                for row, t in zip((rows[found] + lo).tolist(), which[found].tolist()):
+                    store[(surfaces[t].name, mode)].append(arr[row].copy())
+                start = time.perf_counter()
+                stats["deep_tests_s"] += start - tested
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, config, layer.index, store, arr)
     stats["deep_candidates"] = {
@@ -801,32 +804,28 @@ def census_for_preset(
         squares = A0.squares()
         by_name = {s.name: s for s in surfaces}
         for (sname, mode), rows in sorted(store.items()):
-            stab_order = _stabilizer_order(degree, sname)
-            if not rows:
-                records[(sname, mode)] = CensusRecord(
-                    sname, squares, mode, 0, stab_order, 0, ()
-                )
-                continue
-            elements = stabilizer_table(degree)[sname]
-            if elements is None:
-                raise InternalError(
-                    "counterexamples on a surface without (-2)-curves"
-                )
-            start = time.perf_counter()
-            reps = _canonicalize(A0.lattice, rows, elements)
-            stats["canonicalize_s"] += time.perf_counter() - start
-            record = CensusRecord(
-                sname, squares, mode, len(rows), stab_order, len(reps), reps
-            )
-            start = time.perf_counter()
-            _verify_representatives(by_name[sname], mode, reps)
-            stats["reverify_s"] += time.perf_counter() - start
-            stats["representatives_verified"] += len(reps)
+            reps = ()
+            if rows:
+                elements = stabilizer_table(degree)[sname]
+                if elements is None:
+                    raise InternalError(
+                        "counterexamples on a surface without (-2)-curves"
+                    )
+                start = time.perf_counter()
+                reps = _canonicalize(A0.lattice, rows, elements)
+                verify = time.perf_counter()
+                _verify_representatives(by_name[sname], mode, reps)
+                stats["canonicalize_s"] += verify - start
+                stats["reverify_s"] += time.perf_counter() - verify
+                stats["representatives_verified"] += len(reps)
             if mode == "strong" and len(rows) >= 0.003 * orbit_total:
                 raise InternalError(
                     f"{sname}: counterexample fraction exceeds 0.3%"
                 )
-            records[(sname, mode)] = record
+            records[(sname, mode)] = CensusRecord(
+                sname, squares, mode, len(rows), _stabilizer_order(degree, sname),
+                len(reps), reps,
+            )
     return CensusRun(
         preset_name=name,
         squares=A0.squares(),

@@ -18,6 +18,7 @@ Two deciders plus a search oracle:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -249,25 +250,29 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
     lines = tuple(sorted(s.irr_lines_set()))
     minus_k = vneg(lat.canonical)
     gens = (minus_k,) + lines
-    weights = tuple(lat.intersect(g, vneg(lat.canonical)) for g in gens)
+    # x . g is the dot product of x with the Gram image of g: every tuple
+    # the search builds has the length of d, checked once above.
+    images = [
+        tuple(sum(map(operator.mul, row, g)) for row in lat.gram) for g in gens
+    ]
+
+    def pair(x: Divisor, j: int) -> int:
+        return sum(map(operator.mul, x, images[j]))
+
+    weights = tuple(pair(g, 0) for g in gens)
     failures: set[tuple[int, Divisor]] = set()
 
-    def residual_ok(current: Divisor) -> bool:
-        if lat.k_product(current) != 0:
-            return False
-        return solve_root_combination(s, current) is not None
-
     def search(idx: int, current: Divisor) -> bool:
-        budget = lat.intersect(current, vneg(lat.canonical))
+        budget = pair(current, 0)
         if budget < 0 or current[0] < 0:
             return False
         # Generators already passed pair >= 0 with everything still
         # available, so a negative product with one of them is fatal.
         for j in range(1, idx):
-            if lat.intersect(current, gens[j]) < 0:
+            if pair(current, j) < 0:
                 return False
-        if idx == len(gens):
-            return residual_ok(current)
+        if idx == len(gens):  # the rest must be a root combination: K.rest = 0
+            return budget == 0 and solve_root_combination(s, current) is not None
         key = (idx, current)
         if key in failures:
             return False
@@ -278,7 +283,7 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
         for mult in range(max_mult + 1):
             if search(idx + 1, sub):
                 return True
-            sub = vsub(sub, step)
+            sub = tuple(map(operator.sub, sub, step))
         failures.add(key)
         return False
 

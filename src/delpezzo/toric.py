@@ -720,10 +720,10 @@ def find_system_with_squares(
     that `picard.class_tuples` yields (consecutive products 1, others 0)
     whose forced last term -K - (A_1 + ... + A_{n-1}) completes a system.
 
-    All entries except the last must lie in the enumerable range.  A
-    sequence whose one entry below -2 is not last is rotated to put it
-    last, as `classify_sequence` does, and the system found is shifted
-    back."""
+    Every entry except the one below -2 (the last, if there is none) must
+    lie in -2..1, the range `enumerate_classes` covers.  A sequence whose
+    one entry below -2 is not last is rotated to put it last, as
+    `classify_sequence` does, and the system found is shifted back."""
     squares = tuple(int(x) for x in squares)
     n = len(squares)
     if n != 12 - lattice.degree:
@@ -732,6 +732,12 @@ def find_system_with_squares(
             f"{12 - lattice.degree}"
         )
     low = [i for i, x in enumerate(squares) if x < -2]
+    skip = low[0] if len(low) == 1 else n - 1
+    if any(not -2 <= x <= 1 for i, x in enumerate(squares) if i != skip):
+        raise InputError(
+            f"cannot search for a system with squares {squares}: every entry "
+            f"except the one below -2 must lie in -2..1"
+        )
     if len(low) == 1 and low[0] != n - 1:
         k = low[0] + 1
         A = find_system_with_squares(lattice, squares[k:] + squares[:k])

@@ -90,8 +90,11 @@ def test_criterion_09_effectiveness_oracles(iib_run):
                 want = brute_force_effective(s, d, bound)
                 assert got == want, (s.name, d)
                 checked += 1
+    A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
     cross = iib_run.stats["deep_cross_checks"]
-    ok = checked >= 52_000 and cross == iib_run.stats["deep_tests"] > 0
+    deep_verdicts = deep.classes.shape[0] * len(catalog_load(2).entries)
+    ok = checked >= 52_000 and cross == deep_verdicts > 0
     _gate(
         9,
         "effectiveness deciders agree with the search oracle",

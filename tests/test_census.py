@@ -7,7 +7,7 @@ from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
 from delpezzo.surface import catalog_load
-from delpezzo.toric import ToricSystem, blow_down, classify_sequence
+from delpezzo.toric import ToricSystem, blow_down, classify_sequence, cyclic_windows
 
 
 def test_presets_validate():
@@ -22,29 +22,41 @@ def test_window_plan_iib():
     plan = census._window_plan(census.IIB_DEG2_SQUARES)
     assert int(plan.root_through_n.sum()) == 11
     assert plan.ixa_coeffs.shape[0] == 22
-    assert len(plan.deep_windows) == 2
-    assert {kl for _row, kl in plan.deep_windows} == {(10, 10), (9, 10)}
+    assert plan.deep_coeffs.shape == (2, 10)
+    deep = {tuple(row) for row in plan.deep_coeffs.tolist()}
+    windows = {
+        (k, l)
+        for k, l, pos in cyclic_windows(10)
+        if tuple(int(p in pos) for p in range(10)) in deep
+    }
+    assert windows == {(10, 10), (9, 10)}
 
 
 @pytest.mark.parametrize("preset", ["IIb-deg2", "VI-deg1"])
-def test_window_keys_match_packed_window_sums(preset):
+def test_window_ids_match_window_sums(preset):
     # Reference: every window sum formed explicitly and found by its
-    # coordinates among the enumerated classes; the sweep's ids, carried
-    # down the orbit tree from layer 0, must be the positions found.
+    # coordinates among the enumerated classes, or in the deep table's
+    # index; the sweep's ids, carried down the orbit tree from layer 0,
+    # must be the positions found.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
+    tables = census._window_tables(A0, plan)
+    deep_dtype = {"IIb-deg2": np.uint16, "VI-deg1": np.uint32}[preset]
     rows = 0
     ids = None
     for layer in weyl.orbit_layers(lat, A0.terms, max_layers=6):
         part = layer.payload
-        ids = census._layer_ids(lat, plan, layer, ids, False)
-        for r, coeffs, got in zip((-2, -1), (plan.root_coeffs, plan.ixa_coeffs), ids):
-            table = census._class_table(lat, r)
-            position = {c: i for i, c in enumerate(lat.enumerate_classes(r))}
+        ids = census._layer_ids(plan, tables, layer, ids, False)
+        for r, coeffs, table, got in zip((-2, -1, None), plan.coeffs, tables, ids):
+            if r is None:
+                position = table.index
+                assert got.dtype == deep_dtype
+            else:
+                position = {c: i for i, c in enumerate(lat.enumerate_classes(r))}
+                assert got.dtype == np.uint8
             sums = np.einsum("wi,mir->mwr", coeffs, part)
             idx = [[position[tuple(v)] for v in row] for row in sums.tolist()]
-            assert got.dtype == np.uint8
             assert np.array_equal(got, np.array(idx).reshape(got.shape))
             assert np.array_equal(table.classes[got], sums)
         rows += part.shape[0]
@@ -54,16 +66,36 @@ def test_window_keys_match_packed_window_sums(preset):
 @pytest.mark.parametrize("degree", [7, 6, 5, 4, 3, 2, 1])
 def test_class_table_is_a_bijection(degree):
     # Every perm[i] permutes the class ids, is an involution (s_i^2 = 1)
-    # and sends each class to its image under `reflect_rows`.
+    # and sends each class to its image under `reflect_rows`: on the
+    # (-2)- and (-1)-classes, and on the deep tables of IIb-deg2, VI-deg2
+    # and a degree-3 blow-down (the W-orbits of their deep window sums).
     lat = PicardLattice.standard(degree)
     generators = len(weyl.simple_reflection_roots(lat))
+    tables = []
     for r in (-2, -1):
-        table = census._class_table(lat, r)
+        table = census._class_table(lat, lat.enumerate_classes(r))
         count = len(lat.enumerate_classes(r))
         assert table.classes.shape[0] == count
         assert set(map(tuple, table.classes.tolist())) == set(lat.enumerate_classes(r))
-        assert table.perm.shape == (generators, count)
         assert table.perm.dtype == np.uint8
+        tables.append(table)
+    presets = census.SEQUENCE_PRESETS
+    deep_sources = {
+        2: [presets[p].initial_system() for p in ("IIb-deg2", "VI-deg2")],
+        3: [_deg3_system("VI-deg2", 3)],
+    }
+    for A0 in deep_sources.get(degree, []):
+        table = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+        assert table.perm.dtype == np.min_scalar_type(table.classes.shape[0] - 1)
+        assert table.perm.dtype in (np.uint8, np.uint16)
+        assert {table.index[tuple(c)] for c in table.classes.tolist()} == set(
+            range(table.classes.shape[0])
+        )
+        tables.append(table)
+    assert len(tables) == 2 + len(deep_sources.get(degree, []))
+    for table in tables:
+        count = table.classes.shape[0]
+        assert table.perm.shape == (generators, count)
         for i in range(generators):
             perm = table.perm[i].astype(np.intp)
             assert np.array_equal(np.sort(perm), np.arange(count))
@@ -79,16 +111,16 @@ def test_window_keys_reject_non_classes():
     A0 = census.section13_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
+    tables = census._window_tables(A0, plan)
     part = np.array([A0.terms], dtype=np.int64)
     marker = np.array([weyl.regular_marker(lat)])
     for factor in (2, 127):
         layer = weyl.OrbitLayer(0, marker, factor * part, 1)
         with pytest.raises(InternalError, match="not a \\(-2\\)-class"):
-            census._layer_ids(lat, plan, layer, None, False)
+            census._layer_ids(plan, tables, layer, None, False)
     layer = weyl.OrbitLayer(0, marker, part, 1)
     assert all(ids.shape == (1, c.shape[0]) for ids, c in zip(
-        census._layer_ids(lat, plan, layer, None, False),
-        (plan.root_coeffs, plan.ixa_coeffs),
+        census._layer_ids(plan, tables, layer, None, False), plan.coeffs
     ))
 
 
@@ -174,7 +206,7 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
     formed explicitly, with the general effectivity test for (4)."""
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
-    deep = [np.array(row) for row, _ in plan.deep_windows]
+    deep = list(plan.deep_coeffs)
     store = {(s.name, mode): [] for s in surfaces for mode in modes}
     candidates = {f"{s.name}/{mode}": 0 for s in surfaces for mode in modes}
     deep_tests = 0
@@ -231,15 +263,12 @@ _SWEEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("batch_rows", [512, 5])
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
-def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
+def test_sweep_matches_per_row_reference(case):
     make, pick, modes, layers = _SWEEP_CASES[case]
     A0 = make()
     catalog = catalog_load(A0.lattice.degree)
     surfaces = catalog.entries if pick is None else [catalog.get(x) for x in pick]
-    # A small batch bound also exercises the flushes inside a layer.
-    monkeypatch.setattr(census, "_DEEP_BATCH_ROWS", batch_rows)
     total, store, stats = census._census_sweep(
         A0, tuple(surfaces), modes, False, layers
     )
@@ -254,27 +283,30 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
 
 
 def test_sweep_cross_checks_every_deep_test():
-    run = census.census_for_preset(
-        _deg3_system("VI-deg2", 3), max_layers=7, finalize=False, test_mode=True
-    )
+    # Under test_mode every deep verdict the sweep can read, each deep
+    # class on each surface, is checked against `is_effective`.
+    A0 = _deg3_system("VI-deg2", 3)
+    run = census.census_for_preset(A0, max_layers=7, finalize=False, test_mode=True)
+    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+    surfaces = len(catalog_load(3).entries)
     assert run.stats["deep_tests"] > 0
-    assert run.stats["deep_cross_checks"] == run.stats["deep_tests"]
+    assert run.stats["deep_cross_checks"] == deep.classes.shape[0] * surfaces > 0
 
 
 def test_surface_masks_reject_more_than_64_surfaces():
     s = catalog_load(3).get("A1")
     with pytest.raises(InputError, match="64 surfaces"):
-        census._surface_masks(s.lattice, (s,) * 65)
+        census._surface_masks(s.lattice, (), (s,) * 65, False)
 
 
 def _corrupt_table(monkeypatch, r, corrupt):
-    """Make `census._class_table(lat, r)` return a table whose perm is
-    `corrupt(perm)`."""
+    """Make `census._class_table(lat, lat.enumerate_classes(r))` return a
+    table whose perm is `corrupt(perm)`."""
     real = census._class_table
 
-    def table(lattice, rr):
-        t = real(lattice, rr)
-        if rr != r:
+    def table(lattice, seeds):
+        t = real(lattice, seeds)
+        if seeds != lattice.enumerate_classes(r):
             return t
         return census._ClassTable(t.classes, t.index, corrupt(t.perm.copy()))
 

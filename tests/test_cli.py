@@ -211,6 +211,17 @@ def test_census_refuses_a_non_admissible_sequence_at_once():
     assert "not an admissible sequence" in done.stderr
 
 
+def test_census_refuses_an_entry_outside_the_class_range(capsys):
+    # A second-kind sequence of degree 6 with an entry 2: no system search
+    # reaches it, and the message names the sequence and the range.
+    code = cli.main(["census", "--sequence", "[-2,-1,-2,2,0,-3]"])
+    assert code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "(-2, -1, -2, 2, 0, -3)" in err
+    assert "every entry except the one below -2 must lie in -2..1" in err
+    assert "unsupported r-value" not in err
+
+
 def test_config_hash_stable():
     parser = cli.build_parser()
     a1 = parser.parse_args(["surfaces", "--degree", "3"])

@@ -204,8 +204,8 @@ def test_anticlass_kernel_matches_loop(source, layers):
     anticlasses = [
         tuple(d)
         for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=layers)
-        for row, _ in plan.deep_windows
-        for d in (-(np.array(row) @ layer.payload)).tolist()
+        for row in plan.deep_coeffs
+        for d in (-(row @ layer.payload)).tolist()
     ]
     surfaces = catalog_load(A0.lattice.degree).entries
     pairs = [(d, t) for d in anticlasses for t in range(len(surfaces))]

@@ -435,7 +435,7 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         assert plan.root_coeffs.tolist() == root_rows
         assert plan.root_through_n.tolist() == root_through
         assert plan.ixa_coeffs.tolist() == ixa_rows
-        assert plan.deep_windows == deep
+        assert plan.deep_coeffs.tolist() == [list(row) for row, _ in deep]
 
     # The classification suite's window checks, degree-5 search left out.
     monkeypatch.setattr(paper, "verify_degree5_negative", lambda: Report("skipped"))
