@@ -263,12 +263,16 @@ _SWEEP_CASES = {
 }
 
 
+@pytest.mark.parametrize("batch_rows", [512, 5])
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
-def test_sweep_matches_per_row_reference(case):
+def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     make, pick, modes, layers = _SWEEP_CASES[case]
     A0 = make()
     catalog = catalog_load(A0.lattice.degree)
     surfaces = catalog.entries if pick is None else [catalog.get(x) for x in pick]
+    # A small chunk bound also exercises the chunk boundaries inside a
+    # layer, both in carrying the window ids and in the sweep's tests.
+    monkeypatch.setattr(census, "_CHUNK_ROWS", batch_rows)
     total, store, stats = census._census_sweep(
         A0, tuple(surfaces), modes, False, layers
     )
