@@ -14,15 +14,17 @@ toric system that is not an augmentation in any sense.  Counting is up
 to the stabilizer of the surface's set of irreducible (-2)-curves
 ("essentially different" systems).
 
-Tests (1)-(3) are vectorized: every (-2)-window of a toric system is a
-root and every I(X,A) window is a (-1)-class, and W permutes these
-classes.  So every window carries a class id: looked up exactly on the
-first layer, then carried down the orbit tree, one simple reflection per
-layer.  The ids index bit masks holding the truth tables of all
-surfaces.  Test (4) is one more gather: the deep windows' classes are the
-W-orbits of the initial system's deep window sums, carried down the tree
-like the others, and their verdicts on every surface come from one pass of
-the batched anti-class effectiveness kernel before the walk.
+Which windows each test takes is read off the squares sequence
+(`toric.window_squares`).  Tests (1)-(3) are vectorized: every
+(-2)-window of a toric system is a root and every I(X,A) window is a
+(-1)-class, and W permutes these classes.  So every window carries a
+class id: looked up exactly on the first layer, then carried down the
+orbit tree, one simple reflection per layer.  The ids index bit masks
+holding the truth tables of all surfaces.  Test (4) is one more gather:
+the deep windows' classes are the W-orbits of the initial system's deep
+window sums, carried down the tree like the others, and their verdicts on
+every surface come from one pass of the batched anti-class effectiveness
+kernel before the walk.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .toric import (
     is_exceptional,
     is_ixa_window,
     is_strong_exceptional,
+    low_entry_rotation,
+    window_squares,
 )
 from .effectivity import anticlass_effective, is_effective, is_hole, root_stacks
 from . import __version__, weyl
@@ -221,20 +225,16 @@ class _WindowPlan:
 
 def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
     n = len(a)
-    low = [i for i, x in enumerate(a) if x < -2]
-    if len(low) == 1 and low[0] != n - 1:
-        k = low[0] + 1
+    k = low_entry_rotation(a)
+    if k:
         raise InputError(
             f"the census needs the entry below -2 last: rotate {a} left by "
             f"{k} to {a[k:] + a[:k]}"
         )
     if a[-1] > -3:
         raise InputError(f"{a} is not of the second kind (a_n <= -3 required)")
-    if any(x < -2 for x in a[:-1]):
-        raise InputError(f"{a} is not strong admissible (a_i >= -2 for i < n)")
     root_rows, ixa_rows, deep_rows = [], [], []
-    for _k, _l, pos in cyclic_windows(n):
-        sq = sum(a[p] + 2 for p in pos) - 2
+    for (_k, _l, pos), sq in zip(cyclic_windows(n), window_squares(a)):
         row = tuple(int(p in pos) for p in range(n))
         if sq == -2:
             root_rows.append(row)
@@ -421,31 +421,30 @@ def _surface_masks(lattice, tables, surfaces, test_mode: bool) -> _SurfaceMasks:
 
 
 @lru_cache(maxsize=None)
+def stabilizer_elements(degree: int, simple_roots: tuple[Divisor, ...]):
+    """`weyl.stabilizer_elements_of_root_set`, cached by the roots (never by
+    a surface's name); None for a del Pezzo surface, stabilized by all of W."""
+    if simple_roots:
+        return weyl.stabilizer_elements_of_root_set(degree, simple_roots)
+    return None
+
+
 def stabilizer_table(degree: int) -> dict[str, tuple[weyl.WeylElement, ...] | None]:
-    """Stabilizer elements of every catalog surface's simple-root set
-    (`weyl.stabilizer_elements_of_root_set`).  The del Pezzo entry maps to
-    None (its stabilizer is all of W).
-    """
+    """`stabilizer_elements` of every catalog surface, by name."""
     return {
-        s.name: (
-            weyl.stabilizer_elements_of_root_set(degree, s.simple_roots)
-            if s.simple_roots
-            else None
-        )
+        s.name: stabilizer_elements(degree, s.simple_roots)
         for s in catalog_load(degree).entries
     }
 
 
-def _stabilizer_order(degree: int, name: str) -> int:
-    elements = stabilizer_table(degree)[name]
-    if elements is None:
-        return EXPECTED_WEYL_ORDERS[degree]
-    if EXPECTED_WEYL_ORDERS[degree] % len(elements):
+def _stabilizer_order(s: SurfaceModel) -> int:
+    order = EXPECTED_WEYL_ORDERS[s.degree]
+    elements = stabilizer_elements(s.degree, s.simple_roots)
+    if elements is not None and order % len(elements):
         raise InternalError(
-            f"{name}: stabilizer order {len(elements)} does not divide |W| = "
-            f"{EXPECTED_WEYL_ORDERS[degree]}"
+            f"{s.name}: stabilizer order {len(elements)} does not divide |W| = {order}"
         )
-    return len(elements)
+    return order if elements is None else len(elements)
 
 
 # -- the census engine --------------------------------------------------
@@ -493,7 +492,6 @@ class CensusRun:
     re-verified.
     """
 
-    preset_name: str
     squares: tuple[int, ...]
     orbit_total: int
     complete: bool
@@ -773,13 +771,8 @@ def census_for_preset(
                 f"unknown sequence preset {preset!r}; known: "
                 f"{', '.join(sorted(SEQUENCE_PRESETS))}"
             )
-        preset = SEQUENCE_PRESETS[preset]
-    if isinstance(preset, SequencePreset):
-        name = preset.name
-        A0 = preset.initial_system()
-    else:
-        A0 = preset
-        name = "custom"
+        preset = SEQUENCE_PRESETS[preset].initial_system()
+    A0 = preset
     for mode in modes:
         if mode not in MODES:
             raise InputError(f"unknown census mode {mode!r}")
@@ -806,7 +799,7 @@ def census_for_preset(
         for (sname, mode), rows in sorted(store.items()):
             reps = ()
             if rows:
-                elements = stabilizer_table(degree)[sname]
+                elements = stabilizer_elements(degree, by_name[sname].simple_roots)
                 if elements is None:
                     raise InternalError(
                         "counterexamples on a surface without (-2)-curves"
@@ -823,11 +816,10 @@ def census_for_preset(
                     f"{sname}: counterexample fraction exceeds 0.3%"
                 )
             records[(sname, mode)] = CensusRecord(
-                sname, squares, mode, len(rows), _stabilizer_order(degree, sname),
+                sname, squares, mode, len(rows), _stabilizer_order(by_name[sname]),
                 len(reps), reps,
             )
     return CensusRun(
-        preset_name=name,
         squares=A0.squares(),
         orbit_total=orbit_total,
         complete=complete,

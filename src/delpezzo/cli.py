@@ -63,9 +63,11 @@ def cmd_check(args) -> int:
             raise InputError(f"cannot parse {args.file}: {e}") from e
     A = toric.from_json(data)
     squares = A.squares()
-    # Two squares below -2 make no strong admissible sequence: no kind.
-    kind = None
-    if sum(x < -2 for x in squares) < 2:
+    try:  # two squares below -2 make no strong admissible sequence: no kind
+        toric.low_entry_rotation(squares)
+    except InputError:
+        kind = None
+    else:
         kind = toric.classify_sequence(squares)
     verdict = {
         "valid": True,
@@ -99,7 +101,7 @@ def _resolve_sequence(args):
     """A --sequence value is a preset name or a JSON list of squares."""
     text = args.sequence
     if text in census.SEQUENCE_PRESETS:
-        return census.SEQUENCE_PRESETS[text]
+        return census.SEQUENCE_PRESETS[text].initial_system()
     try:
         squares = json.loads(text)
     except json.JSONDecodeError:
@@ -110,11 +112,11 @@ def _resolve_sequence(args):
             f"known presets: {', '.join(sorted(census.SEQUENCE_PRESETS))}"
         )
     squares = tuple(squares)
+    # Refuse what the census refuses (not admissible, first kind, the entry
+    # below -2 not last) before searching for a system.
+    toric.classify_sequence(squares)
+    census._window_plan(squares)
     lat = PicardLattice.standard(12 - len(squares))
-    # The census takes second-kind sequences only; refusing the rest here
-    # spares a search for a system that nothing may realize.
-    if toric.classify_sequence(squares).kind != "second":
-        raise InputError(f"{squares} is not of the second kind (a_n <= -3 required)")
     A0 = toric.find_system_with_squares(lat, squares)
     if A0 is None:
         raise InputError(f"no toric system realizes the squares {squares}")
@@ -126,12 +128,7 @@ def cmd_census(args) -> int:
     modes = census.MODES if args.mode == "both" else (args.mode,)
     surfaces = None
     if args.surface is not None:
-        degree = (
-            initial.degree
-            if isinstance(initial, census.SequencePreset)
-            else initial.lattice.degree
-        )
-        surfaces = (surface.catalog_load(degree).get(args.surface),)
+        surfaces = (surface.catalog_load(initial.lattice.degree).get(args.surface),)
     run = census.census_for_preset(initial, surfaces=surfaces, modes=modes)
     header = _header(args)
     rows = [

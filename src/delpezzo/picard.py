@@ -155,15 +155,29 @@ class PicardLattice:
         """All r-classes, in lexicographic coefficient order.
 
         Supported for the standard lattices and r in {-2, -1, 0, 1}; these
-        are the only cases needed.  The search is bounded in the leading
-        coefficient and the bound is widened until a closure margin with no
-        solutions is confirmed, so the result is provably complete.
+        are the only cases needed.  The leading coefficient runs over the
+        exact interval of `leading_coefficient_range`, so the result is
+        complete.
         """
         if r not in SUPPORTED_R:
             raise InputError(f"unsupported r-value {r}; supported: {SUPPORTED_R}")
         if not self.is_standard:
             raise InputError("class enumeration is only provided for standard lattices")
         return _enumerate_standard(self.rank, r)
+
+
+def leading_coefficient_range(m: int, s: int, k: int) -> range:
+    """Every leading coefficient a0 of a class (a0; a1..am) with square s
+    and K-product k on the standard lattice with m exceptional classes.
+
+    Such a class has a1 + ... + am = -3 a0 - k and a1^2 + ... + am^2 =
+    a0^2 - s.  Cauchy-Schwarz, (sum a_i)^2 <= m sum a_i^2, turns these into
+    (c a0 + 3k)^2 <= m (k^2 - c s) with c = K^2 = 9 - m > 0.
+    """
+    c = 9 - m
+    r = math.isqrt(m * (k * k - c * s))
+    # ceil((-3k - r) / c) .. floor((-3k + r) / c)
+    return range(-((3 * k + r) // c), (r - 3 * k) // c + 1)
 
 
 @lru_cache(maxsize=None)
@@ -175,24 +189,11 @@ def _enumerate_standard(rank: int, r: int) -> tuple[Divisor, ...]:
         a1^2 + ... + am^2 = a0^2 - r       (from D^2 = r).
     """
     m = rank - 1
-    found: list[Divisor] = []
-    bound = 4
-    while True:
-        found = []
-        boundary_hit = False
-        for a0 in range(-bound, bound + 1):
-            target_sum = -3 * a0 + 2 + r
-            target_sq = a0 * a0 - r
-            if target_sq < 0:
-                continue
-            for tail in _sum_square_solutions(m, target_sum, target_sq):
-                found.append((a0,) + tail)
-                if abs(a0) == bound:
-                    boundary_hit = True
-        if not boundary_hit:
-            break
-        bound += 1
-    return tuple(sorted(found))
+    return tuple(sorted(
+        (a0,) + tail
+        for a0 in leading_coefficient_range(m, r, -2 - r)
+        for tail in _sum_square_solutions(m, -3 * a0 + 2 + r, a0 * a0 - r)
+    ))
 
 
 def _sum_square_solutions(m: int, total: int, total_sq: int):

@@ -5,7 +5,9 @@ A toric system is a cyclically ordered tuple of divisor classes
 A_1..A_n with consecutive products 1, all other products 0 and total
 sum -K; it encodes a numerically exceptional collection of line
 bundles.  Indices are 1-based and cyclic throughout, matching the
-window notation A_{k..l}.
+window notation A_{k..l}.  Squares sequences are analysed here alone:
+`low_entry_rotation` puts the one entry below -2 last and `window_squares`
+reads every window's square off the sequence.
 """
 
 from __future__ import annotations
@@ -334,21 +336,28 @@ def _match_second_kind(a: tuple[int, ...]) -> str | None:
     return None
 
 
+def low_entry_rotation(a) -> int:
+    """The left rotation k for which a[k:] + a[:k] has the one entry
+    below -2 last: 0 when it is last already or when there is none.  Two
+    entries below -2 make no strong admissible sequence: InputError."""
+    low = [i for i, x in enumerate(a) if x < -2]
+    if len(low) > 1:
+        raise InputError(f"{tuple(a)} is not strong admissible (two entries < -2)")
+    return (low[0] + 1) % len(a) if low else 0
+
+
 def classify_sequence(a) -> KindType:
     """Kind and type of a strong admissible sequence.
 
     First kind: matched against the cyclic strong table up to shifts and
     symmetries.  Second kind: matched against the type II-VI templates up
     to a symmetry (which fixes the last entry), after a cyclic shift that
-    puts the one entry below -2 last."""
+    puts the one entry below -2 last (`low_entry_rotation`)."""
     a = tuple(int(x) for x in a)
     if not is_admissible(a):
         raise InputError(f"{a} is not an admissible sequence")
-    low = [i for i, x in enumerate(a) if x < -2]
-    if len(low) > 1:
-        raise InputError(f"{a} is not strong admissible")
-    if low:
-        a = a[low[0] + 1 :] + a[: low[0] + 1]
+    k = low_entry_rotation(a)
+    a = a[k:] + a[:k]
     if a[-1] >= -2:
         if len(a) == 3:
             return KindType("first", "P2")
@@ -412,6 +421,14 @@ def cyclic_windows(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def window_squares(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The squares of the windows of `cyclic_windows(len(a))` of a system
+    with squares a, in that order: sum(a_p + 2) - 2 over the window's
+    positions p, as consecutive terms meet once and others not at all."""
+    return tuple(sum(a[p] + 2 for p in pos) - 2 for _, _, pos in cyclic_windows(len(a)))
+
+
 def is_ixa_window(a, positions) -> bool:
     """Are the entries of a at positions -2 except exactly one -1?"""
     return all(a[p] in (-1, -2) for p in positions) and (
@@ -425,9 +442,8 @@ def compute_IXA_windows(a) -> tuple[tuple[int, int], ...]:
     These are precisely the windows whose sums are the (-1)-classes
     reachable as terms of permutation-equivalent systems."""
     a = tuple(int(x) for x in a)
-    return tuple(
-        (k, l) for k, l, pos in cyclic_windows(len(a)) if is_ixa_window(a, pos)
-    )
+    windows = zip(cyclic_windows(len(a)), window_squares(a))
+    return tuple((k, l) for (k, l, p), q in windows if q == -1 and is_ixa_window(a, p))
 
 
 def compute_IXA(A: ToricSystem) -> frozenset[Divisor]:
@@ -444,7 +460,6 @@ class CheckResult:
 
     ok: bool
     witness: tuple[int, int] | None
-    method: str
 
     def __bool__(self) -> bool:
         return self.ok
@@ -490,28 +505,25 @@ def _check_reference(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
     test = is_lo if what == "exceptional" else is_slo
     for k, l, _ in windows:
         if not test(s, A.window(k, l)):
-            return CheckResult(False, (k, l), "reference")
-    return CheckResult(True, None, "reference")
+            return CheckResult(False, (k, l))
+    return CheckResult(True, None)
 
 
-def _through_n_minimal_windows(sq: tuple[int, ...]):
-    """Cyclic windows containing position n with all other entries -2,
-    latest start first.
-
-    Under the hypothesis a_i >= -2 (i < n) these are exactly the windows
-    with square equal to a_n, the minimal through-n value."""
+def _through_n_windows(sq: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Cyclic windows through position n of square a_n, latest start first.
+    Under the hypothesis a_i >= -2 (i < n) these are the minimal ones: all
+    their other entries are -2."""
     n = len(sq)
-    windows = [
-        (k, l)
-        for k, l, pos in cyclic_windows(n)
-        if n - 1 in pos and all(sq[p] == -2 for p in pos if p != n - 1)
-    ]
-    return sorted(windows, key=lambda kl: -kl[0])
+    windows = zip(cyclic_windows(n), window_squares(sq))
+    through = [(k, l) for (k, l, pos), q in windows if n - 1 in pos and q == sq[-1]]
+    return sorted(through, key=lambda kl: -kl[0])
 
 
 def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
     sq = A.squares()
     n = A.n
+    windows = zip(cyclic_windows(n), window_squares(sq))
+    roots = [(k, l, n - 1 in pos) for (k, l, pos), q in windows if q == -2]
 
     def anti_effective(d):
         return is_effective(s, vneg(d))
@@ -521,28 +533,27 @@ def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
         strong = what == "cyclic-strong"
-        for k, l, _ in cyclic_windows(n):
-            if A.window_square(k, l) != -2:
-                continue
+        for k, l, _ in roots:
             d = A.window(k, l)
             if anti_effective(d) or (strong and effective(d)):
-                return CheckResult(False, (k, l), "optimized")
-        return CheckResult(True, None, "optimized")
+                return CheckResult(False, (k, l))
+        return CheckResult(True, None)
 
     # Second-kind exceptional test: non-cyclic (-2)-windows plus the
     # minimal through-n windows (square = A_n^2 <= -2).
-    for k, l, _ in _noncyclic_windows(n):
-        if A.window_square(k, l) == -2 and anti_effective(A.window(k, l)):
-            return CheckResult(False, (k, l), "optimized")
+    noncyclic = [(k, l) for k, l, through_n in roots if not through_n]
+    for k, l in noncyclic:
+        if anti_effective(A.window(k, l)):
+            return CheckResult(False, (k, l))
     if sq[-1] <= -2:
-        for k, l in _through_n_minimal_windows(sq):
+        for k, l in _through_n_windows(sq):
             if anti_effective(A.window(k, l)):
-                return CheckResult(False, (k, l), "optimized")
+                return CheckResult(False, (k, l))
     if what == "strong":
-        for k, l, _ in _noncyclic_windows(n):
-            if A.window_square(k, l) == -2 and effective(A.window(k, l)):
-                return CheckResult(False, (k, l), "optimized")
-    return CheckResult(True, None, "optimized")
+        for k, l in noncyclic:
+            if effective(A.window(k, l)):
+                return CheckResult(False, (k, l))
+    return CheckResult(True, None)
 
 
 # -- elementary augmentations and blow-downs ---------------------------
@@ -722,8 +733,8 @@ def find_system_with_squares(
 
     Every entry except the one below -2 (the last, if there is none) must
     lie in -2..1, the range `enumerate_classes` covers.  A sequence whose
-    one entry below -2 is not last is rotated to put it last, as
-    `classify_sequence` does, and the system found is shifted back."""
+    one entry below -2 is not last is rotated to put it last
+    (`low_entry_rotation`), and the system found is shifted back."""
     squares = tuple(int(x) for x in squares)
     n = len(squares)
     if n != 12 - lattice.degree:
@@ -731,15 +742,13 @@ def find_system_with_squares(
             f"sequence length {n} does not match 12 - degree = "
             f"{12 - lattice.degree}"
         )
-    low = [i for i, x in enumerate(squares) if x < -2]
-    skip = low[0] if len(low) == 1 else n - 1
-    if any(not -2 <= x <= 1 for i, x in enumerate(squares) if i != skip):
+    k = low_entry_rotation(squares)
+    if any(not -2 <= x <= 1 for i, x in enumerate(squares) if i != (k - 1) % n):
         raise InputError(
             f"cannot search for a system with squares {squares}: every entry "
             f"except the one below -2 must lie in -2..1"
         )
-    if len(low) == 1 and low[0] != n - 1:
-        k = low[0] + 1
+    if k:
         A = find_system_with_squares(lattice, squares[k:] + squares[:k])
         return None if A is None else ToricSystem(lattice, A.terms[-k:] + A.terms[:-k])
     pools = [lattice.enumerate_classes(r) for r in squares[:-1]]

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import InputError, InternalError, ResourceError
 from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank, is_root
+from .picard import leading_coefficient_range
 from .toric import ToricSystem
 
 @lru_cache(maxsize=None)
@@ -132,22 +133,19 @@ def orbit_bound(lattice: PicardLattice, vectors) -> np.ndarray:
     """[len(vectors), rank] int64: for each vector v, a bound on the
     magnitude of every coordinate of every image w.v, w in W.
 
-    W preserves the form and fixes K, so every image (a0, a1..am) of v has
-    a0^2 - sum a_i^2 = s = v^2 and -3 a0 - sum a_i = k = K.v.  Cauchy-Schwarz,
-    (sum a_i)^2 <= m sum a_i^2, turns these into (c a0 + 3k)^2 <= m (k^2 - c s)
-    with c = K^2 = 9 - m, which bounds a0; then every a_i^2 <= a0^2 - s.
+    W preserves the form and fixes K, so every image of v has square s = v^2
+    and K-product k = K.v: its leading coefficient a0 lies in
+    `picard.leading_coefficient_range`, and then every a_i^2 <= a0^2 - s.
     """
     if not lattice.is_standard:
         raise InputError("orbit bounds are defined on standard lattices")
-    m, c = lattice.num_exceptional, lattice.degree
+    m = lattice.num_exceptional
     out = []
     for v in vectors:
         v = tuple(int(x) for x in v)
         s = lattice.intersect(v, v)
-        k = lattice.intersect(lattice.canonical, v)
-        r = math.isqrt(m * (k * k - c * s))
-        # a0 runs over ceil((-3k - r) / c) .. floor((-3k + r) / c).
-        a0 = max(abs(-((3 * k + r) // c)), abs((r - 3 * k) // c))
+        a0s = leading_coefficient_range(m, s, lattice.intersect(lattice.canonical, v))
+        a0 = max(abs(a0s[0]), abs(a0s[-1]))
         out.append((a0,) + (math.isqrt(a0 * a0 - s),) * m)
     return np.array(out, dtype=np.int64).reshape(-1, lattice.rank)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,14 @@ from delpezzo.errors import InputError, InternalError
 from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
-from delpezzo.surface import catalog_load
-from delpezzo.toric import ToricSystem, blow_down, classify_sequence, cyclic_windows
+from delpezzo.surface import SurfaceModel, catalog_load
+from delpezzo.toric import (
+    ToricSystem,
+    blow_down,
+    classify_sequence,
+    cyclic_windows,
+    find_system_with_squares,
+)
 
 
 def test_presets_validate():
@@ -149,13 +157,27 @@ def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):
 
 
 def test_stabilizer_order_must_divide_the_group_order(monkeypatch):
-    elements = census.stabilizer_table(3)["X_{3,A1}"]
-    assert census._stabilizer_order(3, "X_{3,A1}") == len(elements) == 720
-    assert census._stabilizer_order(3, "X_{3}") == 51840
+    a1, dp = catalog_load(3).get("A1"), catalog_load(3).get("dP")
+    elements = census.stabilizer_elements(3, a1.simple_roots)
+    assert census._stabilizer_order(a1) == len(elements) == 720
+    assert census._stabilizer_order(dp) == 51840
     # 7 does not divide |W(E6)| = 51840.
-    monkeypatch.setattr(census, "stabilizer_table", lambda degree: {"X": elements[:7]})
+    monkeypatch.setattr(census, "stabilizer_elements", lambda degree, roots: elements[:7])
     with pytest.raises(InternalError, match="does not divide"):
-        census._stabilizer_order(3, "X")
+        census._stabilizer_order(SurfaceModel(a1.lattice, a1.simple_roots, "X"))
+
+
+def test_finalize_finds_stabilizers_by_roots_not_by_name():
+    # A renamed copy of a catalog surface gets the catalog surface's records.
+    lat = PicardLattice.standard(6)
+    A0 = find_system_with_squares(lat, (-1, -2, -1, 1, 0, -3))
+    a2 = catalog_load(6).get("A2")
+    copy = SurfaceModel(lat, a2.simple_roots, "my A2")
+    runs = [census.census_for_preset(A0, surfaces=(s,)) for s in (a2, copy)]
+    for mode in census.MODES:
+        record, renamed = (run.records[(s.name, mode)] for run, s in zip(runs, (a2, copy)))
+        assert renamed.stabilizer_order == record.stabilizer_order == 2
+        assert replace(renamed, surface=a2.name) == record
 
 
 def test_stabilizer_table_degree2():

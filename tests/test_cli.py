@@ -168,7 +168,7 @@ def test_resolve_sequence():
     class Args:
         sequence = "IIb-deg2"
 
-    assert isinstance(cli._resolve_sequence(Args()), census.SequencePreset)
+    assert isinstance(cli._resolve_sequence(Args()), ToricSystem)
     Args.sequence = "[0,1,-1,-2,-1,-3]"
     A = cli._resolve_sequence(Args())
     assert isinstance(A, ToricSystem) and A.squares() == (0, 1, -1, -2, -1, -3)
@@ -195,6 +195,18 @@ def test_census_names_the_rotation(capsys):
     assert "rotate" in err and "left by 9" in err
     assert "(-1, -2, -2, -2, -1, -2, -2, -1, -2, -3)" in err
     assert "unsupported r-value" not in err
+
+
+def test_census_refuses_a_rotated_sequence_before_the_search(capsys, monkeypatch):
+    # A degree-1 rotation of IV-deg1: refused with the rotation named,
+    # before any search through the 17,520 degree-1 1-classes.
+    def no_search(*args):
+        raise AssertionError("searched for a system")
+
+    monkeypatch.setattr(toric, "find_system_with_squares", no_search)
+    code = cli.main(["census", "--sequence", "[-7,-2,0,1,-2,-2,-2,-2,-2,-2,-1]"])
+    assert code == cli.EXIT_INPUT
+    assert "rotate" in capsys.readouterr().err
 
 
 def test_census_refuses_a_non_admissible_sequence_at_once():

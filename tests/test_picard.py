@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 from pathlib import Path
@@ -75,6 +76,49 @@ def test_enumerate_small_counts():
     assert len(PicardLattice.standard(6).enumerate_classes(-2)) == 8
     assert len(PicardLattice.standard(6).enumerate_classes(-1)) == 6
     assert len(PicardLattice.standard(5).enumerate_classes(-1)) == 10
+
+
+#: (degree, r) -> (number of r-classes, sha256 of their repr), as the
+#: enumeration with the widened search bound gave them.
+ENUMERATION_DIGESTS = {
+    (1, -2): (240, "8a21fdb52d2d346e0ef7d98c2886d0245ecdf39b2f91b847bfb61fe04e3e1390"),
+    (1, -1): (240, "781888064da3148e1a736c37321d9df191aaf6241a53fa641facf3f4aafd59e7"),
+    (1, 0): (2160, "22ac5abb3ea85c10f8edb5463ba831214e0fdbb273c319e848bc70c3030a443d"),
+    (1, 1): (17520, "61870d99ffa87a9f899d5976918a3c764862f425587b30d935bd5a12000ade71"),
+    (2, -2): (126, "8d18f3625e2697f48d3443c4c2ba5dc5d93c0f9f0a9d5acad9fc64bce5a509d4"),
+    (2, -1): (56, "073d9feddb92b63be020ab6906b250b2d7105d1251f14760a105310c0e61f19d"),
+    (2, 0): (126, "9dceac65ea1e0854e38eb1bb4bae9f60ddda79247fe3ac715f08eeb16d1a431d"),
+    (2, 1): (576, "d29dd6bcf5547dcd148b9c7cfe6931bc95303e51cf1c14c46ed42af390a401e5"),
+    (3, -2): (72, "28c67e59cbc0796413b88db254c27f2c373f5caa19992cceef5a279c6b90517c"),
+    (3, -1): (27, "d2758050ea7b762eeba61a25a09cf5d8dd9a03d95b038e4378c9007694a2303a"),
+    (3, 0): (27, "b52d5e057c20e08e04b9e3e7850088341a471aa79827b3b80c8163dd059748d0"),
+    (3, 1): (72, "ac1ea376e18a31106ef7af833900c72b3707155f58f2de081dadd6ae38bbe56a"),
+    (4, -2): (40, "acfd1691b56095cb762df50b4b6443d43d0c38dced957de4ab4785f7a1ddfd59"),
+    (4, -1): (16, "bc8ec8844821865df47459fa447d8e977f090ee8154528010b2294d42cf5da53"),
+    (4, 0): (10, "d0cb2cabcb4b9ab332af5eb5779f41e686c5888bb43474082f472f291e1ae9b0"),
+    (4, 1): (16, "2b4dea9c8d4da3d7f952c0f0917b8a4d06befd582322dbf1c3436d66750544c7"),
+    (5, -2): (20, "2ba83df4fd82c376caea490e7efc3c624c81f54e1ec1c09a068f6ca8241ae299"),
+    (5, -1): (10, "f27b80b137ea30eca71994bd1c4e8d62f216f7a3b1e18784c8aad5b2af92a0a3"),
+    (5, 0): (5, "78d98b318da16011bd1aa9f0d7998d11b5a16a069543b2715f69f5d964f48fe0"),
+    (5, 1): (5, "418aa9e932e9bec90567b60ed346f43ec0b54d3a3e17946388da66869f5d1b9f"),
+    (6, -2): (8, "a860bf912a72de8da794bb1c86a1963262b82c1cdb3a3b2579632f760a641aec"),
+    (6, -1): (6, "30534f6e05505da4a1db3fcd9a38ae48b1ca3e331fd0b9b5752ca7e51e7947a1"),
+    (6, 0): (3, "078e7d9b7120e52b4fa5a17248bee8a8af9d17f6af711d32fe200cd16d7c214c"),
+    (6, 1): (2, "4e03146b03296e22a412edbd492a5b5bc05e44cf94d44a3fd61fc2b14529b6a1"),
+    (7, -2): (2, "28d5e91326c98222b6a29039dcec48b668a88603dfbdcf21d746a81e83ff6863"),
+    (7, -1): (3, "d62be7490bd54bf7e42cd247fb8ee1c91d7af502bf759b5cfa67b28c2b60623e"),
+    (7, 0): (2, "54917bf8ed0ff2c8f3621e4ac8edd147dc42851cfeeb73027f0263f447716a59"),
+    (7, 1): (1, "eba69ff69688314d9ad3cdac67908c7bf326d7f8b515ae23775bc179df536c34"),
+}
+
+
+def test_enumeration_matches_pinned_digests():
+    # The a0 interval of `leading_coefficient_range` is exact: the same
+    # classes, in the same order, as the search it replaced.
+    for (degree, r), (count, digest) in ENUMERATION_DIGESTS.items():
+        classes = PicardLattice.standard(degree).enumerate_classes(r)
+        assert len(classes) == count, (degree, r)
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == digest, (degree, r)
 
 
 def test_enumerate_degree6_lines_explicit():

@@ -20,7 +20,7 @@ from delpezzo.toric import (
     ToricSystem,
     _noncyclic_windows,
     _reduction_word,
-    _through_n_minimal_windows,
+    _through_n_windows,
     augment_sequence,
     augmentation_chain,
     blow_down,
@@ -44,6 +44,7 @@ from delpezzo.toric import (
     shift,
     symmetry,
     system_violations,
+    window_squares,
 )
 
 
@@ -424,9 +425,9 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         assert [(k, l) for k, l, _ in _noncyclic_windows(n)] == list(
             _old_noncyclic_windows(n)
         )
-        assert _through_n_minimal_windows(a) == list(_old_through_n_minimal_windows(a))
+        assert _through_n_windows(a) == list(_old_through_n_minimal_windows(a))
         assert compute_IXA_windows(a) == _old_ixa_windows(a)
-    assert _through_n_minimal_windows(census.IIB_DEG2_SQUARES) == [(10, 10), (9, 10)]
+    assert _through_n_windows(census.IIB_DEG2_SQUARES) == [(10, 10), (9, 10)]
 
     # The census plan: the same rows in the same order, for every preset.
     for preset in census.SEQUENCE_PRESETS.values():
@@ -505,6 +506,15 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
             scans += 1
     assert None in witnesses and len(witnesses) > 2
     assert scans
+
+
+def test_window_squares_match_the_window_sums():
+    systems = [p.initial_system() for p in census.SEQUENCE_PRESETS.values()]
+    systems += [_system(d, text) for d, text in paper.TABLE9_SYSTEM_TEXTS.items()]
+    for A in systems:
+        assert window_squares(A.squares()) == tuple(
+            A.window_square(k, l) for k, l, _ in cyclic_windows(A.n)
+        )
 
 
 def test_augmentation_chain_ends_on_p1xp1():
