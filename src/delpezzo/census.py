@@ -776,10 +776,15 @@ def census_for_preset(
     for mode in modes:
         if mode not in MODES:
             raise InputError(f"unknown census mode {mode!r}")
+    if len(set(modes)) != len(modes):
+        raise InputError(f"repeated mode in {tuple(modes)}")
     degree = A0.lattice.degree
     if surfaces is None:
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
+    names = [s.name for s in surfaces]
+    if len(set(names)) != len(names):
+        raise InputError(f"repeated surface name in {names}")
     complete = max_layers is None
     if finalize and not complete:
         raise InputError("cannot finalize a truncated census run")

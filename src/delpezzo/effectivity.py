@@ -38,8 +38,13 @@ from .picard import (
 from .surface import SurfaceModel
 
 
-def _negative_curves(s: SurfaceModel) -> tuple[Divisor, ...]:
-    return tuple(sorted(s.irr_lines_set())) + s.simple_roots
+@lru_cache(maxsize=None)
+def _negative_curves(
+    lattice: PicardLattice, simple_roots: tuple[Divisor, ...]
+) -> tuple[tuple[Divisor, int], ...]:
+    """(c, -c^2) for the irreducible (-1)-curves, sorted, then the simple roots."""
+    lines = sorted(SurfaceModel(lattice, simple_roots).irr_lines_set())
+    return tuple((c, -lattice.square(c)) for c in (*lines, *simple_roots))
 
 
 @lru_cache(maxsize=None)
@@ -79,8 +84,7 @@ def solve_root_combination(s: SurfaceModel, d: Divisor):
 def is_effective(s: SurfaceModel, d: Divisor) -> bool:
     """Decide effectiveness of d on s."""
     lat = s.lattice
-    lat.check_divisor(d)
-    curves = _negative_curves(s)
+    curves = _negative_curves(lat, s.simple_roots)
     cap = max(1, 10 * (lat.rank + abs(lat.k_product(d))))
     current = d
     for _ in range(cap):
@@ -90,12 +94,10 @@ def is_effective(s: SurfaceModel, d: Divisor) -> bool:
         if dk == 0:
             return solve_root_combination(s, current) is not None
         violating = []
-        for c in curves:
+        for c, csq in curves:
             p = lat.intersect(current, c)
             if p < 0:
-                csq = -lat.square(c)
-                mult = (-p + csq - 1) // csq  # ceil(-p / -c^2)
-                violating.append((c, mult))
+                violating.append((c, (-p + csq - 1) // csq))  # ceil(-p / -c^2)
         if not violating:
             return True  # nef
         for c, m in violating:
@@ -246,48 +248,38 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
     loop in is_effective.  `bound` caps every multiplicity.
     """
     lat = s.lattice
-    lat.check_divisor(d)
-    lines = tuple(sorted(s.irr_lines_set()))
-    minus_k = vneg(lat.canonical)
-    gens = (minus_k,) + lines
-    # x . g is the dot product of x with the Gram image of g: every tuple
-    # the search builds has the length of d, checked once above.
-    images = [
-        tuple(sum(map(operator.mul, row, g)) for row in lat.gram) for g in gens
-    ]
-
-    def pair(x: Divisor, j: int) -> int:
-        return sum(map(operator.mul, x, images[j]))
-
-    weights = tuple(pair(g, 0) for g in gens)
+    gens = (vneg(lat.canonical),) + tuple(sorted(s.irr_lines_set()))
+    # The search carries current's pairings with every generator:
+    # subtracting generator i subtracts row i of their product matrix.
+    products = tuple(tuple(lat.intersect(g, h) for h in gens) for g in gens)
     failures: set[tuple[int, Divisor]] = set()
 
-    def search(idx: int, current: Divisor) -> bool:
-        budget = pair(current, 0)
+    def search(idx: int, current: Divisor, pairings: tuple[int, ...]) -> bool:
+        budget = pairings[0]
         if budget < 0 or current[0] < 0:
             return False
         # Generators already passed pair >= 0 with everything still
         # available, so a negative product with one of them is fatal.
         for j in range(1, idx):
-            if pair(current, j) < 0:
+            if pairings[j] < 0:
                 return False
         if idx == len(gens):  # the rest must be a root combination: K.rest = 0
             return budget == 0 and solve_root_combination(s, current) is not None
         key = (idx, current)
         if key in failures:
             return False
-        w = weights[idx]
+        w = products[idx][0]
         max_mult = min(bound, budget // w) if w > 0 else bound
-        step = gens[idx]
-        sub = current
-        for mult in range(max_mult + 1):
-            if search(idx + 1, sub):
+        step, row = gens[idx], products[idx]
+        for _ in range(max_mult + 1):
+            if search(idx + 1, current, pairings):
                 return True
-            sub = tuple(map(operator.sub, sub, step))
+            current = tuple(map(operator.sub, current, step))
+            pairings = tuple(map(operator.sub, pairings, row))
         failures.add(key)
         return False
 
-    return search(0, d)
+    return search(0, d, tuple(lat.intersect(d, g) for g in gens))
 
 
 #: Multiples k*d that `is_hole` tests.

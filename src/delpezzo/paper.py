@@ -52,6 +52,7 @@ from .toric import (
     is_admissible,
     is_cyclic_strong_exceptional,
     is_strong_exceptional,
+    window_squares,
 )
 from . import weyl
 
@@ -628,8 +629,7 @@ def verify_cyclic_strong_classification() -> Report:
         # All cyclic window r-values in [-1, d-3]: then A is cyclic strong
         # exceptional with no effectiveness input at all.
         return all(
-            -1 <= A.window_square(k, l) <= A.lattice.degree - 3
-            for k, l, _ in cyclic_windows(A.n)
+            -1 <= sq <= A.lattice.degree - 3 for sq in window_squares(A.squares())
         )
 
     # The plane: (L, L, L) on the rank-1 lattice.
@@ -671,11 +671,8 @@ def verify_cyclic_strong_classification() -> Report:
         A = ToricSystem(lat, parse_divisor_list(lat, TABLE9_SYSTEM_TEXTS[degree]))
         expected_windows = TABLE9_ROOT_WINDOW_TEXTS.get(degree)
         if expected_windows is not None:
-            computed = {
-                A.window(k, l)
-                for k, l, _ in cyclic_windows(A.n)
-                if A.window_square(k, l) == -2
-            }
+            windows = zip(cyclic_windows(A.n), window_squares(A.squares()))
+            computed = {A.window(k, l) for (k, l, _), sq in windows if sq == -2}
             report.check(
                 f"degree {degree} cyclic (-2)-windows",
                 set(parse_divisor_list(lat, expected_windows)),

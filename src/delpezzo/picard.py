@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InputError, InternalError
 
@@ -92,7 +93,7 @@ class PicardLattice:
 
     # -- basic arithmetic ---------------------------------------------
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.intersect(self.canonical, self.canonical)
 
@@ -101,28 +102,24 @@ class PicardLattice:
         """Number of E_i basis vectors (standard lattices only)."""
         return self.rank - 1
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
         return self.basis_labels[0] == "L"
 
     def zero(self) -> Divisor:
         return (0,) * self.rank
 
-    def check_divisor(self, d: Divisor) -> None:
-        if len(d) != self.rank:
-            raise InputError(
-                f"divisor length {len(d)} does not match lattice rank {self.rank}"
-            )
-
     def intersect(self, d1: Divisor, d2: Divisor) -> int:
-        self.check_divisor(d1)
-        self.check_divisor(d2)
+        """d1 . d2, refusing a divisor whose length is not the rank.  Every
+        decider pairs its input first, so this is where a length is checked."""
+        if not len(d1) == len(d2) == self.rank:
+            bad = len(d1) if len(d1) != self.rank else len(d2)
+            raise InputError(
+                f"divisor length {bad} does not match lattice rank {self.rank}"
+            )
         if self.is_standard:
-            # diag(1, -1, ..., -1): avoid the generic double loop.
-            s = d1[0] * d2[0]
-            for x, y in zip(d1[1:], d2[1:]):
-                s -= x * y
-            return s
+            # diag(1, -1, ..., -1): a0 b0 - sum a_i b_i.
+            return 2 * d1[0] * d2[0] - sum(map(operator.mul, d1, d2))
         return sum(
             d1[i] * self.gram[i][j] * d2[j]
             for i in range(self.rank)
@@ -344,7 +341,17 @@ def reflect(lattice: PicardLattice, d: Divisor, root: Divisor) -> Divisor:
 # Terms may carry integer coefficients and be combined with + and -,
 # e.g. "2L-E1-2E2-E5-E7" or "3L-E12345567" (repeated digits add up).
 
-_TERM_RE = re.compile(r"([+-]?)(\d*)(L(\d*)|E(\d+)|Z|Q(\d+)|C(\d+)|K)")
+#: Each term letter's (L coefficient, coefficient of every E_i,
+#: coefficient of each listed E_i).
+_TERM_COEFFS = {
+    "L": (1, 0, -1),
+    "E": (0, 0, 1),
+    "Z": (2, -1, 0),
+    "Q": (2, -1, 1),
+    "C": (3, -1, -1),
+    "K": (-3, 1, 0),
+}
+_TERM_RE = re.compile(r"([+-]?)(\d*)(L\d*|[EQC]\d+|Z|K)")
 
 
 def parse_divisor(lattice: PicardLattice, text: str) -> Divisor:
@@ -359,48 +366,18 @@ def parse_divisor(lattice: PicardLattice, text: str) -> Divisor:
     pos = 0
     while pos < len(s):
         match = _TERM_RE.match(s, pos)
-        if not match or match.start() != pos:
+        if not match:
             raise InputError(f"cannot parse divisor notation {text!r} at {s[pos:]!r}")
-        sign = -1 if match.group(1) == "-" else 1
-        mult = sign * int(match.group(2) or "1")
-        body = match.group(3)
-
-        def add_L(k):
-            coeffs[0] += k
-
-        def add_E(idx, k):
+        sign, count, body = match.groups()
+        mult = (-1 if sign == "-" else 1) * int(count or "1")
+        line, every, listed = _TERM_COEFFS[body[0]]
+        coeffs[0] += line * mult
+        for i in range(1, m + 1):
+            coeffs[i] += every * mult
+        for idx in map(int, body[1:]):
             if not 1 <= idx <= m:
                 raise InputError(f"index E{idx} out of range in {text!r}")
-            coeffs[idx] += k
-
-        def add_all_E(k):
-            for i in range(1, m + 1):
-                coeffs[i] += k
-
-        if body == "K":
-            add_L(-3 * mult)
-            add_all_E(mult)
-        elif body == "Z":
-            add_L(2 * mult)
-            add_all_E(-mult)
-        elif body.startswith("L"):
-            # "L" is the line class; "L123" means L - E1 - E2 - E3.
-            add_L(mult)
-            for ch in match.group(4):
-                add_E(int(ch), -mult)
-        elif body.startswith("E"):
-            for ch in match.group(5):
-                add_E(int(ch), mult)
-        elif body.startswith("Q"):
-            add_L(2 * mult)
-            add_all_E(-mult)
-            for ch in match.group(6):
-                add_E(int(ch), mult)
-        elif body.startswith("C"):
-            add_L(3 * mult)
-            add_all_E(-mult)
-            for ch in match.group(7):
-                add_E(int(ch), -mult)
+            coeffs[idx] += listed * mult
         pos = match.end()
     return tuple(coeffs)
 

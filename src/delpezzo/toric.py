@@ -71,19 +71,6 @@ class ToricSystem:
             self.lattice.rank,
         )
 
-    def window_square(self, k: int, l: int) -> int:
-        direct = self.lattice.square(self.window(k, l))
-        via_identity = (
-            sum(self.lattice.square(self.term(k + i)) + 2
-                for i in range(self.window_length(k, l)))
-            - 2
-        )
-        if direct != via_identity:
-            raise InternalError(
-                f"window-square identity failed on window [{k}..{l}]"
-            )
-        return direct
-
     def to_json(self) -> dict:
         return {"degree": self.lattice.degree, "terms": [list(t) for t in self.terms]}
 
@@ -95,7 +82,10 @@ def system_violations(lattice: PicardLattice, terms) -> list[str]:
     if n != 12 - lattice.degree:
         problems.append(f"length {n} != 12 - degree = {12 - lattice.degree}")
     for t in terms:
-        lattice.check_divisor(t)
+        if len(t) != lattice.rank:
+            raise InputError(
+                f"divisor length {len(t)} does not match lattice rank {lattice.rank}"
+            )
     for i in range(n):
         for j in range(i + 1, n):
             p = lattice.intersect(terms[i], terms[j])

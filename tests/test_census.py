@@ -147,6 +147,24 @@ def test_census_for_preset_validation():
         census.census_for_preset(A0, modes=("bogus",))
 
 
+def test_repeated_modes_or_surfaces_are_refused_before_the_sweep(monkeypatch):
+    # A repeated mode or surface once doubled the raw counts (276 for 138
+    # on X_{2,7A1}) and ended the finalize in an InternalError.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(weyl, "orbit_layers", no_walk)
+    s = census.section13_surface()
+    for surfaces, modes, what in (
+        ((s,), ("strong", "strong"), "mode"),
+        ((s, s), ("strong",), "surface"),
+    ):
+        with pytest.raises(InputError, match=f"repeated {what}"):
+            census.census_for_preset(
+                "IIb-deg2", surfaces, modes, max_layers=16, finalize=False
+            )
+
+
 def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the orbit was walked")

@@ -89,6 +89,7 @@ def test_check_malformed(tmp_path, capsys):
         {"degree": 2, "terms": [terms[0][:-1] + [1.5]] + terms[1:]},
         {"degree": 2, "terms": [terms[0][:-1] + [True]] + terms[1:]},
         {"degree": 2, "terms": [7] + terms[1:]},
+        {"degree": 3, "terms": [[1, 0, 0, 0, 0, 0, 0, 0, 0]]},
     ):
         path.write_text(json.dumps(bad))
         capsys.readouterr()

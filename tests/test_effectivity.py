@@ -55,6 +55,15 @@ def test_brute_force_agreement_sample():
             ), (s.name, d)
 
 
+def test_deciders_reject_a_wrong_length_divisor():
+    s = catalog_load(3).get("A4")
+    for d in (s.lattice.canonical[:-1], s.lattice.canonical + (0,)):
+        with pytest.raises(InputError, match="does not match lattice rank"):
+            is_effective(s, d)
+        with pytest.raises(InputError, match="does not match lattice rank"):
+            brute_force_effective(s, d, 3)
+
+
 def test_anticlass_fast_on_explicit_windows():
     s = census.section13_surface()
     A = census.section13_system()

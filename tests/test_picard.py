@@ -55,6 +55,14 @@ def test_intersection_examples():
     assert lat.k_product(E1) == -1
 
 
+@pytest.mark.parametrize("lat", [PicardLattice.standard(6), PicardLattice.hirzebruch()])
+def test_intersect_rejects_a_wrong_length_on_either_side(lat):
+    good, short, long = lat.canonical, lat.canonical[:-1], lat.canonical + (0,)
+    for d1, d2 in ((short, good), (long, good), (good, short), (good, long)):
+        with pytest.raises(InputError, match="does not match lattice rank"):
+            lat.intersect(d1, d2)
+
+
 def test_classify_r():
     lat = PicardLattice.standard(6)
     assert lat.classify_r((0, 1, 0, 0)) == -1  # E1

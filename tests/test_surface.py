@@ -154,3 +154,5 @@ def test_surface_model_validation():
     lat = PicardLattice.standard(5)
     with pytest.raises(InputError):
         SurfaceModel(lat, ((0, 1, 0, 0, 0),))  # E1 is not a root
+    with pytest.raises(InputError, match="does not match lattice rank"):
+        SurfaceModel(lat, ((0, 1, -1, 0, 0, 0),))  # E1 - E2, one entry too many

@@ -74,9 +74,8 @@ def test_windows():
     assert A.window(6, 1) == tuple(
         x + y for x, y in zip(A.terms[5], A.terms[0])
     )
-    # Window square via the additivity identity (asserted internally):
-    # three terms of square -1 give (3 * (-1 + 2)) - 2 = 1.
-    assert A.window_square(2, 4) == 1
+    # Three terms of square -1 give a window of square (3 * (-1 + 2)) - 2 = 1.
+    assert A.lattice.square(A.window(2, 4)) == 1
 
 
 def test_perm_shift_symmetry():
@@ -95,6 +94,11 @@ def test_perm_shift_symmetry():
 
 def test_json_roundtrip():
     assert from_json(SYS13.to_json()) == SYS13
+
+
+def test_from_json_rejects_an_overlong_term():
+    with pytest.raises(InputError, match="divisor length 9 does not match"):
+        from_json({"degree": 3, "terms": [[1, 0, 0, 0, 0, 0, 0, 0, 0]]})
 
 
 def test_augment_sequence():
@@ -353,7 +357,7 @@ def _old_first_kind_windows_in_range(A):
     for k in range(1, n + 1):
         for length in range(1, n):
             l = (k - 1 + length - 1) % n + 1
-            if not -1 <= A.window_square(k, l) <= A.lattice.degree - 3:
+            if not -1 <= A.lattice.square(A.window(k, l)) <= A.lattice.degree - 3:
                 return False
     return True
 
@@ -393,14 +397,14 @@ def _old_check(s, A, what, method):
 
     if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
         for k, l in _old_cyclic_windows(n):
-            if A.window_square(k, l) != -2:
+            if A.lattice.square(A.window(k, l)) != -2:
                 continue
             d = A.window(k, l)
             if anti_effective(d) or (what == "cyclic-strong" and effective(d)):
                 return False, (k, l)
         return True, None
     for k, l in _old_noncyclic_windows(n):
-        if A.window_square(k, l) == -2 and anti_effective(A.window(k, l)):
+        if A.lattice.square(A.window(k, l)) == -2 and anti_effective(A.window(k, l)):
             return False, (k, l)
     if sq[-1] <= -2:
         for k, l in _old_through_n_minimal_windows(sq):
@@ -408,7 +412,7 @@ def _old_check(s, A, what, method):
                 return False, (k, l)
     if what == "strong":
         for k, l in _old_noncyclic_windows(n):
-            if A.window_square(k, l) == -2 and effective(A.window(k, l)):
+            if A.lattice.square(A.window(k, l)) == -2 and effective(A.window(k, l)):
                 return False, (k, l)
     return True, None
 
@@ -459,7 +463,7 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         assert lines[f"degree {degree} cyclic (-2)-windows"] == {
             A.window(k, l)
             for k, l in _old_cyclic_windows(A.n)
-            if A.window_square(k, l) == -2
+            if A.lattice.square(A.window(k, l)) == -2
         }
 
     # The checkers' verdicts and witnesses, and the augmentation scan, on
@@ -513,7 +517,7 @@ def test_window_squares_match_the_window_sums():
     systems += [_system(d, text) for d, text in paper.TABLE9_SYSTEM_TEXTS.items()]
     for A in systems:
         assert window_squares(A.squares()) == tuple(
-            A.window_square(k, l) for k, l, _ in cyclic_windows(A.n)
+            A.lattice.square(A.window(k, l)) for k, l, _ in cyclic_windows(A.n)
         )
 
 
