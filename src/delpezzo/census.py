@@ -25,6 +25,10 @@ the deep windows' classes are the W-orbits of the initial system's deep
 window sums, carried down the tree like the others, and their verdicts on
 every surface come from one pass of the batched anti-class effectiveness
 kernel before the walk.
+
+Tests (1) and (3) run on every row.  Few rows pass both on even one
+surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) and the
+expansion into (row, surface) candidates run on those live rows only.
 """
 
 from __future__ import annotations
@@ -479,17 +483,18 @@ class CensusRun:
     """Result of one orbit sweep: records keyed by (surface name, mode).
 
     `stats` counts the sweep's work: `rows` (orbit rows scanned),
-    `deep_candidates` (rows passing tests (1)-(3), keyed "surface/mode"),
-    `deep_tests` (per candidate, its deep windows in plan order up to the
-    first with an effective anti-class, or all of them) and
-    `deep_cross_checks` (under test_mode, the deep verdicts checked against
-    `is_effective`: every deep class on every surface).  It times each
-    phase in seconds: `orbit_s` (the orbit walk), `window_ids_s` (class
-    tables and window class ids), `mask_tests_s` (tests (1)-(3)),
-    `deep_tests_s` (test (4): the surface masks and the candidates' deep
-    gathers), and in finalize `canonicalize_s` and `reverify_s` (0 without
-    finalize); `representatives_verified` counts the representatives
-    re-verified.
+    `live_rows` (rows passing tests (1) and (3) on at least one surface,
+    the only rows tests (2)-(4) see), `deep_candidates` (rows passing
+    tests (1)-(3), keyed "surface/mode"), `deep_tests` (per candidate, its
+    deep windows in plan order up to the first with an effective
+    anti-class, or all of them) and `deep_cross_checks` (under test_mode,
+    the deep verdicts checked against `is_effective`: every deep class on
+    every surface).  It times each phase in seconds: `orbit_s` (the orbit
+    walk), `window_ids_s` (class tables and window class ids),
+    `mask_tests_s` (tests (1)-(3)), `deep_tests_s` (test (4): the surface
+    masks and the candidates' deep gathers), and in finalize
+    `canonicalize_s` and `reverify_s` (0 without finalize);
+    `representatives_verified` counts the representatives re-verified.
     """
 
     squares: tuple[int, ...]
@@ -568,10 +573,13 @@ def _census_sweep(
     Tests (1)-(3) run on whole chunks for all surfaces at once: the window
     class ids of each layer (`_layer_ids`, carried down the orbit tree)
     gather the surfaces' bit masks, and an OR over the windows gives each
-    row's failure bits.  Each (row, surface, mode) that passes is a
-    candidate for test (4): its deep window ids gather `deep_anti`, and it
-    is a counterexample when the surface's bit is clear in every one.  Only
-    two layers of ids are held at a time, w2 + wI + wD ids per row each.
+    row's failure bits.  Tests (1) and (3) come first; test (2) and all
+    later work take only the live rows, those with a surface left.  Each
+    (row, surface, mode) that passes is a candidate for test (4): its deep
+    window ids gather `deep_anti`, and it is a counterexample when the
+    surface's bit is clear in every one.  Only two layers of ids are held
+    at a time, w2 + wI + wD ids per row each, and the orbit walk's memory
+    check counts them.
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
     counterexamples and walks the orbit again from layer 0, testing only
@@ -586,12 +594,12 @@ def _census_sweep(
     tables = _window_tables(A0, plan)
     built = time.perf_counter()
     masks = _surface_masks(A0.lattice, tables, surfaces, test_mode)
-    stats = {"rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
+    stats = {"rows": 0, "live_rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
     stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
     stats.update(window_ids_s=built - start, deep_tests_s=time.perf_counter() - built)
     if test_mode:
         stats["deep_cross_checks"] = masks.deep_anti.size * len(surfaces)
-    noncyc = ~plan.root_through_n
+    noncyc = np.flatnonzero(~plan.root_through_n)
     everyone = np.uint64((1 << len(surfaces)) - 1)
     bit_shifts = np.arange(len(surfaces), dtype=np.uint64)
     store: dict[tuple[str, str], list[np.ndarray]] = {
@@ -610,7 +618,11 @@ def _census_sweep(
 
     orbit_total = 0
     ids = None
-    layers = weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers)
+    # two layers of window class ids are held beside the orbit's own arrays
+    id_bytes = sum(t.perm.itemsize * c.shape[0] for t, c in zip(tables, plan.coeffs))
+    layers = weyl.orbit_layers(
+        A0.lattice, A0.terms, max_layers=max_layers, row_bytes=id_bytes
+    )
     while True:
         start = time.perf_counter()
         layer = next(layers, None)
@@ -628,13 +640,19 @@ def _census_sweep(
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
             ids2, idsI, idsD = (x[lo : lo + _CHUNK_ROWS] for x in ids)
-            anti = np.bitwise_or.reduce(masks.root_anti[ids2], axis=1)
-            eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[:, noncyc]], axis=1)
-            fail3 = np.bitwise_or.reduce(masks.line_fail[idsI], axis=1)
-            base = ~(anti | fail3) & everyone
+            # A row failing (1) or (3) on every surface has no bit in base,
+            # nor in either mode's ok: only the live rows go further.
+            fail = np.bitwise_or.reduce(masks.root_anti[ids2], axis=1)
+            fail |= np.bitwise_or.reduce(masks.line_fail[idsI], axis=1)
+            live = np.flatnonzero(fail != everyone)
+            stats["live_rows"] += live.size
+            base = ~fail[live] & everyone
+            live_noncyc = ids2[live[:, None], noncyc]
+            eff2 = np.bitwise_or.reduce(masks.root_eff[live_noncyc], axis=1)
             for m, mode in enumerate(modes):
                 ok = base & ~eff2 if mode == "strong" else base
                 rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
+                rows = live[rows]  # ascending, so orbit order is kept
                 candidates[m] += np.bincount(which, minlength=len(surfaces))
                 tested = time.perf_counter()
                 stats["mask_tests_s"] += tested - start

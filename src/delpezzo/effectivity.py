@@ -240,6 +240,16 @@ def anticlass_effective(
 # -- brute-force oracle -------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _oracle_generators(lattice: PicardLattice, simple_roots: tuple[Divisor, ...]):
+    """(gens, products): -K, then the irreducible (-1)-curves sorted, and
+    their product matrix.  The search carries a class's pairings with every
+    generator: subtracting generator i subtracts row i of the products."""
+    lines = sorted(SurfaceModel(lattice, simple_roots).irr_lines_set())
+    gens = (vneg(lattice.canonical), *lines)
+    return gens, tuple(tuple(lattice.intersect(g, h) for h in gens) for g in gens)
+
+
 def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
     """Search for d = (nonneg combo of irreducible (-1)-curves and -K)
     plus (nonneg integer combo of simple roots).
@@ -248,10 +258,7 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
     loop in is_effective.  `bound` caps every multiplicity.
     """
     lat = s.lattice
-    gens = (vneg(lat.canonical),) + tuple(sorted(s.irr_lines_set()))
-    # The search carries current's pairings with every generator:
-    # subtracting generator i subtracts row i of their product matrix.
-    products = tuple(tuple(lat.intersect(g, h) for h in gens) for g in gens)
+    gens, products = _oracle_generators(lat, s.simple_roots)
     failures: set[tuple[int, Divisor]] = set()
 
     def search(idx: int, current: Divisor, pairings: tuple[int, ...]) -> bool:

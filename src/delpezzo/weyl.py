@@ -182,6 +182,7 @@ def orbit_layers(
     payload0: np.ndarray | None = None,
     *,
     max_layers: int | None = None,
+    row_bytes: int = 0,
 ):
     """Yield the W-orbit of (marker, payload) layer by layer.
 
@@ -198,8 +199,9 @@ def orbit_layers(
     `orbit_bound` allows, so no image can overflow.
 
     Before each layer, the memory of that layer and the current one is
-    estimated; past the machine's physical memory the walk raises
-    `ResourceError` rather than start it.
+    estimated, with `row_bytes` more per row for what the caller keeps
+    beside each row of both layers; past the machine's physical memory
+    the walk raises `ResourceError` rather than start it.
 
     Every layer is a function of the initial point and its index, so the
     walk keeps no state beyond the current layer: to continue a cut
@@ -242,7 +244,7 @@ def orbit_layers(
         markers, payload = layer.markers, layer.payload
         n = markers.shape[0]
         # this layer and the next (markers, payload, parents), plus the pairings
-        per = markers.itemsize * markers.shape[1] + 8
+        per = markers.itemsize * markers.shape[1] + 8 + row_bytes
         if payload is not None:
             per += payload.itemsize * payload.shape[1] * payload.shape[2]
         needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2

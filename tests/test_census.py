@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from delpezzo import census, weyl
-from delpezzo.errors import InputError, InternalError
+from delpezzo.errors import InputError, InternalError, ResourceError
 from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
@@ -243,15 +244,17 @@ def _deg3_system(preset: str, term: int):
 
 def _reference_sweep(A0, surfaces, modes, max_layers):
     """Tests (1)-(4) one row, surface and mode at a time, on window sums
-    formed explicitly, with the general effectivity test for (4)."""
+    formed explicitly, with the general effectivity test for (4).  A row
+    is live when it passes tests (1) and (3) on some surface."""
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
     deep = list(plan.deep_coeffs)
     store = {(s.name, mode): [] for s in surfaces for mode in modes}
     candidates = {f"{s.name}/{mode}": 0 for s in surfaces for mode in modes}
-    deep_tests = 0
+    deep_tests = live_rows = 0
     for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers):
         for system in layer.payload:
+            live = False
             roots = [tuple(v) for v in (plan.root_coeffs @ system).tolist()]
             lines = [tuple(v) for v in (plan.ixa_coeffs @ system).tolist()]
             for s in surfaces:
@@ -267,6 +270,7 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
                     or (lat.degree == 1 and vadd(c, lat.canonical) in eff)
                     for c in lines
                 )
+                live = live or not (anti or fail3)
                 for mode in modes:
                     if anti or fail3 or (mode == "strong" and eff2):
                         continue
@@ -277,7 +281,8 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
                             break
                     else:
                         store[(s.name, mode)].append(system.tolist())
-    return store, candidates, deep_tests
+            live_rows += live
+    return store, candidates, deep_tests, live_rows
 
 
 _SWEEP_CASES = {
@@ -294,6 +299,8 @@ _SWEEP_CASES = {
         ("exceptional",),
         8,
     ),
+    # Squares ending in -3: no row passes tests (1) and (3) anywhere.
+    "VI-deg3-no-live-rows": (lambda: _deg3_system("VI-deg2", 9), None, census.MODES, 8),
     "IIb-deg2-both": (
         lambda: census.SEQUENCE_PRESETS["IIb-deg2"].initial_system(),
         None,
@@ -316,14 +323,38 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     total, store, stats = census._census_sweep(
         A0, tuple(surfaces), modes, False, layers
     )
-    ref_store, ref_candidates, ref_deep = _reference_sweep(A0, surfaces, modes, layers)
+    ref = _reference_sweep(A0, surfaces, modes, layers)
+    ref_store, ref_candidates, ref_deep, ref_live = ref
     assert total == stats["rows"] == sum(
         weyl.poincare_coefficients(A0.lattice.degree)[: layers + 1]
     )
     assert {k: [a.tolist() for a in v] for k, v in store.items()} == ref_store
     assert stats["deep_candidates"] == ref_candidates
-    assert stats["deep_tests"] == ref_deep > 0
+    assert stats["deep_tests"] == ref_deep
+    assert stats["live_rows"] == ref_live
+    # Only the no-live-rows case has no candidate and so no deep test.
+    assert (ref_deep > 0) == (ref_live > 0) == (case != "VI-deg3-no-live-rows")
     assert stats["deep_cross_checks"] == 0
+
+
+def test_orbit_memory_check_counts_the_census_ids(monkeypatch):
+    # The least limit that lets the bare orbit (terms as payload) through
+    # layer 3, read off its own ResourceError messages, is too small for
+    # the census, which also holds two layers of window class ids: the
+    # census is refused at layer 3.
+    A0 = _deg3_system("VI-deg2", 3)
+    limit = 0
+    monkeypatch.setattr(weyl, "_physical_memory", lambda: limit)
+    while True:
+        try:
+            for _ in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=3):
+                pass
+            break
+        except ResourceError as exc:
+            limit = int(re.search(r"needs ~(\d+) bytes", str(exc)).group(1))
+    assert limit > 0
+    with pytest.raises(ResourceError, match="orbit layer 3 needs"):
+        census.census_for_preset(A0, max_layers=3, finalize=False)
 
 
 def test_sweep_cross_checks_every_deep_test():
