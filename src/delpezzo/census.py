@@ -29,6 +29,14 @@ kernel before the walk.
 Tests (1) and (3) run on every row.  Few rows pass both on even one
 surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) and the
 expansion into (row, surface) candidates run on those live rows only.
+
+The same sweep counts the cyclic strong exceptional systems of a
+first-kind sequence (every square >= -2; Tables 9 and 10) in the
+`cyclic-strong` mode.  Such a system's windows all have square >= -2 and
+it is cyclic strong exceptional iff no (-2)-window is effective or
+anti-effective, so its plan holds the (-2)-windows alone and test (2)'s
+effective gather takes every one of them.  Its counts are raw counts per
+surface; there is nothing to finalize.
 """
 
 from __future__ import annotations
@@ -203,18 +211,39 @@ def section13_system() -> ToricSystem:
 MODES = ("strong", "exceptional")
 
 
+def _check_modes(squares: tuple[int, ...], modes) -> None:
+    """Refuse an unknown or repeated mode, and a mode that the kind of
+    `squares` does not take: `cyclic-strong` counts the systems of a
+    first-kind sequence (every square >= -2), `strong` and `exceptional`
+    look for counterexamples of a second-kind one."""
+    first_kind = min(squares) >= -2
+    for mode in modes:
+        if mode not in MODES + ("cyclic-strong",):
+            raise InputError(f"unknown census mode {mode!r}")
+        if (mode == "cyclic-strong") != first_kind:
+            need = (
+                "first kind (every square >= -2)"
+                if mode == "cyclic-strong"
+                else "second kind (a_n <= -3)"
+            )
+            raise InputError(f"the {mode} mode needs a sequence of the {need}: {squares}")
+    if len(set(modes)) != len(modes):
+        raise InputError(f"repeated mode in {tuple(modes)}")
+
+
 # -- window plan --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _WindowPlan:
-    """Precomputed windows of a second-kind squares sequence.
+    """Precomputed windows of a squares sequence.
 
     Coefficient rows select the terms of each window, so the window sums
     of a batch of systems [m, n, rank] are `coeffs @ batch`.  A sweep looks
     them up as class ids on layer 0 and carries the ids down the orbit
     tree after that (see `_layer_ids`).  The deep windows
-    (square <= -3) all run through the last term and take test (4).
+    (square <= -3) all run through the last term and take test (4).  A
+    first-kind sequence has (-2)-windows only.
     """
 
     root_coeffs: np.ndarray  # [w2, n] 0/1, all (-2)-windows
@@ -235,8 +264,7 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
             f"the census needs the entry below -2 last: rotate {a} left by "
             f"{k} to {a[k:] + a[:k]}"
         )
-    if a[-1] > -3:
-        raise InputError(f"{a} is not of the second kind (a_n <= -3 required)")
+    second_kind = a[-1] <= -3
     root_rows, ixa_rows, deep_rows = [], [], []
     for (_k, _l, pos), sq in zip(cyclic_windows(n), window_squares(a)):
         row = tuple(int(p in pos) for p in range(n))
@@ -246,7 +274,7 @@ def _window_plan(a: tuple[int, ...]) -> _WindowPlan:
             if not row[-1]:
                 raise InternalError("window of square <= -3 avoiding the last term")
             deep_rows.append(row)
-        elif is_ixa_window(a, pos):
+        elif second_kind and is_ixa_window(a, pos):
             if row[-1]:
                 raise InternalError("I(X,A) window through the last term")
             ixa_rows.append(row)
@@ -289,9 +317,9 @@ def _class_table(lattice: PicardLattice, seeds: tuple[Divisor, ...]) -> _ClassTa
             weyl.reflect_rows(image, i)
             ids += [index.setdefault(c, len(index)) for c in map(tuple, image.tolist())]
     table = _ClassTable(
-        np.array(list(index), dtype=np.int64),
+        np.array(list(index), dtype=np.int64).reshape(-1, lattice.rank),
         index,
-        np.array(perm, dtype=np.min_scalar_type(len(index) - 1)),
+        np.array(perm, dtype=np.min_scalar_type(max(len(index) - 1, 0))),
     )
     for arr in (table.classes, table.perm):
         arr.flags.writeable = False  # cached and shared by every caller
@@ -373,10 +401,10 @@ class _SurfaceMasks:
     deep_anti: np.ndarray  # [cD] uint64: -D is effective
 
 
-def _bits(verdicts) -> np.ndarray:
-    """The uint64 masks [c] of boolean verdicts [c, surfaces]."""
-    verdicts = np.asarray(verdicts, dtype=np.uint64)
-    shifts = np.arange(verdicts.shape[1], dtype=np.uint64)
+def _bits(verdicts, surfaces: int) -> np.ndarray:
+    """The uint64 masks [c] of boolean verdicts [c, surfaces], c >= 0."""
+    verdicts = np.asarray(verdicts, dtype=np.uint64).reshape(len(verdicts), surfaces)
+    shifts = np.arange(surfaces, dtype=np.uint64)
     return np.bitwise_or.reduce(verdicts << shifts, axis=1)
 
 
@@ -414,10 +442,10 @@ def _surface_masks(lattice, tables, surfaces, test_mode: bool) -> _SurfaceMasks:
                         f"test on {tuple(d)} ({s.name})"
                     )
     return _SurfaceMasks(
-        _bits([[vneg(r) in eff for eff in effs] for r in roots]),
-        _bits([[r in eff for eff in effs] for r in roots]),
-        _bits(line_fail),
-        _bits(deep_anti),
+        _bits([[vneg(r) in eff for eff in effs] for r in roots], len(surfaces)),
+        _bits([[r in eff for eff in effs] for r in roots], len(surfaces)),
+        _bits(line_fail, len(surfaces)),
+        _bits(deep_anti, len(surfaces)),
     )
 
 
@@ -520,14 +548,16 @@ def _save_checkpoint(directory, config: dict, index: int, store, like) -> None:
     layer payload giving the rows' shape and dtype."""
     path = Path(directory) / _CHECKPOINT
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = [row for found in store.values() for row in found]
+    blocks = [block for found in store.values() for block in found]
     with open(f"{path}.tmp", "wb") as fh:
         np.savez(
             fh,
             config=np.array(json.dumps(config)),
             layer=np.int64(index),
-            counts=np.array([len(found) for found in store.values()], dtype=np.int64),
-            rows=np.array(rows, dtype=like.dtype).reshape(-1, *like.shape[1:]),
+            counts=np.array(
+                [sum(map(len, found)) for found in store.values()], dtype=np.int64
+            ),
+            rows=np.concatenate([like[:0], *blocks]),
         )
     os.replace(f"{path}.tmp", path)
 
@@ -555,7 +585,7 @@ def _load_checkpoint(directory, config: dict, store, max_layers) -> int:
     if max_layers is not None and max_layers < index:
         raise InputError(f"the checkpoint has finished layer {index}, past max_layers")
     for found, hi, count in zip(store.values(), np.cumsum(counts), counts):
-        found.extend(rows[hi - count : hi])
+        found.append(rows[hi - count : hi])
     return index
 
 
@@ -568,7 +598,8 @@ def _census_sweep(
     checkpoint_dir=None,
     resume: bool = False,
 ):
-    """Stream the orbit of A0 and collect counterexample systems.
+    """Stream the orbit of A0 and collect counterexample systems (in the
+    cyclic-strong mode, the cyclic strong exceptional systems).
 
     Tests (1)-(3) run on whole chunks for all surfaces at once: the window
     class ids of each layer (`_layer_ids`, carried down the orbit tree)
@@ -579,15 +610,15 @@ def _census_sweep(
     window ids gather `deep_anti`, and it is a counterexample when the
     surface's bit is clear in every one.  Only two layers of ids are held
     at a time, w2 + wI + wD ids per row each, and the orbit walk's memory
-    check counts them.
+    check counts them.  The modes must fit A0's kind (`_check_modes`).
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
     counterexamples and walks the orbit again from layer 0, testing only
     the layers after the saved one.
 
     Returns (orbit_total, store, stats) where store maps (surface name,
-    mode) to the list of counterexample system arrays in deterministic
-    orbit order.
+    mode) to a list of blocks [k, n, rank] of counterexample systems, each
+    chunk's finds in one block, in deterministic orbit order.
     """
     plan = _window_plan(A0.squares())
     start = time.perf_counter()
@@ -599,10 +630,12 @@ def _census_sweep(
     stats.update(window_ids_s=built - start, deep_tests_s=time.perf_counter() - built)
     if test_mode:
         stats["deep_cross_checks"] = masks.deep_anti.size * len(surfaces)
-    noncyc = np.flatnonzero(~plan.root_through_n)
+    # test (2)'s effective gather: the non-cyclic (-2)-windows, or all of
+    # them in the cyclic-strong mode
+    eff_cols = np.flatnonzero(~plan.root_through_n | ("cyclic-strong" in modes))
     everyone = np.uint64((1 << len(surfaces)) - 1)
     bit_shifts = np.arange(len(surfaces), dtype=np.uint64)
-    store: dict[tuple[str, str], list[np.ndarray]] = {
+    store: dict[tuple[str, str], list[np.ndarray]] = {  # blocks [k, n, rank]
         (s.name, mode): [] for s in surfaces for mode in modes
     }
     candidates = np.zeros((len(modes), len(surfaces)), dtype=np.int64)
@@ -647,10 +680,10 @@ def _census_sweep(
             live = np.flatnonzero(fail != everyone)
             stats["live_rows"] += live.size
             base = ~fail[live] & everyone
-            live_noncyc = ids2[live[:, None], noncyc]
-            eff2 = np.bitwise_or.reduce(masks.root_eff[live_noncyc], axis=1)
+            live_eff = ids2[live[:, None], eff_cols]
+            eff2 = np.bitwise_or.reduce(masks.root_eff[live_eff], axis=1)
             for m, mode in enumerate(modes):
-                ok = base & ~eff2 if mode == "strong" else base
+                ok = base if mode == "exceptional" else base & ~eff2
                 rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
                 rows = live[rows]  # ascending, so orbit order is kept
                 candidates[m] += np.bincount(which, minlength=len(surfaces))
@@ -661,11 +694,15 @@ def _census_sweep(
                 bits = masks.deep_anti[idsD[rows]] >> bit_shifts[which, None]
                 hit = (bits & np.uint64(1)).astype(bool)
                 found = ~hit.any(axis=1)
-                stats["deep_tests"] += int(
-                    np.where(found, hit.shape[1], hit.argmax(axis=1) + 1).sum()
-                )
-                for row, t in zip((rows[found] + lo).tolist(), which[found].tolist()):
-                    store[(surfaces[t].name, mode)].append(arr[row].copy())
+                if hit.shape[1]:  # a first-kind plan has no deep window
+                    stats["deep_tests"] += int(
+                        np.where(found, hit.shape[1], hit.argmax(axis=1) + 1).sum()
+                    )
+                hits = which[found]
+                if hits.size:
+                    at = rows[found] + lo
+                    for t in np.flatnonzero(np.bincount(hits)).tolist():
+                        store[(surfaces[t].name, mode)].append(arr[at[hits == t]])
                 start = time.perf_counter()
                 stats["deep_tests_s"] += start - tested
         if checkpoint_dir is not None:
@@ -678,12 +715,9 @@ def _census_sweep(
     return orbit_total, store, stats
 
 
-def _canonicalize(
-    lattice: PicardLattice,
-    arrays: list[np.ndarray],
-    elements: tuple[weyl.WeylElement, ...],
-):
-    """Group counterexamples into stabilizer orbits; return canonical reps.
+def _canonicalize(lattice: PicardLattice, rows, elements: tuple[weyl.WeylElement, ...]):
+    """Group counterexamples, the systems rows [N, n, rank], into
+    stabilizer orbits; return canonical reps.
 
     The rows are indexed once by their exact int64 bytes.  One orbit at a
     time, the |Stab| images of the first row not yet seen are computed in
@@ -696,16 +730,16 @@ def _canonicalize(
     coefficients in -128..127 (every census orbit) are compared one by
     one as x mod 256: 0 < 1 < ... < 127 < -128 < ... < -1.
     """
-    stack = np.stack(arrays).astype(np.int64)
+    stack = np.asarray(rows, dtype=np.int64)
     index = {row.tobytes(): i for i, row in enumerate(stack)}
-    if len(index) != len(arrays):
+    if len(index) != len(stack):
         raise InternalError(
             "two counterexamples are the same system (invariant violated)"
         )
     group = np.array([el.images for el in elements], dtype=np.int64)  # v -> v @ g
-    seen = np.zeros(len(arrays), dtype=bool)
+    seen = np.zeros(len(stack), dtype=bool)
     keys = []
-    for i in range(len(arrays)):
+    for i in range(len(stack)):
         if seen[i]:
             continue
         images = [image.tobytes() for image in stack[i] @ group]
@@ -779,6 +813,11 @@ def census_for_preset(
     under the reference checker.  `max_layers` with finalize is refused
     before the orbit is walked.
 
+    The modes `strong` and `exceptional` (`MODES`) take a second-kind A0;
+    `cyclic-strong`, which counts the cyclic strong exceptional systems of
+    W.A0 per surface, takes a first-kind A0 and finalize=False.  Any other
+    combination is refused before the walk.
+
     With `checkpoint_dir`, progress is saved after every layer, and
     `resume=True` continues from it to the raw counts and records of an
     uninterrupted run (see `_census_sweep`).
@@ -791,11 +830,7 @@ def census_for_preset(
             )
         preset = SEQUENCE_PRESETS[preset].initial_system()
     A0 = preset
-    for mode in modes:
-        if mode not in MODES:
-            raise InputError(f"unknown census mode {mode!r}")
-    if len(set(modes)) != len(modes):
-        raise InputError(f"repeated mode in {tuple(modes)}")
+    _check_modes(A0.squares(), modes)
     degree = A0.lattice.degree
     if surfaces is None:
         surfaces = catalog_load(degree).entries
@@ -806,6 +841,8 @@ def census_for_preset(
     complete = max_layers is None
     if finalize and not complete:
         raise InputError("cannot finalize a truncated census run")
+    if finalize and "cyclic-strong" in modes:
+        raise InputError("the cyclic-strong census has nothing to finalize")
     orbit_total, store, stats = _census_sweep(
         A0, surfaces, tuple(modes), test_mode, max_layers, checkpoint_dir, resume
     )
@@ -813,33 +850,34 @@ def census_for_preset(
         raise InternalError(
             f"orbit size {orbit_total} != |W| = {EXPECTED_WEYL_ORDERS[degree]}"
         )
-    raw_counts = {key: len(rows) for key, rows in store.items()}
+    raw_counts = {key: sum(map(len, blocks)) for key, blocks in store.items()}
     records: dict[tuple[str, str], CensusRecord] = {}
     stats.update(canonicalize_s=0.0, reverify_s=0.0, representatives_verified=0)
     if finalize:
         squares = A0.squares()
         by_name = {s.name: s for s in surfaces}
-        for (sname, mode), rows in sorted(store.items()):
+        for (sname, mode), blocks in sorted(store.items()):
+            count = raw_counts[(sname, mode)]
             reps = ()
-            if rows:
+            if count:
                 elements = stabilizer_elements(degree, by_name[sname].simple_roots)
                 if elements is None:
                     raise InternalError(
                         "counterexamples on a surface without (-2)-curves"
                     )
                 start = time.perf_counter()
-                reps = _canonicalize(A0.lattice, rows, elements)
+                reps = _canonicalize(A0.lattice, np.concatenate(blocks), elements)
                 verify = time.perf_counter()
                 _verify_representatives(by_name[sname], mode, reps)
                 stats["canonicalize_s"] += verify - start
                 stats["reverify_s"] += time.perf_counter() - verify
                 stats["representatives_verified"] += len(reps)
-            if mode == "strong" and len(rows) >= 0.003 * orbit_total:
+            if mode == "strong" and count >= 0.003 * orbit_total:
                 raise InternalError(
                     f"{sname}: counterexample fraction exceeds 0.3%"
                 )
             records[(sname, mode)] = CensusRecord(
-                sname, squares, mode, len(rows), _stabilizer_order(by_name[sname]),
+                sname, squares, mode, count, _stabilizer_order(by_name[sname]),
                 len(reps), reps,
             )
     return CensusRun(

@@ -112,10 +112,12 @@ def _resolve_sequence(args):
             f"known presets: {', '.join(sorted(census.SEQUENCE_PRESETS))}"
         )
     squares = tuple(squares)
-    # Refuse what the census refuses (not admissible, first kind, the entry
-    # below -2 not last) before searching for a system.
+    # Refuse what the census refuses (not admissible, the entry below -2
+    # not last, first kind in the modes of this command) before searching
+    # for a system.
     toric.classify_sequence(squares)
     census._window_plan(squares)
+    census._check_modes(squares, census.MODES)
     lat = PicardLattice.standard(12 - len(squares))
     A0 = toric.find_system_with_squares(lat, squares)
     if A0 is None:

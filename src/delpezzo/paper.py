@@ -10,7 +10,10 @@ explicit degree-2 counterexample (Section 13), the degree-2 censuses
 cyclic strong exceptional systems (Tables 9 and 10) and the Weyl group
 orders.  Each suite returns a `Report`.
 
-The census engine (`census`) does not import this module.
+Every whole-orbit count comes from the census engine (`census`), which
+does not import this module: Tables 7 and 8 from its counterexample
+modes, Tables 9 and 10 from its `cyclic-strong` mode over the orbit of
+every first-kind sequence of Table 3.
 """
 
 from __future__ import annotations
@@ -665,7 +668,9 @@ def verify_cyclic_strong_classification() -> Report:
     report.check_true("F1 system window r-values all in [-1, d-3]",
                       windows_in_range(f1_sys))
 
-    # Degrees 7-3: the uniform system on every listed surface type.
+    # Degrees 7-3: the uniform system on every listed surface type, and
+    # the cyclic strong systems of every Table 3 sequence of the degree
+    # counted over its whole orbit on every surface.
     for degree in (7, 6, 5, 4, 3):
         lat = PicardLattice.standard(degree)
         A = ToricSystem(lat, parse_divisor_list(lat, TABLE9_SYSTEM_TEXTS[degree]))
@@ -694,6 +699,27 @@ def verify_cyclic_strong_classification() -> Report:
             catalog_labels,
             listed | excluded,
         )
+        carrying = set()
+        for name, run in _cyclic_strong_censuses(degree).items():
+            seq = TABLE_CYCLIC_STRONG[name]
+            report.check(
+                f"orbit size of {seq}", EXPECTED_WEYL_ORDERS[degree], run.orbit_total
+            )
+            for s in catalog.entries:
+                count = run.raw_counts[(s.name, "cyclic-strong")]
+                report.note(f"{s.name}: cyclic strong systems with A^2 = {seq}", count)
+                if count:
+                    carrying.add(_type_label(s.name))
+        report.check(
+            f"degree {degree}: types with a cyclic strong system (Table 9)",
+            listed,
+            carrying,
+        )
+        report.check(
+            f"degree {degree}: types without one (Table 10)",
+            excluded,
+            catalog_labels - carrying,
+        )
 
     # Direct negative results in degree 5.
     report.extend(verify_degree5_negative())
@@ -713,48 +739,57 @@ def verify_cyclic_strong_classification() -> Report:
     return report
 
 
+def _cyclic_strong_censuses(degree: int) -> dict[str, CensusRun]:
+    """The cyclic-strong census of every Table 3 sequence of length
+    12 - degree, by row name: each sequence realized by
+    `find_system_with_squares` and its whole Weyl orbit counted on every
+    catalog surface.  Shifts and symmetries of a cyclic strong system are
+    again cyclic strong, so these orbits hold every cyclic strong system
+    up to them, provided the systems with one squares sequence form a
+    single W-orbit."""
+    lat = PicardLattice.standard(degree)
+    runs = {}
+    for name, seq in sorted(TABLE_CYCLIC_STRONG.items()):
+        if len(seq) != 12 - degree:
+            continue
+        A0 = find_system_with_squares(lat, seq)
+        if A0 is None:
+            raise InternalError(f"no toric system realizes {seq}")
+        runs[name] = census_for_preset(A0, modes=("cyclic-strong",), finalize=False)
+    return runs
+
+
 def verify_degree5_negative() -> Report:
     """Exhaustive search: no cyclic strong exceptional system on the
     degree-5 surfaces of types A3 and A4.
 
     Both length-7 cyclic strong admissible sequences are realized and
-    their full 120-element Weyl orbits checked; shifts and symmetries of
-    a cyclic strong system are again cyclic strong, so orbit
-    representatives of the two sequences are exhaustive.
+    their full 120-element Weyl orbits counted by the cyclic-strong census
+    (`_cyclic_strong_censuses`).
     """
     report = Report("degree-5 exhaustive negative search")
     lat = PicardLattice.standard(5)
     catalog = catalog_load(5)
-    surfaces = [catalog.get("A3"), catalog.get("A4")]
     for label, expected_text in DEGREE5_SLO_ROOTS.items():
         s = catalog.get(label)
         slo = {r for r in lat.enumerate_classes(-2) if is_slo(s, r)}
         expected = set(parse_divisor_list(lat, expected_text))
         expected |= {vneg(d) for d in expected}
         report.check(f"R^slo(X_{{5,{label}}})", expected, slo)
-    sequences = [TABLE_CYCLIC_STRONG["7a"], TABLE_CYCLIC_STRONG["7b"]]
-    for seq in sequences:
+    for name, run in _cyclic_strong_censuses(5).items():
+        seq = TABLE_CYCLIC_STRONG[name]
         report.check_true(
             f"sequence {seq} is cyclic strong admissible",
             canonical_cyclic(seq)
             in {canonical_cyclic(v) for v in TABLE_CYCLIC_STRONG.values()},
         )
-        A0 = find_system_with_squares(lat, seq)
-        if A0 is None:
-            raise InternalError(f"no toric system realizes {seq}")
-        found = {s.name: 0 for s in surfaces}
-        count = 0
-        for A in weyl.orbit_of_toric_system(A0):
-            count += 1
-            for s in surfaces:
-                if is_cyclic_strong_exceptional(s, A).ok:
-                    found[s.name] += 1
-        report.check(f"orbit size of {seq}", 120, count)
-        for s in surfaces:
+        report.check(f"orbit size of {seq}", 120, run.orbit_total)
+        for label in DEGREE5_SLO_ROOTS:
+            s = catalog.get(label)
             report.check(
                 f"{s.name}: cyclic strong systems with A^2 = {seq}",
                 0,
-                found[s.name],
+                run.raw_counts[(s.name, "cyclic-strong")],
             )
     return report
 

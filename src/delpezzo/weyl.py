@@ -41,7 +41,6 @@ import numpy as np
 from .errors import InputError, InternalError, ResourceError
 from .picard import Divisor, PicardLattice, integer_adjugate, integer_rank, is_root
 from .picard import leading_coefficient_range
-from .toric import ToricSystem
 
 @lru_cache(maxsize=None)
 def _physical_memory() -> int:
@@ -369,15 +368,6 @@ def group_order(degree: int) -> int:
     for layer in orbit_layers(lattice):
         total = layer.total_so_far
     return total
-
-
-def orbit_of_toric_system(A0: ToricSystem):
-    """Stream the |W| distinct images of A0, each exactly once."""
-    lattice = A0.lattice
-    payload0 = np.array(A0.terms, dtype=np.int64)
-    for layer in orbit_layers(lattice, payload0):
-        for row in layer.payload:
-            yield ToricSystem(lattice, tuple(tuple(int(x) for x in t) for t in row))
 
 
 # -- stabilizers of root sets -------------------------------------------

@@ -10,7 +10,7 @@ from delpezzo import census, paper, weyl
 from delpezzo.effectivity import brute_force_effective, is_effective
 from delpezzo.picard import PicardLattice, vneg
 from delpezzo.surface import SurfaceModel, catalog_load
-from delpezzo.toric import is_exceptional, is_strong_exceptional
+from delpezzo.toric import ToricSystem, is_exceptional, is_strong_exceptional
 
 
 def _gate(number, label, ok, detail=""):
@@ -112,7 +112,13 @@ def test_criterion_10_checker_equivalence():
     for i, name in enumerate(names):
         A0 = census.SEQUENCE_PRESETS[name].initial_system()
         s = surfaces[i % len(surfaces)]
-        for A in itertools.islice(weyl.orbit_of_toric_system(A0), 500):
+        rows = (
+            row
+            for layer in weyl.orbit_layers(A0.lattice, A0.terms)
+            for row in layer.payload.tolist()
+        )
+        for row in itertools.islice(rows, 500):
+            A = ToricSystem(A0.lattice, tuple(map(tuple, row)))
             for checker in (is_exceptional, is_strong_exceptional):
                 ref = checker(s, A, method="reference").ok
                 opt = checker(s, A).ok

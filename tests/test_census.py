@@ -11,11 +11,14 @@ from delpezzo.picard import PicardLattice, vadd, vneg
 from delpezzo.report import Report
 from delpezzo.surface import SurfaceModel, catalog_load
 from delpezzo.toric import (
+    TABLE_CYCLIC_STRONG,
     ToricSystem,
     blow_down,
     classify_sequence,
     cyclic_windows,
     find_system_with_squares,
+    is_cyclic_strong_exceptional,
+    window_squares,
 )
 
 
@@ -133,9 +136,14 @@ def test_window_keys_reject_non_classes():
     ))
 
 
-def test_window_plan_rejects_first_kind():
-    with pytest.raises(InputError):
-        census._window_plan((0, 0, -1, -1, -1))
+def test_window_plan_first_kind_and_two_low_entries():
+    # A first-kind sequence plans its (-2)-windows alone; "5a" has none.
+    for name, roots in (("8a", 4), ("9", 9), ("5a", 0)):
+        a = TABLE_CYCLIC_STRONG[name]
+        plan = census._window_plan(a)
+        assert plan.root_coeffs.shape == (roots, len(a))
+        assert roots == window_squares(a).count(-2)
+        assert plan.ixa_coeffs.shape == plan.deep_coeffs.shape == (0, len(a))
     with pytest.raises(InputError):
         census._window_plan((-3, -2, -2, -2, -2, -2, -2, -2, -2, -3))
 
@@ -164,6 +172,26 @@ def test_repeated_modes_or_surfaces_are_refused_before_the_sweep(monkeypatch):
             census.census_for_preset(
                 "IIb-deg2", surfaces, modes, max_layers=16, finalize=False
             )
+
+
+def test_mismatched_modes_are_refused_before_the_walk(monkeypatch):
+    # cyclic-strong takes a first-kind A0 and no finalize; strong and
+    # exceptional take a second-kind A0.
+    first = find_system_with_squares(PicardLattice.standard(7), (0, 0, -1, -1, -1))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(weyl, "orbit_layers", no_walk)
+    for A0, modes, finalize, match in (
+        ("IIb-deg2", ("cyclic-strong",), False, "first kind"),
+        ("IIb-deg2", ("strong", "cyclic-strong"), False, "first kind"),
+        (first, ("strong",), False, "second kind"),
+        (first, ("exceptional",), False, "second kind"),
+        (first, ("cyclic-strong",), True, "nothing to finalize"),
+    ):
+        with pytest.raises(InputError, match=match):
+            census.census_for_preset(A0, modes=modes, finalize=finalize)
 
 
 def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):
@@ -328,13 +356,80 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     assert total == stats["rows"] == sum(
         weyl.poincare_coefficients(A0.lattice.degree)[: layers + 1]
     )
-    assert {k: [a.tolist() for a in v] for k, v in store.items()} == ref_store
+    assert {k: [r for b in v for r in b.tolist()] for k, v in store.items()} == ref_store
     assert stats["deep_candidates"] == ref_candidates
     assert stats["deep_tests"] == ref_deep
     assert stats["live_rows"] == ref_live
     # Only the no-live-rows case has no candidate and so no deep test.
     assert (ref_deep > 0) == (ref_live > 0) == (case != "VI-deg3-no-live-rows")
     assert stats["deep_cross_checks"] == 0
+
+
+def _cyclic_strong_run(a: tuple[int, ...], **kwargs):
+    A0 = find_system_with_squares(PicardLattice.standard(12 - len(a)), a)
+    return A0, census.census_for_preset(
+        A0, modes=("cyclic-strong",), finalize=False, **kwargs
+    )
+
+
+def test_window_kinds_without_windows():
+    # A first-kind plan has no deep windows, and "6a" no (-2)-windows
+    # either: an empty class table, empty masks and empty id arrays.
+    lat = PicardLattice.standard(6)
+    empty = census._class_table(lat, ())
+    assert empty.classes.shape == (0, lat.rank)
+    assert empty.perm.shape == (3, 0) and empty.perm.dtype == np.uint8
+    assert census._bits([], 6).shape == (0,)
+    A0, run = _cyclic_strong_run(TABLE_CYCLIC_STRONG["6a"], test_mode=True)
+    assert all(c.shape == (0, 6) for c in census._window_plan(A0.squares()).coeffs)
+    assert run.raw_counts == {
+        (s.name, "cyclic-strong"): 12 for s in catalog_load(6).entries
+    }
+
+
+def _degree_7_to_5_sequences():
+    """Table 3's sequences of lengths 5-7, each also rotated to end in -2
+    where it has a -2: the printed rows end in -1, 0 or 1, so only the
+    rotations have (-2)-windows through position n."""
+    for name, a in sorted(TABLE_CYCLIC_STRONG.items()):
+        if 5 <= len(a) <= 7:
+            yield pytest.param(a, id=name)
+            if -2 in a:
+                k = a.index(-2) + 1
+                yield pytest.param(a[k:] + a[:k], id=f"{name}-rotated")
+
+
+@pytest.mark.parametrize("a", _degree_7_to_5_sequences())
+def test_cyclic_strong_counts_match_the_definition(a):
+    # Per surface, the census counts the orbit systems on which every
+    # cyclic window is slo (the reference checker, not the criterion).
+    A0, run = _cyclic_strong_run(a)
+    lat = A0.lattice
+    systems = [
+        ToricSystem(lat, tuple(map(tuple, row)))
+        for layer in weyl.orbit_layers(lat, A0.terms)
+        for row in layer.payload.tolist()
+    ]
+    assert run.orbit_total == len(systems) == census.EXPECTED_WEYL_ORDERS[lat.degree]
+    for s in catalog_load(lat.degree).entries:
+        expected = sum(
+            is_cyclic_strong_exceptional(s, A, method="reference").ok for A in systems
+        )
+        assert run.raw_counts[(s.name, "cyclic-strong")] == expected, s.name
+
+
+def test_cyclic_strong_counts_are_pinned():
+    table10_deg3 = ("A3", "A1+A3", "A4", "D4", "2A1+A3", "A1+A4", "A5", "D5", "A1+A5", "E6")
+    pinned = {
+        "8a": {"X_{4}": 1920, "X_{4,A1}": 1536, "X_{4,A3,4}": 768}
+        | {f"X_{{4,{t}}}": 0 for t in ("A3,5", "A4", "D4", "D5")},
+        "9": {"X_{3}": 51840, "X_{3,A1}": 38880, "X_{3,3A2}": 15552}
+        | {f"X_{{3,{t}}}": 0 for t in table10_deg3},
+    }
+    for name, counts in pinned.items():
+        _, run = _cyclic_strong_run(TABLE_CYCLIC_STRONG[name])
+        for surface, count in counts.items():
+            assert run.raw_counts[(surface, "cyclic-strong")] == count, surface
 
 
 def test_orbit_memory_check_counts_the_census_ids(monkeypatch):

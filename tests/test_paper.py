@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -11,17 +12,31 @@ from delpezzo.picard import PicardLattice
 from delpezzo.surface import catalog_load
 
 
-def test_census_does_not_import_paper():
-    # The census engine stands alone: importing it loads none of the
-    # paper's tables or suites.
+def _loads(module: str, others: list[str]) -> list[str]:
+    """Which of `others` a fresh interpreter has loaded after importing
+    `module`."""
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, delpezzo.census; print('delpezzo.paper' in sys.modules)"
+    code = (
+        f"import json, sys, {module}; "
+        f"print(json.dumps([m for m in {others!r} if m in sys.modules]))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout)
+
+
+def test_census_does_not_import_paper():
+    # The census engine stands alone: importing it loads none of the
+    # paper's tables or suites.
+    assert _loads("delpezzo.census", ["delpezzo.paper"]) == []
+
+
+def test_weyl_does_not_import_toric_or_surface():
+    # The group code is lattice code: it knows no toric system or surface.
+    assert _loads("delpezzo.weyl", ["delpezzo.toric", "delpezzo.surface"]) == []
 
 
 def test_irr_lines_suite():

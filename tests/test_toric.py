@@ -182,7 +182,13 @@ def test_checkers_on_explicit_system():
 
 def test_checker_methods_agree_on_samples():
     s = census.section13_surface()
-    for A in itertools.islice(weyl.orbit_of_toric_system(SYS13), 25):
+    rows = (
+        row
+        for layer in weyl.orbit_layers(SYS13.lattice, SYS13.terms)
+        for row in layer.payload.tolist()
+    )
+    for row in itertools.islice(rows, 25):
+        A = ToricSystem(SYS13.lattice, tuple(map(tuple, row)))
         for checker in (is_exceptional, is_strong_exceptional):
             assert (
                 checker(s, A, method="reference").ok
@@ -277,7 +283,12 @@ def test_blow_down_of_a_line_with_positive_degree():
     dp5 = catalog_load(5).get("dP")
     A = find_system_with_squares(dp5.lattice, TABLE_CYCLIC_STRONG["7a"])
     e = parse_divisor(dp5.lattice, "L-E1-E2")
-    A = next(B for B in weyl.orbit_of_toric_system(A) if e in B.terms)
+    A = next(
+        ToricSystem(A.lattice, tuple(map(tuple, row)))
+        for layer in weyl.orbit_layers(A.lattice, A.terms)
+        for row in layer.payload.tolist()
+        if list(e) in row
+    )
     s6, A6 = blow_down(dp5, A, A.terms.index(e) + 1)
     assert A6.lattice.degree == 6 and A6.n == A.n - 1
     assert s6.simple_roots == ()

@@ -41,7 +41,11 @@ def test_element_apply_matches_matrix():
 def test_orbit_freeness_degree5():
     lat = PicardLattice.standard(5)
     A0 = ToricSystem(lat, parse_divisor_list(lat, paper.TABLE9_SYSTEM_TEXTS[5]))
-    systems = list(weyl.orbit_of_toric_system(A0))
+    systems = [
+        ToricSystem(lat, tuple(map(tuple, row)))
+        for layer in weyl.orbit_layers(lat, A0.terms)
+        for row in layer.payload.tolist()
+    ]
     assert len(systems) == 120
     assert len(set(systems)) == 120
 
