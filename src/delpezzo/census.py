@@ -27,8 +27,8 @@ every surface come from one pass of the batched anti-class effectiveness
 kernel before the walk.
 
 Tests (1) and (3) run on every row.  Few rows pass both on even one
-surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) and the
-expansion into (row, surface) candidates run on those live rows only.
+surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) run on those
+live rows only; only a row with a find is split into its surfaces.
 
 The same sweep counts the cyclic strong exceptional systems of a
 first-kind sequence (every square >= -2; Tables 9 and 10) in the
@@ -36,7 +36,7 @@ first-kind sequence (every square >= -2; Tables 9 and 10) in the
 it is cyclic strong exceptional iff no (-2)-window is effective or
 anti-effective, so its plan holds the (-2)-windows alone and test (2)'s
 effective gather takes every one of them.  Its counts are raw counts per
-surface; there is nothing to finalize.
+surface, and it keeps no rows: there is nothing to finalize or checkpoint.
 """
 
 from __future__ import annotations
@@ -212,10 +212,10 @@ MODES = ("strong", "exceptional")
 
 
 def _check_modes(squares: tuple[int, ...], modes) -> None:
-    """Refuse an unknown or repeated mode, and a mode that the kind of
-    `squares` does not take: `cyclic-strong` counts the systems of a
-    first-kind sequence (every square >= -2), `strong` and `exceptional`
-    look for counterexamples of a second-kind one."""
+    """Refuse an unknown mode and a mode that the kind of `squares` does
+    not take: `cyclic-strong` counts the systems of a first-kind sequence
+    (every square >= -2), `strong` and `exceptional` look for
+    counterexamples of a second-kind one."""
     first_kind = min(squares) >= -2
     for mode in modes:
         if mode not in MODES + ("cyclic-strong",):
@@ -227,8 +227,6 @@ def _check_modes(squares: tuple[int, ...], modes) -> None:
                 else "second kind (a_n <= -3)"
             )
             raise InputError(f"the {mode} mode needs a sequence of the {need}: {squares}")
-    if len(set(modes)) != len(modes):
-        raise InputError(f"repeated mode in {tuple(modes)}")
 
 
 # -- window plan --------------------------------------------------------
@@ -520,7 +518,7 @@ class CensusRun:
     every surface).  It times each phase in seconds: `orbit_s` (the orbit
     walk), `window_ids_s` (class tables and window class ids),
     `mask_tests_s` (tests (1)-(3)), `deep_tests_s` (test (4): the surface
-    masks and the candidates' deep gathers), and in finalize
+    masks and the live rows' deep gathers), and in finalize
     `canonicalize_s` and `reverify_s` (0 without finalize);
     `representatives_verified` counts the representatives re-verified.
     """
@@ -601,24 +599,22 @@ def _census_sweep(
     """Stream the orbit of A0 and collect counterexample systems (in the
     cyclic-strong mode, the cyclic strong exceptional systems).
 
-    Tests (1)-(3) run on whole chunks for all surfaces at once: the window
+    The tests run on whole chunks for all surfaces at once: the window
     class ids of each layer (`_layer_ids`, carried down the orbit tree)
-    gather the surfaces' bit masks, and an OR over the windows gives each
-    row's failure bits.  Tests (1) and (3) come first; test (2) and all
-    later work take only the live rows, those with a surface left.  Each
-    (row, surface, mode) that passes is a candidate for test (4): its deep
-    window ids gather `deep_anti`, and it is a counterexample when the
-    surface's bit is clear in every one.  Only two layers of ids are held
-    at a time, w2 + wI + wD ids per row each, and the orbit walk's memory
-    check counts them.  The modes must fit A0's kind (`_check_modes`).
+    gather the surfaces' bit masks, ORed over each test's windows.  Tests
+    (1) and (3) come first; tests (2) and (4) take only the live rows,
+    those with a surface left.  Only two layers of ids are held at a time,
+    w2 + wI + wD ids per row each, and the orbit walk's memory check
+    counts them.  The modes must fit A0's kind (`_check_modes`).
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
     counterexamples and walks the orbit again from layer 0, testing only
     the layers after the saved one.
 
-    Returns (orbit_total, store, stats) where store maps (surface name,
-    mode) to a list of blocks [k, n, rank] of counterexample systems, each
-    chunk's finds in one block, in deterministic orbit order.
+    Returns (orbit_total, raw_counts, store, stats) where store maps
+    (surface name, mode) to a list of blocks [k, n, rank] of counterexample
+    systems (none in the cyclic-strong mode), each chunk's finds in one
+    block, in deterministic orbit order.
     """
     plan = _window_plan(A0.squares())
     start = time.perf_counter()
@@ -634,11 +630,10 @@ def _census_sweep(
     # them in the cyclic-strong mode
     eff_cols = np.flatnonzero(~plan.root_through_n | ("cyclic-strong" in modes))
     everyone = np.uint64((1 << len(surfaces)) - 1)
-    bit_shifts = np.arange(len(surfaces), dtype=np.uint64)
+    bit = np.uint64(1) << np.arange(len(surfaces), dtype=np.uint64)  # surface t's bit
     store: dict[tuple[str, str], list[np.ndarray]] = {  # blocks [k, n, rank]
         (s.name, mode): [] for s in surfaces for mode in modes
     }
-    candidates = np.zeros((len(modes), len(surfaces)), dtype=np.int64)
 
     config = {  # what a checkpoint is bound to
         "terms": [list(t) for t in A0.terms],
@@ -648,6 +643,9 @@ def _census_sweep(
     }
     # the last layer whose counterexamples are in store
     done = _load_checkpoint(checkpoint_dir, config, store, max_layers) if resume else -1
+    # per (surface, mode) in store order; a resumed sweep counts its saved finds
+    candidates = np.zeros((len(surfaces), len(modes)), dtype=np.int64)
+    counts = np.reshape([sum(map(len, f)) for f in store.values()], candidates.shape)
 
     orbit_total = 0
     ids = None
@@ -680,39 +678,33 @@ def _census_sweep(
             live = np.flatnonzero(fail != everyone)
             stats["live_rows"] += live.size
             base = ~fail[live] & everyone
-            live_eff = ids2[live[:, None], eff_cols]
-            eff2 = np.bitwise_or.reduce(masks.root_eff[live_eff], axis=1)
+            eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[live][:, eff_cols]], axis=1)
+            tested = time.perf_counter()
+            stats["mask_tests_s"] += tested - start
+            # Test (4): seen[:, w] holds the surfaces on which one of the
+            # first w deep windows is anti-effective.
+            seen = np.zeros((live.size, idsD.shape[1] + 1), dtype=np.uint64)
+            np.bitwise_or.accumulate(masks.deep_anti[idsD[live]], axis=1, out=seen[:, 1:])
             for m, mode in enumerate(modes):
                 ok = base if mode == "exceptional" else base & ~eff2
-                rows, which = np.nonzero((ok[:, None] >> bit_shifts) & np.uint64(1))
-                rows = live[rows]  # ascending, so orbit order is kept
-                candidates[m] += np.bincount(which, minlength=len(surfaces))
-                tested = time.perf_counter()
-                stats["mask_tests_s"] += tested - start
-                # Test (4): hit[j, w] is the verdict of candidate j's surface
-                # on its w-th deep window; the first hit ends its tests.
-                bits = masks.deep_anti[idsD[rows]] >> bit_shifts[which, None]
-                hit = (bits & np.uint64(1)).astype(bool)
-                found = ~hit.any(axis=1)
-                if hit.shape[1]:  # a first-kind plan has no deep window
-                    stats["deep_tests"] += int(
-                        np.where(found, hit.shape[1], hit.argmax(axis=1) + 1).sum()
-                    )
-                hits = which[found]
-                if hits.size:
-                    at = rows[found] + lo
-                    for t in np.flatnonzero(np.bincount(hits)).tolist():
-                        store[(surfaces[t].name, mode)].append(arr[at[hits == t]])
-                start = time.perf_counter()
-                stats["deep_tests_s"] += start - tested
+                candidates[:, m] += ((ok[:, None] & bit) != 0).sum(axis=0)
+                left = np.bitwise_count(ok[:, None] & ~seen[:, :-1])
+                stats["deep_tests"] += int(left.sum())
+                found = ok & ~seen[:, -1]
+                rows = np.flatnonzero(found)  # ascending, so orbit order is kept
+                hits = (found[rows, None] & bit) != 0
+                counts[:, m] += hits.sum(axis=0)
+                if mode != "cyclic-strong":  # it keeps counts alone
+                    for t in np.flatnonzero(hits.any(axis=0)).tolist():
+                        at = live[rows[hits[:, t]]] + lo
+                        store[(surfaces[t].name, mode)].append(arr[at])
+            stats["deep_tests_s"] += time.perf_counter() - tested
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, config, layer.index, store, arr)
     stats["deep_candidates"] = {
-        f"{s.name}/{mode}": int(candidates[m, t])
-        for t, s in enumerate(surfaces)
-        for m, mode in enumerate(modes)
+        f"{s}/{mode}": c for (s, mode), c in zip(store, candidates.ravel().tolist())
     }
-    return orbit_total, store, stats
+    return orbit_total, dict(zip(store, counts.ravel().tolist())), store, stats
 
 
 def _canonicalize(lattice: PicardLattice, rows, elements: tuple[weyl.WeylElement, ...]):
@@ -815,8 +807,9 @@ def census_for_preset(
 
     The modes `strong` and `exceptional` (`MODES`) take a second-kind A0;
     `cyclic-strong`, which counts the cyclic strong exceptional systems of
-    W.A0 per surface, takes a first-kind A0 and finalize=False.  Any other
-    combination is refused before the walk.
+    W.A0 per surface, takes a first-kind A0, finalize=False and no
+    checkpoint.  Any other combination, and an empty `modes` or
+    `surfaces`, is refused before the walk.
 
     With `checkpoint_dir`, progress is saved after every layer, and
     `resume=True` continues from it to the raw counts and records of an
@@ -836,21 +829,23 @@ def census_for_preset(
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
     names = [s.name for s in surfaces]
-    if len(set(names)) != len(names):
-        raise InputError(f"repeated surface name in {names}")
+    for what, given in (("surface name", names), ("mode", list(modes))):
+        if not given or len(set(given)) != len(given):
+            raise InputError(
+                f"a census needs one or more {what}s and no repeated {what}: {given}"
+            )
     complete = max_layers is None
     if finalize and not complete:
         raise InputError("cannot finalize a truncated census run")
-    if finalize and "cyclic-strong" in modes:
-        raise InputError("the cyclic-strong census has nothing to finalize")
-    orbit_total, store, stats = _census_sweep(
+    if "cyclic-strong" in modes and (finalize or checkpoint_dir is not None):
+        raise InputError("the cyclic-strong mode has nothing to finalize or checkpoint")
+    orbit_total, raw_counts, store, stats = _census_sweep(
         A0, surfaces, tuple(modes), test_mode, max_layers, checkpoint_dir, resume
     )
     if complete and orbit_total != EXPECTED_WEYL_ORDERS[degree]:
         raise InternalError(
             f"orbit size {orbit_total} != |W| = {EXPECTED_WEYL_ORDERS[degree]}"
         )
-    raw_counts = {key: sum(map(len, blocks)) for key, blocks in store.items()}
     records: dict[tuple[str, str], CensusRecord] = {}
     stats.update(canonicalize_s=0.0, reverify_s=0.0, representatives_verified=0)
     if finalize:

@@ -18,6 +18,8 @@ every first-kind sequence of Table 3.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .census import (
     EXPECTED_WEYL_ORDERS,
     IIB_DEG2_SQUARES,
@@ -739,6 +741,7 @@ def verify_cyclic_strong_classification() -> Report:
     return report
 
 
+@lru_cache(maxsize=None)
 def _cyclic_strong_censuses(degree: int) -> dict[str, CensusRun]:
     """The cyclic-strong census of every Table 3 sequence of length
     12 - degree, by row name: each sequence realized by
@@ -746,7 +749,8 @@ def _cyclic_strong_censuses(degree: int) -> dict[str, CensusRun]:
     catalog surface.  Shifts and symmetries of a cyclic strong system are
     again cyclic strong, so these orbits hold every cyclic strong system
     up to them, provided the systems with one squares sequence form a
-    single W-orbit."""
+    single W-orbit.  Cached per degree: the classification suite and
+    `verify_degree5_negative` read the same runs."""
     lat = PicardLattice.standard(degree)
     runs = {}
     for name, seq in sorted(TABLE_CYCLIC_STRONG.items()):

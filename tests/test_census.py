@@ -164,34 +164,38 @@ def test_repeated_modes_or_surfaces_are_refused_before_the_sweep(monkeypatch):
 
     monkeypatch.setattr(weyl, "orbit_layers", no_walk)
     s = census.section13_surface()
-    for surfaces, modes, what in (
-        ((s,), ("strong", "strong"), "mode"),
-        ((s, s), ("strong",), "surface"),
+    for surfaces, modes, match in (
+        ((s,), ("strong", "strong"), "repeated mode"),
+        ((s, s), ("strong",), "repeated surface"),
+        # An empty mode tuple once walked the orbit and returned nothing.
+        ((s,), (), "needs one or more modes"),
+        ((), ("strong",), "needs one or more surface names"),
     ):
-        with pytest.raises(InputError, match=f"repeated {what}"):
+        with pytest.raises(InputError, match=match):
             census.census_for_preset(
                 "IIb-deg2", surfaces, modes, max_layers=16, finalize=False
             )
 
 
-def test_mismatched_modes_are_refused_before_the_walk(monkeypatch):
-    # cyclic-strong takes a first-kind A0 and no finalize; strong and
-    # exceptional take a second-kind A0.
+def test_mismatched_modes_are_refused_before_the_walk(monkeypatch, tmp_path):
+    # cyclic-strong takes a first-kind A0 and neither finalize nor a
+    # checkpoint; strong and exceptional take a second-kind A0.
     first = find_system_with_squares(PicardLattice.standard(7), (0, 0, -1, -1, -1))
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the orbit was walked")
 
     monkeypatch.setattr(weyl, "orbit_layers", no_walk)
-    for A0, modes, finalize, match in (
-        ("IIb-deg2", ("cyclic-strong",), False, "first kind"),
-        ("IIb-deg2", ("strong", "cyclic-strong"), False, "first kind"),
-        (first, ("strong",), False, "second kind"),
-        (first, ("exceptional",), False, "second kind"),
-        (first, ("cyclic-strong",), True, "nothing to finalize"),
+    for A0, modes, kwargs, match in (
+        ("IIb-deg2", ("cyclic-strong",), {}, "first kind"),
+        ("IIb-deg2", ("strong", "cyclic-strong"), {}, "first kind"),
+        (first, ("strong",), {}, "second kind"),
+        (first, ("exceptional",), {}, "second kind"),
+        (first, ("cyclic-strong",), {"finalize": True}, "nothing to finalize"),
+        (first, ("cyclic-strong",), {"checkpoint_dir": tmp_path}, "checkpoint"),
     ):
         with pytest.raises(InputError, match=match):
-            census.census_for_preset(A0, modes=modes, finalize=finalize)
+            census.census_for_preset(A0, modes=modes, **{"finalize": False, **kwargs})
 
 
 def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):
@@ -348,7 +352,7 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     # A small chunk bound also exercises the chunk boundaries inside a
     # layer, both in carrying the window ids and in the sweep's tests.
     monkeypatch.setattr(census, "_CHUNK_ROWS", batch_rows)
-    total, store, stats = census._census_sweep(
+    total, _, store, stats = census._census_sweep(
         A0, tuple(surfaces), modes, False, layers
     )
     ref = _reference_sweep(A0, surfaces, modes, layers)
@@ -363,6 +367,23 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     # Only the no-live-rows case has no candidate and so no deep test.
     assert (ref_deep > 0) == (ref_live > 0) == (case != "VI-deg3-no-live-rows")
     assert stats["deep_cross_checks"] == 0
+
+
+def test_benchmark_work_counts_are_pinned():
+    # Orbit invariants that the benchmark checks as well: the deep tests of
+    # the three degree-3 blow-downs and of the IIb-deg2 prefix.
+    for preset, term, deep in (
+        ("VI-deg2", 9, 0),
+        ("VI-deg2", 3, 13_324),
+        ("V-deg2", 3, 9_434),
+    ):
+        run = census.census_for_preset(_deg3_system(preset, term))
+        assert run.stats["deep_tests"] == deep, (preset, term)
+        assert not any(run.raw_counts.values())
+    run = census.census_for_preset("IIb-deg2", max_layers=16, finalize=False)
+    assert run.stats["rows"] == 109_466
+    assert run.stats["deep_tests"] == 1_080
+    assert sum(run.raw_counts.values()) == 540
 
 
 def _cyclic_strong_run(a: tuple[int, ...], **kwargs):
