@@ -22,9 +22,10 @@ class id: looked up exactly on the first layer, then carried down the
 orbit tree, one simple reflection per layer.  The ids index bit masks
 holding the truth tables of all surfaces.  Test (4) is one more gather:
 the deep windows' classes are the W-orbits of the initial system's deep
-window sums, carried down the tree like the others, and their verdicts on
-every surface come from one pass of the batched anti-class effectiveness
-kernel before the walk.
+window sums, carried down the tree like the others.  Their verdicts come
+from the batched anti-class effectiveness kernel on demand: a (class,
+surface) pair is evaluated once, in the first orbit layer where a row
+that passes tests (1)-(3) on that surface has the class.
 
 Tests (1) and (3) run on every row.  Few rows pass both on even one
 surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) run on those
@@ -390,13 +391,12 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
 
 @dataclass(frozen=True)
 class _SurfaceMasks:
-    """Per-surface truth tables stacked as bits: bit t of a class id's mask
-    is the verdict of surface t on that class."""
+    """The truth tables of tests (1)-(3) stacked as bits: bit t of a class
+    id's mask is the verdict of surface t on that class."""
 
     root_anti: np.ndarray  # [c2] uint64: -r is effective
     root_eff: np.ndarray  # [c2] uint64: r is effective
     line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (degree 1)
-    deep_anti: np.ndarray  # [cD] uint64: -D is effective
 
 
 def _bits(verdicts, surfaces: int) -> np.ndarray:
@@ -406,13 +406,18 @@ def _bits(verdicts, surfaces: int) -> np.ndarray:
     return np.bitwise_or.reduce(verdicts << shifts, axis=1)
 
 
-def _surface_masks(lattice, tables, surfaces, test_mode: bool) -> _SurfaceMasks:
-    """The masks of the `_window_tables` classes.  The deep verdicts come
-    from the batched anti-class kernel, a block of classes on every surface
-    per call; under test_mode every one is checked against `is_effective`."""
+@lru_cache(maxsize=None)
+def _surface_masks(
+    lattice: PicardLattice, surfaces: tuple[SurfaceModel, ...]
+) -> _SurfaceMasks:
+    """The masks of all (-2)- and (-1)-classes of the lattice, the first two
+    `_window_tables` tables, on `surfaces` (64 at most)."""
     if len(surfaces) > 64:
         raise InputError(f"a census covers at most 64 surfaces, not {len(surfaces)}")
-    roots, lines = ([tuple(c) for c in t.classes.tolist()] for t in tables[:2])
+    roots, lines = (
+        _class_table(lattice, lattice.enumerate_classes(r)).classes.tolist()
+        for r in (-2, -1)
+    )
     effs = [s.effective_roots_set() for s in surfaces]
     # In degree 1 a (-1)-class C is slo iff C + K is not effective.
     line_fail = [
@@ -421,30 +426,63 @@ def _surface_masks(lattice, tables, surfaces, test_mode: bool) -> _SurfaceMasks:
             or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
             for s, eff in zip(surfaces, effs)
         ]
-        for c in lines
+        for c in map(tuple, lines)
     ]
-    stacks = root_stacks(surfaces)
-    which = np.arange(len(surfaces))
-    step = max(1, 1024 // len(surfaces))  # bounds the kernel's [B, rank, R] gathers
-    deep_anti = []
-    for lo in range(0, tables[2].classes.shape[0], step):
-        anti = -tables[2].classes[lo : lo + step]
-        deep_anti += anticlass_effective(
-            stacks, np.repeat(anti, which.size, axis=0), np.tile(which, anti.shape[0])
-        ).reshape(anti.shape[0], which.size).tolist()
-        for d, row in zip(anti.tolist() if test_mode else (), deep_anti[lo:]):
-            for s, fast in zip(surfaces, row):
-                if is_effective(s, tuple(d)) != fast:
+    masks = _SurfaceMasks(
+        _bits([[r in eff for eff in effs] for r in map(vneg, roots)], len(surfaces)),
+        _bits([[r in eff for eff in effs] for r in map(tuple, roots)], len(surfaces)),
+        _bits(line_fail, len(surfaces)),
+    )
+    for arr in (masks.root_anti, masks.root_eff, masks.line_fail):
+        arr.flags.writeable = False  # cached and shared by every caller
+    return masks
+
+
+#: (class, surface) pairs per anti-class kernel call: bounds its
+#: [B, rank, R] gathers.
+_KERNEL_PAIRS = 1024
+
+
+class _DeepVerdicts:
+    """Test (4)'s verdicts on the deep classes, computed on demand.
+
+    Bit t of `anti[c]` says whether -D is effective on surface t, D the
+    deep class c, once bit t of `known[c]` is set.  `evaluated` counts
+    the (class, surface) pairs the kernel has taken; under `check` each
+    verdict is also compared with `is_effective`.
+    """
+
+    def __init__(self, classes: np.ndarray, surfaces, check: bool):
+        self.classes, self.surfaces, self.check = classes, surfaces, check
+        self.stacks = root_stacks(surfaces)
+        self.anti = np.zeros(classes.shape[0], dtype=np.uint64)
+        self.known = np.zeros_like(self.anti)
+        self.evaluated = 0
+
+    def resolve(self, need: np.ndarray) -> None:
+        """Compute the verdicts whose bits are set in `need` [cD] and not
+        yet known."""
+        todo = need & ~self.known
+        ids = np.flatnonzero(todo)
+        shifts = np.arange(len(self.surfaces), dtype=np.uint64)
+        got = ((todo[ids, None] >> shifts) & np.uint64(1)) != 0  # [k, surfaces]
+        rows, which = np.nonzero(got)
+        anti = -self.classes[ids[rows]]
+        for lo in range(0, rows.size, _KERNEL_PAIRS):
+            part = slice(lo, lo + _KERNEL_PAIRS)
+            verdicts = anticlass_effective(self.stacks, anti[part], which[part])
+            got[rows[part], which[part]] = verdicts
+            for d, t, fast in zip(
+                anti[part].tolist() if self.check else (), which[part], verdicts
+            ):
+                if is_effective(self.surfaces[t], tuple(d)) != fast:
                     raise InternalError(
                         f"fast anti-class test disagrees with the general "
-                        f"test on {tuple(d)} ({s.name})"
+                        f"test on {tuple(d)} ({self.surfaces[t].name})"
                     )
-    return _SurfaceMasks(
-        _bits([[vneg(r) in eff for eff in effs] for r in roots], len(surfaces)),
-        _bits([[r in eff for eff in effs] for r in roots], len(surfaces)),
-        _bits(line_fail, len(surfaces)),
-        _bits(deep_anti, len(surfaces)),
-    )
+        self.anti[ids] |= _bits(got, len(self.surfaces))
+        self.known |= todo
+        self.evaluated += rows.size
 
 
 # -- stabilizers --------------------------------------------------------
@@ -513,12 +551,15 @@ class CensusRun:
     the only rows tests (2)-(4) see), `deep_candidates` (rows passing
     tests (1)-(3), keyed "surface/mode"), `deep_tests` (per candidate, its
     deep windows in plan order up to the first with an effective
-    anti-class, or all of them) and `deep_cross_checks` (under test_mode,
-    the deep verdicts checked against `is_effective`: every deep class on
-    every surface).  It times each phase in seconds: `orbit_s` (the orbit
-    walk), `window_ids_s` (class tables and window class ids),
-    `mask_tests_s` (tests (1)-(3)), `deep_tests_s` (test (4): the surface
-    masks and the live rows' deep gathers), and in finalize
+    anti-class, or all of them), `deep_verdicts` (the (deep class,
+    surface) pairs the anti-class kernel evaluated: those some candidate
+    reaches, each once) and `deep_cross_checks` (under test_mode, the deep
+    verdicts checked against `is_effective`: every deep class on every
+    surface, all evaluated before the walk).  It times each phase in
+    seconds: `orbit_s` (the orbit walk), `window_ids_s` (class tables and
+    window class ids), `mask_tests_s` (tests (1)-(3) and their truth
+    tables), `deep_tests_s` (test (4): the kernel, the cross-checks and
+    the live rows' deep gathers), and in finalize
     `canonicalize_s` and `reverify_s` (0 without finalize);
     `representatives_verified` counts the representatives re-verified.
     """
@@ -603,9 +644,12 @@ def _census_sweep(
     class ids of each layer (`_layer_ids`, carried down the orbit tree)
     gather the surfaces' bit masks, ORed over each test's windows.  Tests
     (1) and (3) come first; tests (2) and (4) take only the live rows,
-    those with a surface left.  Only two layers of ids are held at a time,
-    w2 + wI + wD ids per row each, and the orbit walk's memory check
-    counts them.  The modes must fit A0's kind (`_check_modes`).
+    those with a surface left, and test (4)'s verdicts are computed as
+    these rows first ask for them (`_DeepVerdicts`).  Only two layers of
+    ids are held at a time, w2 + wI + wD ids per row each, and the orbit
+    walk's memory check counts them; the current layer's live rows also
+    keep a copy of their wD deep ids between the two passes.  The modes
+    must fit A0's kind (`_check_modes`).
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
     counterexamples and walks the orbit again from layer 0, testing only
@@ -617,19 +661,26 @@ def _census_sweep(
     block, in deterministic orbit order.
     """
     plan = _window_plan(A0.squares())
+    everyone = np.uint64((1 << len(surfaces)) - 1)
     start = time.perf_counter()
     tables = _window_tables(A0, plan)
     built = time.perf_counter()
-    masks = _surface_masks(A0.lattice, tables, surfaces, test_mode)
-    stats = {"rows": 0, "live_rows": 0, "deep_tests": 0, "deep_cross_checks": 0}
+    masks = _surface_masks(A0.lattice, surfaces)
+    masked = time.perf_counter()
+    deep = _DeepVerdicts(tables[2].classes, surfaces, test_mode)
+    if test_mode:  # every verdict, each one cross-checked, before the walk
+        deep.resolve(np.full(deep.anti.shape, everyone))
+    stats = {"rows": 0, "live_rows": 0, "deep_tests": 0}
     stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
-    stats.update(window_ids_s=built - start, deep_tests_s=time.perf_counter() - built)
-    if test_mode:
-        stats["deep_cross_checks"] = masks.deep_anti.size * len(surfaces)
+    stats.update(
+        window_ids_s=built - start,
+        mask_tests_s=masked - built,
+        deep_tests_s=time.perf_counter() - masked,
+        deep_cross_checks=deep.evaluated,
+    )
     # test (2)'s effective gather: the non-cyclic (-2)-windows, or all of
     # them in the cyclic-strong mode
     eff_cols = np.flatnonzero(~plan.root_through_n | ("cyclic-strong" in modes))
-    everyone = np.uint64((1 << len(surfaces)) - 1)
     bit = np.uint64(1) << np.arange(len(surfaces), dtype=np.uint64)  # surface t's bit
     store: dict[tuple[str, str], list[np.ndarray]] = {  # blocks [k, n, rank]
         (s.name, mode): [] for s in surfaces for mode in modes
@@ -668,6 +719,11 @@ def _census_sweep(
         stats["window_ids_s"] += time.perf_counter() - start
         if layer.index <= done:
             continue
+        # Tests (1)-(3) chunk by chunk, then the deep verdicts that the
+        # layer's live rows read and the kernel has not given yet (one
+        # kernel pass per layer), then test (4) chunk by chunk.
+        passed = []  # per chunk: lo, live rows, their deep ids, each mode's ok
+        need, unknown = np.zeros_like(deep.known), ~deep.known
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
             ids2, idsI, idsD = (x[lo : lo + _CHUNK_ROWS] for x in ids)
@@ -679,18 +735,32 @@ def _census_sweep(
             stats["live_rows"] += live.size
             base = ~fail[live] & everyone
             eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[live][:, eff_cols]], axis=1)
+            strict = base & ~eff2  # the ok of the strong and cyclic-strong modes
+            oks = [base if mode == "exceptional" else strict for mode in modes]
             tested = time.perf_counter()
             stats["mask_tests_s"] += tested - start
-            # Test (4): seen[:, w] holds the surfaces on which one of the
-            # first w deep windows is anti-effective.
-            seen = np.zeros((live.size, idsD.shape[1] + 1), dtype=np.uint64)
-            np.bitwise_or.accumulate(masks.deep_anti[idsD[live]], axis=1, out=seen[:, 1:])
-            for m, mode in enumerate(modes):
-                ok = base if mode == "exceptional" else base & ~eff2
+            # A row reads its deep classes' verdicts only on the surfaces
+            # of some mode's ok.
+            idsL = idsD[live]
+            passed.append((lo, live, idsL, oks))
+            asked = unknown.take(idsL)
+            asked &= (base if "exceptional" in modes else strict)[:, None]
+            pending = asked != 0
+            np.bitwise_or.at(need, idsL[pending], asked[pending])
+            stats["deep_tests_s"] += time.perf_counter() - tested
+        start = time.perf_counter()
+        deep.resolve(need)
+        for lo, live, idsL, oks in passed:
+            # unseen[:, w] holds the surfaces on which none of the first w
+            # deep windows is anti-effective.
+            unseen = np.zeros((live.size, idsL.shape[1] + 1), dtype=np.uint64)
+            np.bitwise_or.accumulate(deep.anti.take(idsL), axis=1, out=unseen[:, 1:])
+            np.invert(unseen, out=unseen)
+            for m, (mode, ok) in enumerate(zip(modes, oks)):
                 candidates[:, m] += ((ok[:, None] & bit) != 0).sum(axis=0)
-                left = np.bitwise_count(ok[:, None] & ~seen[:, :-1])
+                left = np.bitwise_count(ok[:, None] & unseen[:, :-1])
                 stats["deep_tests"] += int(left.sum())
-                found = ok & ~seen[:, -1]
+                found = ok & unseen[:, -1]
                 rows = np.flatnonzero(found)  # ascending, so orbit order is kept
                 hits = (found[rows, None] & bit) != 0
                 counts[:, m] += hits.sum(axis=0)
@@ -698,12 +768,13 @@ def _census_sweep(
                     for t in np.flatnonzero(hits.any(axis=0)).tolist():
                         at = live[rows[hits[:, t]]] + lo
                         store[(surfaces[t].name, mode)].append(arr[at])
-            stats["deep_tests_s"] += time.perf_counter() - tested
+        stats["deep_tests_s"] += time.perf_counter() - start
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, config, layer.index, store, arr)
     stats["deep_candidates"] = {
         f"{s}/{mode}": c for (s, mode), c in zip(store, candidates.ravel().tolist())
     }
+    stats["deep_verdicts"] = deep.evaluated
     return orbit_total, dict(zip(store, counts.ravel().tolist())), store, stats
 
 
@@ -808,8 +879,9 @@ def census_for_preset(
     The modes `strong` and `exceptional` (`MODES`) take a second-kind A0;
     `cyclic-strong`, which counts the cyclic strong exceptional systems of
     W.A0 per surface, takes a first-kind A0, finalize=False and no
-    checkpoint.  Any other combination, and an empty `modes` or
-    `surfaces`, is refused before the walk.
+    checkpoint.  Any other combination, an empty `modes` or `surfaces`
+    and a surface on another lattice than A0's are refused before the
+    walk.
 
     With `checkpoint_dir`, progress is saved after every layer, and
     `resume=True` continues from it to the raw counts and records of an
@@ -828,6 +900,12 @@ def census_for_preset(
     if surfaces is None:
         surfaces = catalog_load(degree).entries
     surfaces = tuple(surfaces)
+    for s in surfaces:
+        if s.lattice != A0.lattice:
+            raise InputError(
+                f"surface {s.name} is not on the lattice of the degree-{degree} "
+                f"initial system"
+            )
     names = [s.name for s in surfaces]
     for what, given in (("surface name", names), ("mode", list(modes))):
         if not given or len(set(given)) != len(given):

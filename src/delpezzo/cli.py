@@ -156,6 +156,9 @@ def cmd_census(args) -> int:
         }
         with open(sidecar, "w") as fh:
             json.dump({"header": header, "representatives": reps}, fh, indent=2)
+    if args.stats_json:
+        with open(args.stats_json, "w") as fh:
+            json.dump(run.stats, fh, indent=2, sort_keys=True)
     return EXIT_PASS
 
 
@@ -212,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("strong", "exceptional", "both"),
                    default="both")
     p.add_argument("--out", help="CSV output path (plus .reps.json sidecar)")
+    p.add_argument("--stats-json", metavar="PATH",
+                   help="write the sweep's work counts and phase timers as JSON")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("reproduce", help="run a verification suite")

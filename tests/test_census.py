@@ -371,18 +371,22 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
 
 def test_benchmark_work_counts_are_pinned():
     # Orbit invariants that the benchmark checks as well: the deep tests of
-    # the three degree-3 blow-downs and of the IIb-deg2 prefix.
-    for preset, term, deep in (
-        ("VI-deg2", 9, 0),
-        ("VI-deg2", 3, 13_324),
-        ("V-deg2", 3, 9_434),
+    # the three degree-3 blow-downs and of the IIb-deg2 prefix.  Beside
+    # them, the (deep class, surface) pairs the kernel evaluates: only those
+    # a candidate reaches, out of 4,536, 13,608, 22,680 and 5,184.
+    for preset, term, deep, verdicts in (
+        ("VI-deg2", 9, 0, 0),
+        ("VI-deg2", 3, 13_324, 2_005),
+        ("V-deg2", 3, 9_434, 1_724),
     ):
         run = census.census_for_preset(_deg3_system(preset, term))
         assert run.stats["deep_tests"] == deep, (preset, term)
+        assert run.stats["deep_verdicts"] == verdicts, (preset, term)
         assert not any(run.raw_counts.values())
     run = census.census_for_preset("IIb-deg2", max_layers=16, finalize=False)
     assert run.stats["rows"] == 109_466
     assert run.stats["deep_tests"] == 1_080
+    assert run.stats["deep_verdicts"] == 61
     assert sum(run.raw_counts.values()) == 540
 
 
@@ -484,10 +488,47 @@ def test_sweep_cross_checks_every_deep_test():
     assert run.stats["deep_cross_checks"] == deep.classes.shape[0] * surfaces > 0
 
 
+def test_test_mode_evaluates_every_deep_verdict():
+    # Under test_mode the kernel takes every (deep class, surface) pair
+    # once, before the walk, and each one is cross-checked.
+    A0 = _deg3_system("V-deg2", 3)
+    surfaces = catalog_load(3).entries
+    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+    run = census.census_for_preset(A0, max_layers=6, finalize=False, test_mode=True)
+    pairs = deep.classes.shape[0] * len(surfaces)
+    assert run.stats["deep_verdicts"] == run.stats["deep_cross_checks"] == pairs > 0
+    fast = census.census_for_preset(A0, max_layers=6, finalize=False)
+    assert 0 < fast.stats["deep_verdicts"] < pairs
+    assert fast.raw_counts == run.raw_counts
+    assert fast.stats["deep_tests"] == run.stats["deep_tests"] > 0
+
+
+def test_surfaces_on_another_lattice_are_refused_before_the_walk(monkeypatch):
+    # A degree-5 cyclic-strong census over the degree-4 catalog once counted
+    # 120 systems on every surface; the second-kind modes failed only in the
+    # anti-class kernel's shape check.
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the orbit was walked")
+
+    monkeypatch.setattr(weyl, "orbit_layers", no_walk)
+    first = find_system_with_squares(
+        PicardLattice.standard(5), TABLE_CYCLIC_STRONG["7a"]
+    )
+    deg4 = catalog_load(4).entries
+    deg3 = catalog_load(3).entries
+    for A0, surfaces, modes, name in (
+        (first, deg4, ("cyclic-strong",), "X_{4}"),
+        ("IIb-deg2", deg3[:2], census.MODES, "X_{3}"),
+        ("IIb-deg2", (census.section13_surface(), deg3[-1]), ("strong",), "X_{3,E6}"),
+    ):
+        with pytest.raises(InputError, match=re.escape(f"surface {name} is not on")):
+            census.census_for_preset(A0, surfaces, modes, finalize=False)
+
+
 def test_surface_masks_reject_more_than_64_surfaces():
     s = catalog_load(3).get("A1")
     with pytest.raises(InputError, match="64 surfaces"):
-        census._surface_masks(s.lattice, (), (s,) * 65, False)
+        census._surface_masks(s.lattice, (s,) * 65)
 
 
 def _corrupt_table(monkeypatch, r, corrupt):

@@ -235,6 +235,23 @@ def test_census_refuses_an_entry_outside_the_class_range(capsys):
     assert "unsupported r-value" not in err
 
 
+def test_census_stats_json(tmp_path, capsys):
+    # The sweep's stats as JSON: every phase timer, the deep verdicts the
+    # kernel evaluated and one row per system of the W(E6) orbit.
+    argv = ["census", "--sequence", "[-2,-1,-1,0,-2,-2,-2,-1,-4]", "--stats-json"]
+    path = tmp_path / "stats.json"
+    assert cli.main(argv + [str(path)]) == cli.EXIT_PASS
+    stats = json.loads(path.read_text())
+    assert set(census.SWEEP_TIMERS) | {"deep_verdicts"} <= set(stats)
+    assert stats["rows"] == census.EXPECTED_WEYL_ORDERS[3]
+    assert stats["deep_verdicts"] > 0
+    capsys.readouterr()
+    # An unwritable path is an input error, reported without a traceback.
+    assert cli.main(argv + [str(tmp_path / "missing" / "stats.json")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_config_hash_stable():
     parser = cli.build_parser()
     a1 = parser.parse_args(["surfaces", "--degree", "3"])

@@ -230,6 +230,28 @@ def test_anticlass_kernel_matches_loop(source, layers):
     assert verdicts.any() and not verdicts.all()
 
 
+def test_anticlass_kernel_does_not_depend_on_the_batch():
+    # The census evaluates (class, surface) pairs in irregular batches, as
+    # its live rows ask for them.  Every random subset and permutation of
+    # the pairs of the VI-deg2/3 deep table gets the verdicts of the one
+    # full repeat/tile pass over all of them.
+    A0 = _deep_anticlass_source("deg3")
+    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2].classes
+    surfaces = catalog_load(3).entries
+    stacks = root_stacks(surfaces)
+    which = np.arange(len(surfaces))
+    anti = np.repeat(-deep, which.size, axis=0)
+    which = np.tile(which, deep.shape[0])
+    full = anticlass_effective(stacks, anti, which)
+    assert full.shape == (deep.shape[0] * len(surfaces),)
+    assert full.any() and not full.all()
+    rng = np.random.default_rng(0)
+    for size in (1, 2, 17, 300, 1024, full.size):
+        pick = rng.permutation(full.size)[:size]
+        verdicts = anticlass_effective(stacks, anti[pick], which[pick])
+        assert np.array_equal(verdicts, full[pick]), size
+
+
 def test_multiple_of_effective_is_effective():
     s = catalog_load(4).get("D4")
     d = parse_divisor(s.lattice, "2L-E1235")
