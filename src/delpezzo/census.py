@@ -14,6 +14,16 @@ toric system that is not an augmentation in any sense.  Counting is up
 to the stabilizer of the surface's set of irreducible (-2)-curves
 ("essentially different" systems).
 
+Why tests (1), (2) and (4) are the definition (every non-cyclic window
+lo, or slo in strong mode; `toric.is_exceptional`): each non-cyclic
+window W' is -K - W for W the complementary window, which runs through
+position n, and W'^2 = d - 4 - W^2.  A window with square in [-1, d - 3]
+is always lo and slo.  For W'^2 >= d - 2, that is W^2 <= -2, both lo(W')
+and slo(W') hold iff K + W' = -W is not effective: test (1) when
+W^2 = -2, test (4) when W^2 <= -3.  The non-cyclic windows of square -2
+are test (2); none has a lower square, as only a_n is below -2.  Test
+(3) excludes the augmentations.
+
 Which windows each test takes is read off the squares sequence
 (`toric.window_squares`).  Tests (1)-(3) are vectorized: every
 (-2)-window of a toric system is a root and every I(X,A) window is a
@@ -54,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InternalError
-from .picard import Divisor, PicardLattice, parse_divisor_list, vadd, vneg
+from .picard import Divisor, PicardLattice, parse_divisor_list, vneg
 from .surface import SurfaceModel, catalog_load
 from .toric import (
     ToricSystem,
@@ -66,7 +76,7 @@ from .toric import (
     low_entry_rotation,
     window_squares,
 )
-from .effectivity import anticlass_effective, is_effective, is_hole, root_stacks
+from .effectivity import anticlass_effective, is_effective, is_hole, is_slo, root_stacks
 from . import __version__, weyl
 
 #: Weyl group orders by degree (root systems A1, A1+A2, A4, D5, E6, E7,
@@ -396,7 +406,7 @@ class _SurfaceMasks:
 
     root_anti: np.ndarray  # [c2] uint64: -r is effective
     root_eff: np.ndarray  # [c2] uint64: r is effective
-    line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (degree 1)
+    line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (in degree 1 only)
 
 
 def _bits(verdicts, surfaces: int) -> np.ndarray:
@@ -419,13 +429,8 @@ def _surface_masks(
         for r in (-2, -1)
     )
     effs = [s.effective_roots_set() for s in surfaces]
-    # In degree 1 a (-1)-class C is slo iff C + K is not effective.
     line_fail = [
-        [
-            c in s.irr_lines_set()
-            or (lattice.degree == 1 and vadd(c, lattice.canonical) in eff)
-            for s, eff in zip(surfaces, effs)
-        ]
+        [c in s.irr_lines_set() or not is_slo(s, c) for s in surfaces]
         for c in map(tuple, lines)
     ]
     masks = _SurfaceMasks(
@@ -837,7 +842,7 @@ def _verify_representatives(
     red = s.red_lines_set()
     for A in reps:
         checker = is_strong_exceptional if mode == "strong" else is_exceptional
-        result = checker(s, A, method="reference")
+        result = checker(s, A)
         if not result.ok:
             raise InternalError(
                 f"census counterexample fails the reference {mode} checker "

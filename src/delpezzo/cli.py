@@ -24,8 +24,14 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
+#: Arguments that name where output goes, not what is computed.
+_OUTPUT_ARGS = ("func", "out", "stats_json")
+
+
 def _config_hash(args: argparse.Namespace) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    """A hash of the arguments that choose the computation: the same run
+    prints the same hash whatever its output paths."""
+    payload = {k: v for k, v in vars(args).items() if k not in _OUTPUT_ARGS}
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

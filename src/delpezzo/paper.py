@@ -243,9 +243,7 @@ def verify_section13() -> Report:
             f"{text}: not effective",
             not is_effective(s, parse_divisor(lat, text)),
         )
-    report.check_true(
-        "strong exceptional", is_strong_exceptional(s, A, method="reference").ok
-    )
+    report.check_true("strong exceptional", is_strong_exceptional(s, A).ok)
     report.check_true(
         "not cyclic strong exceptional",
         not is_cyclic_strong_exceptional(s, A).ok,

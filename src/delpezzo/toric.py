@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .effectivity import is_effective, is_lo, is_slo
+from .effectivity import is_lo, is_slo
 from .errors import InputError, InternalError
 from .picard import (
     Divisor,
@@ -459,35 +459,31 @@ def _noncyclic_windows(n: int):
     return (w for w in cyclic_windows(n) if n - 1 not in w[2])
 
 
-def is_exceptional(s: SurfaceModel, A: ToricSystem, method: str = "auto") -> CheckResult:
+def is_exceptional(
+    s: SurfaceModel, A: ToricSystem, method: str = "reference"
+) -> CheckResult:
     return _check(s, A, "exceptional", method)
 
 
 def is_strong_exceptional(
-    s: SurfaceModel, A: ToricSystem, method: str = "auto"
+    s: SurfaceModel, A: ToricSystem, method: str = "reference"
 ) -> CheckResult:
     return _check(s, A, "strong", method)
 
 
 def is_cyclic_strong_exceptional(
-    s: SurfaceModel, A: ToricSystem, method: str = "auto"
+    s: SurfaceModel, A: ToricSystem, method: str = "reference"
 ) -> CheckResult:
     return _check(s, A, "cyclic-strong", method)
 
 
 def _check(s: SurfaceModel, A: ToricSystem, what: str, method: str) -> CheckResult:
-    """With method "auto", the optimized checker where its hypothesis
-    holds (every A_i^2 >= -2, the last one exempt unless cyclic) and the
-    reference checker elsewhere; "reference" always uses the latter."""
-    if method not in ("auto", "reference"):
+    """The definition: every non-cyclic window (every cyclic one for
+    cyclic-strong) is lo (exceptional) or slo (strong, cyclic-strong); the
+    witness is the first window of `cyclic_windows` order that is not.
+    "reference" is the one checker method."""
+    if method != "reference":
         raise InputError(f"unknown checker method {method!r}")
-    sq = A.squares() if what == "cyclic-strong" else A.squares()[:-1]
-    if method == "reference" or any(x < -2 for x in sq):
-        return _check_reference(s, A, what)
-    return _check_optimized(s, A, what)
-
-
-def _check_reference(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
     if what == "cyclic-strong":
         windows = cyclic_windows(A.n)
     else:
@@ -496,53 +492,6 @@ def _check_reference(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
     for k, l, _ in windows:
         if not test(s, A.window(k, l)):
             return CheckResult(False, (k, l))
-    return CheckResult(True, None)
-
-
-def _through_n_windows(sq: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Cyclic windows through position n of square a_n, latest start first.
-    Under the hypothesis a_i >= -2 (i < n) these are the minimal ones: all
-    their other entries are -2."""
-    n = len(sq)
-    windows = zip(cyclic_windows(n), window_squares(sq))
-    through = [(k, l) for (k, l, pos), q in windows if n - 1 in pos and q == sq[-1]]
-    return sorted(through, key=lambda kl: -kl[0])
-
-
-def _check_optimized(s: SurfaceModel, A: ToricSystem, what: str) -> CheckResult:
-    sq = A.squares()
-    n = A.n
-    windows = zip(cyclic_windows(n), window_squares(sq))
-    roots = [(k, l, n - 1 in pos) for (k, l, pos), q in windows if q == -2]
-
-    def anti_effective(d):
-        return is_effective(s, vneg(d))
-
-    def effective(d):
-        return is_effective(s, d)
-
-    if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
-        strong = what == "cyclic-strong"
-        for k, l, _ in roots:
-            d = A.window(k, l)
-            if anti_effective(d) or (strong and effective(d)):
-                return CheckResult(False, (k, l))
-        return CheckResult(True, None)
-
-    # Second-kind exceptional test: non-cyclic (-2)-windows plus the
-    # minimal through-n windows (square = A_n^2 <= -2).
-    noncyclic = [(k, l) for k, l, through_n in roots if not through_n]
-    for k, l in noncyclic:
-        if anti_effective(A.window(k, l)):
-            return CheckResult(False, (k, l))
-    if sq[-1] <= -2:
-        for k, l in _through_n_windows(sq):
-            if anti_effective(A.window(k, l)):
-                return CheckResult(False, (k, l))
-    if what == "strong":
-        for k, l in noncyclic:
-            if effective(A.window(k, l)):
-                return CheckResult(False, (k, l))
     return CheckResult(True, None)
 
 

@@ -1,16 +1,16 @@
 """Acceptance gate: one test (and one pass/fail line) per criterion."""
 
-import itertools
+import functools
 import random
 import time
 
 import numpy as np
 
 from delpezzo import census, paper, weyl
-from delpezzo.effectivity import brute_force_effective, is_effective
+from delpezzo.effectivity import brute_force_effective, is_effective, is_lo, is_slo
 from delpezzo.picard import PicardLattice, vneg
 from delpezzo.surface import SurfaceModel, catalog_load
-from delpezzo.toric import ToricSystem, is_exceptional, is_strong_exceptional
+from delpezzo.toric import compute_IXA_windows, cyclic_windows
 
 
 def _gate(number, label, ok, detail=""):
@@ -103,29 +103,68 @@ def test_criterion_09_effectiveness_oracles(iib_run):
     )
 
 
+def _definition_rows(A0, surfaces, max_layers, decide):
+    """The orbit rows to Coxeter length max_layers and, per (surface, mode),
+    the mask of those on which every non-cyclic window is lo (exceptional)
+    or slo (strong) and no I(X,A) window is an irreducible (-1)-curve.
+    `decide(test, s, c)` runs the definition's test once per distinct
+    window class c."""
+    rows = np.concatenate(
+        [
+            layer.payload.astype(np.int64)
+            for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers)
+        ]
+    )
+    n, rank = A0.n, A0.lattice.rank
+    ixa = set(compute_IXA_windows(A0.squares()))
+
+    def classes(windows):
+        """The distinct sums of the windows (their positions) and each
+        row's class index per window [rows, windows]."""
+        coeffs = np.array([[p in pos for p in range(n)] for pos in windows])
+        sums = np.ascontiguousarray((coeffs @ rows).reshape(-1, rank))
+        keys = sums.view(np.dtype((np.void, sums.itemsize * rank))).ravel()
+        unique, inverse = np.unique(keys, return_inverse=True)
+        found = unique.view(np.int64).reshape(-1, rank).tolist()
+        return [tuple(c) for c in found], inverse.reshape(len(rows), -1)
+
+    windows, window_ids = classes([p for *_, p in cyclic_windows(n) if n - 1 not in p])
+    lines, line_ids = classes([p for k, l, p in cyclic_windows(n) if (k, l) in ixa])
+    masks = {}
+    for s in surfaces:
+        irr = np.array([c in s.irr_lines_set() for c in lines])
+        free = ~irr[line_ids].any(axis=1)
+        for mode, test in (("exceptional", is_lo), ("strong", is_slo)):
+            ok = np.array([decide(test, s, c) for c in windows])
+            masks[(s.name, mode)] = free & ok[window_ids].all(axis=1)
+    return rows, masks
+
+
 def test_criterion_10_checker_equivalence():
-    surfaces = [
-        catalog_load(2).get(label) for label in ("A1+2A3", "7A1", "D4+3A1")
-    ]
-    names = ("IIb-deg2",) + paper.A11_PRESET_NAMES
-    pairs = 0
-    for i, name in enumerate(names):
+    # The census's tests (1)-(4) against the definition: the rows that the
+    # sweep stores on every degree-2 surface in both modes are the rows
+    # that pass the definition with I(X,A) inside I^red.
+    surfaces = catalog_load(2).entries
+    decide = functools.cache(lambda test, s, c: test(s, c))
+    checked = counterexamples = 0
+    for name in ("IIb-deg2",) + paper.A11_PRESET_NAMES:
         A0 = census.SEQUENCE_PRESETS[name].initial_system()
-        s = surfaces[i % len(surfaces)]
-        rows = (
-            row
-            for layer in weyl.orbit_layers(A0.lattice, A0.terms)
-            for row in layer.payload.tolist()
+        max_layers = 10 if name == "IIb-deg2" else 5
+        _, _, store, _ = census._census_sweep(
+            A0, surfaces, census.MODES, test_mode=False, max_layers=max_layers
         )
-        for row in itertools.islice(rows, 500):
-            A = ToricSystem(A0.lattice, tuple(map(tuple, row)))
-            for checker in (is_exceptional, is_strong_exceptional):
-                ref = checker(s, A, method="reference").ok
-                opt = checker(s, A).ok
-                assert ref == opt, (name, s.name, A.terms)
-                pairs += 1
-    _gate(10, "reference and optimized checkers agree",
-          pairs >= 500 * len(names) * 2, f"{pairs} comparisons")
+        rows, masks = _definition_rows(A0, surfaces, max_layers, decide)
+        for key, mask in masks.items():
+            found = np.concatenate([rows[:0], *store[key]])
+            assert np.array_equal(found, rows[mask]), (name, key)
+            counterexamples += int(mask.sum())
+        checked += len(rows) * len(masks)
+    _gate(
+        10,
+        "census criteria agree with the definition",
+        checked == (7 * 672 + 12_683) * 18 and counterexamples == 25,
+        f"{checked} (row, surface, mode) triples, {counterexamples} counterexamples",
+    )
 
 
 def test_criterion_11_classification():

@@ -438,7 +438,7 @@ def test_cyclic_strong_counts_match_the_definition(a):
     assert run.orbit_total == len(systems) == census.EXPECTED_WEYL_ORDERS[lat.degree]
     for s in catalog_load(lat.degree).entries:
         expected = sum(
-            is_cyclic_strong_exceptional(s, A, method="reference").ok for A in systems
+            is_cyclic_strong_exceptional(s, A).ok for A in systems
         )
         assert run.raw_counts[(s.name, "cyclic-strong")] == expected, s.name
 
@@ -529,6 +529,31 @@ def test_surface_masks_reject_more_than_64_surfaces():
     s = catalog_load(3).get("A1")
     with pytest.raises(InputError, match="64 surfaces"):
         census._surface_masks(s.lattice, (s,) * 65)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_line_masks_match_the_degree_1_slo_rule(degree):
+    # Test (3)'s (-1)-class masks read `is_slo`; they keep the bits of the
+    # rule they replaced: irreducible, or, in degree 1, C + K effective.
+    surfaces = catalog_load(degree).entries
+    lat = surfaces[0].lattice
+    lines = census._class_table(lat, lat.enumerate_classes(-1)).classes.tolist()
+    old = [
+        [
+            c in s.irr_lines_set()
+            or (degree == 1 and vadd(c, lat.canonical) in s.effective_roots_set())
+            for s in surfaces
+        ]
+        for c in map(tuple, lines)
+    ]
+    line_fail = census._surface_masks(lat, surfaces).line_fail
+    assert line_fail.tolist() == census._bits(old, len(surfaces)).tolist()
+    # In degree 1 the slo part marks classes that are not irreducible.
+    assert (degree == 1) == any(
+        row[t] and c not in s.irr_lines_set()
+        for c, row in zip(map(tuple, lines), old)
+        for t, s in enumerate(surfaces)
+    )
 
 
 def _corrupt_table(monkeypatch, r, corrupt):

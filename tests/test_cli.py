@@ -41,6 +41,17 @@ def test_check_verb(tmp_path, capsys):
     assert body["augmentation_certificate"] is None
 
 
+def test_check_witness_is_the_first_failing_window(tmp_path, capsys):
+    # The witness is the first window of `cyclic_windows` order that fails
+    # the definition: for strong, a non-cyclic window that is not slo.
+    path = tmp_path / "symmetric.json"
+    path.write_text(json.dumps(toric.symmetry(census.section13_system()).to_json()))
+    assert cli.main(["check", str(path), "--surface", "7A1"]) == 0
+    body = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert not body["exceptional"] and not body["strong"]
+    assert body["witness"] == [1, 7]
+
+
 #: A valid degree-5 toric system with two squares below -2 (-7 and -3).
 TWO_BELOW_MINUS_2 = {
     "degree": 5,
@@ -259,3 +270,16 @@ def test_config_hash_stable():
     a3 = parser.parse_args(["surfaces", "--degree", "4"])
     assert cli._config_hash(a1) == cli._config_hash(a2)
     assert cli._config_hash(a1) != cli._config_hash(a3)
+
+
+def test_config_hash_leaves_out_output_paths(tmp_path, capsys):
+    argv = ["census", "--sequence", "[-2,-1,-1,0,-2,-2,-2,-1,-4]", "--surface"]
+
+    def header(*more):
+        assert cli.main(argv + list(more)) == cli.EXIT_PASS
+        return capsys.readouterr().out.split("\n", 1)[0]
+
+    first = header("A1", "--stats-json", str(tmp_path / "a.json"))
+    assert header("A1", "--stats-json", str(tmp_path / "b.json")) == first
+    assert header("A1", "--out", str(tmp_path / "c.csv")) == first
+    assert header("A2", "--stats-json", str(tmp_path / "a.json")) != first

@@ -1,17 +1,14 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 from delpezzo import census, paper, toric, weyl
-from delpezzo.effectivity import is_effective, is_lo, is_slo
+from delpezzo.effectivity import is_lo, is_slo
 from delpezzo.errors import InputError
 from delpezzo.picard import (
     PicardLattice,
     parse_divisor,
     parse_divisor_list,
     reflect,
-    vneg,
 )
 from delpezzo.report import Report
 from delpezzo.surface import catalog_load
@@ -20,7 +17,6 @@ from delpezzo.toric import (
     ToricSystem,
     _noncyclic_windows,
     _reduction_word,
-    _through_n_windows,
     augment_sequence,
     augmentation_chain,
     blow_down,
@@ -180,32 +176,13 @@ def test_checkers_on_explicit_system():
     assert not res.ok and res.witness is not None
 
 
-def test_checker_methods_agree_on_samples():
-    s = census.section13_surface()
-    rows = (
-        row
-        for layer in weyl.orbit_layers(SYS13.lattice, SYS13.terms)
-        for row in layer.payload.tolist()
-    )
-    for row in itertools.islice(rows, 25):
-        A = ToricSystem(SYS13.lattice, tuple(map(tuple, row)))
-        for checker in (is_exceptional, is_strong_exceptional):
-            assert (
-                checker(s, A, method="reference").ok
-                == checker(s, A).ok
-            )
-
-
-def test_checker_methods_are_auto_and_reference():
+def test_reference_is_the_only_checker_method():
     s = census.section13_surface()
     for checker in (is_exceptional, is_strong_exceptional, is_cyclic_strong_exceptional):
-        for method in ("optimized", "fast", ""):
+        for method in ("auto", "optimized", "fast", ""):
             with pytest.raises(InputError, match="unknown checker method"):
                 checker(s, SYS13, method=method)
-    # Outside the optimized checker's hypothesis, "auto" is the reference.
     A = shift(SYS13)
-    for checker in (is_exceptional, is_strong_exceptional):
-        assert checker(s, A) == checker(s, A, method="reference")
     assert is_exceptional(s, A).ok and not is_strong_exceptional(s, A).ok
 
 
@@ -316,18 +293,6 @@ def _old_noncyclic_windows(n):
             yield k, l
 
 
-def _old_through_n_minimal_windows(sq):
-    n = len(sq)
-    for back in range(n):
-        if any(sq[n - 1 - j] != -2 for j in range(1, back + 1)):
-            break
-        for fwd in range(n - back):
-            if fwd and sq[fwd - 1] != -2:
-                break
-            if back + 1 + fwd < n:
-                yield (n - back, fwd if fwd else n)
-
-
 def _old_ixa_windows(a):
     n = len(a)
     out = []
@@ -384,47 +349,18 @@ def _old_irreducible_ixa_window(A, irr):
     return None
 
 
-def _old_check(s, A, what, method):
-    """`toric._check` as it was, on the old loops: (ok, witness)."""
+def _old_check(s, A, what):
+    """The reference branch of `toric._check` as it was, on the old loops:
+    (ok, witness)."""
     n = A.n
-    sq = A.squares()
-    hypothesis = all(x >= -2 for x in (sq if what == "cyclic-strong" else sq[:-1]))
-    if method == "reference" or not hypothesis:
-        if what == "cyclic-strong":
-            windows = _old_cyclic_windows(n)
-        else:
-            windows = _old_noncyclic_windows(n)
-        test = is_lo if what == "exceptional" else is_slo
-        for k, l in windows:
-            if not test(s, A.window(k, l)):
-                return False, (k, l)
-        return True, None
-
-    def anti_effective(d):
-        return is_effective(s, vneg(d))
-
-    def effective(d):
-        return is_effective(s, d)
-
-    if what == "exceptional" and sq[-1] >= -2 or what == "cyclic-strong":
-        for k, l in _old_cyclic_windows(n):
-            if A.lattice.square(A.window(k, l)) != -2:
-                continue
-            d = A.window(k, l)
-            if anti_effective(d) or (what == "cyclic-strong" and effective(d)):
-                return False, (k, l)
-        return True, None
-    for k, l in _old_noncyclic_windows(n):
-        if A.lattice.square(A.window(k, l)) == -2 and anti_effective(A.window(k, l)):
+    if what == "cyclic-strong":
+        windows = _old_cyclic_windows(n)
+    else:
+        windows = _old_noncyclic_windows(n)
+    test = is_lo if what == "exceptional" else is_slo
+    for k, l in windows:
+        if not test(s, A.window(k, l)):
             return False, (k, l)
-    if sq[-1] <= -2:
-        for k, l in _old_through_n_minimal_windows(sq):
-            if anti_effective(A.window(k, l)):
-                return False, (k, l)
-    if what == "strong":
-        for k, l in _old_noncyclic_windows(n):
-            if A.lattice.square(A.window(k, l)) == -2 and effective(A.window(k, l)):
-                return False, (k, l)
     return True, None
 
 
@@ -440,9 +376,7 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         assert [(k, l) for k, l, _ in _noncyclic_windows(n)] == list(
             _old_noncyclic_windows(n)
         )
-        assert _through_n_windows(a) == list(_old_through_n_minimal_windows(a))
         assert compute_IXA_windows(a) == _old_ixa_windows(a)
-    assert _through_n_windows(census.IIB_DEG2_SQUARES) == [(10, 10), (9, 10)]
 
     # The census plan: the same rows in the same order, for every preset.
     for preset in census.SEQUENCE_PRESETS.values():
@@ -504,10 +438,9 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
         irr = s.irr_lines_set()
         for A in systems:
             for what, checker in checkers.items():
-                for method in ("auto", "reference"):
-                    result = checker(s, A, method=method)
-                    assert (result.ok, result.witness) == _old_check(s, A, what, method)
-                    witnesses.add(result.witness)
+                result = checker(s, A)
+                assert (result.ok, result.witness) == _old_check(s, A, what)
+                witnesses.add(result.witness)
             if is_elementary_augmentation(s, A) is not None:
                 continue
             found = _old_irreducible_ixa_window(A, irr)
