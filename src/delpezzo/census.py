@@ -69,6 +69,7 @@ from .surface import SurfaceModel, catalog_load
 from .toric import (
     ToricSystem,
     compute_IXA,
+    compute_IXA_windows,
     cyclic_windows,
     is_exceptional,
     is_ixa_window,
@@ -76,7 +77,14 @@ from .toric import (
     low_entry_rotation,
     window_squares,
 )
-from .effectivity import anticlass_effective, is_effective, is_hole, is_slo, root_stacks
+from .effectivity import (
+    anticlass_effective,
+    decided,
+    is_effective,
+    is_hole,
+    is_slo,
+    root_stacks,
+)
 from . import __version__, weyl
 
 #: Weyl group orders by degree (root systems A1, A1+A2, A4, D5, E6, E7,
@@ -565,8 +573,13 @@ class CensusRun:
     window class ids), `mask_tests_s` (tests (1)-(3) and their truth
     tables), `deep_tests_s` (test (4): the kernel, the cross-checks and
     the live rows' deep gathers), and in finalize
-    `canonicalize_s` and `reverify_s` (0 without finalize);
-    `representatives_verified` counts the representatives re-verified.
+    `canonicalize_s` and `reverify_s` (0 without finalize).  Finalize
+    counts `representatives_verified` (the representatives re-verified),
+    `reverify_windows` (the windows their re-verification reads: every
+    non-cyclic window, every I(X,A) window and one or two hole windows
+    each) and `reverify_decisions` (the deciders' evaluations in it, the
+    misses of `effectivity`'s memo; a class decided earlier in the
+    process, on a surface with the same simple roots, costs none).
     """
 
     squares: tuple[int, ...]
@@ -832,16 +845,22 @@ def _canonicalize(lattice: PicardLattice, rows, elements: tuple[weyl.WeylElement
 
 def _verify_representatives(
     s: SurfaceModel, mode: str, reps: tuple[ToricSystem, ...]
-) -> None:
+) -> int:
     """Re-verify canonical representatives independently of the sweep.
 
     Each representative must pass the reference exceptionality checker,
     have I(X,A) inside I^red, and exhibit the hole property: at least one
-    of the windows -A_n, -A_{n-1,n} is a hole in the effective cone.
+    of the windows -A_n, -A_{n-1,n} is a hole in the effective cone.  The
+    deciders decide each class once per surface type (`effectivity`'s
+    memo), so a class that recurs across the representatives is a lookup.
+    Returns the number of windows read: per representative its non-cyclic
+    windows (all of them, as it passes the checker), its I(X,A) windows
+    and one or two hole windows.
     """
     red = s.red_lines_set()
+    checker = is_strong_exceptional if mode == "strong" else is_exceptional
+    windows = 0
     for A in reps:
-        checker = is_strong_exceptional if mode == "strong" else is_exceptional
         result = checker(s, A)
         if not result.ok:
             raise InternalError(
@@ -853,13 +872,14 @@ def _verify_representatives(
                 f"census counterexample has irreducible I(X,A) member on {s.name}"
             )
         n = A.n
-        if not (
-            is_hole(s, vneg(A.window(n, n)))
-            or is_hole(s, vneg(A.window(n - 1, n)))
-        ):
-            raise InternalError(
-                f"census counterexample lacks the hole property on {s.name}"
-            )
+        windows += n * (n - 1) // 2 + len(compute_IXA_windows(A.squares())) + 1
+        if not is_hole(s, vneg(A.window(n, n))):
+            windows += 1
+            if not is_hole(s, vneg(A.window(n - 1, n))):
+                raise InternalError(
+                    f"census counterexample lacks the hole property on {s.name}"
+                )
+    return windows
 
 
 def census_for_preset(
@@ -930,7 +950,13 @@ def census_for_preset(
             f"orbit size {orbit_total} != |W| = {EXPECTED_WEYL_ORDERS[degree]}"
         )
     records: dict[tuple[str, str], CensusRecord] = {}
-    stats.update(canonicalize_s=0.0, reverify_s=0.0, representatives_verified=0)
+    stats.update(
+        canonicalize_s=0.0,
+        reverify_s=0.0,
+        representatives_verified=0,
+        reverify_windows=0,
+        reverify_decisions=0,
+    )
     if finalize:
         squares = A0.squares()
         by_name = {s.name: s for s in surfaces}
@@ -945,8 +971,11 @@ def census_for_preset(
                     )
                 start = time.perf_counter()
                 reps = _canonicalize(A0.lattice, np.concatenate(blocks), elements)
-                verify = time.perf_counter()
-                _verify_representatives(by_name[sname], mode, reps)
+                verify, decisions = time.perf_counter(), decided()
+                stats["reverify_windows"] += _verify_representatives(
+                    by_name[sname], mode, reps
+                )
+                stats["reverify_decisions"] += decided() - decisions
                 stats["canonicalize_s"] += verify - start
                 stats["reverify_s"] += time.perf_counter() - verify
                 stats["representatives_verified"] += len(reps)

@@ -6,7 +6,9 @@ Two deciders plus a search oracle:
   class, an exact integer solve over the simple roots when D.K = 0, and
   repeated subtraction of negative curves met negatively until the
   divisor becomes nef (nef implies effective here); the
-  left-orthogonality criteria `is_lo` and `is_slo` rest on it.
+  left-orthogonality criteria `is_lo` and `is_slo` and the hole test
+  `is_hole` rest on it.  These four decide each class once per surface
+  type: their verdicts are memoized per (lattice, simple roots).
 * `anticlass_effective` -- the short loop for anti-classes, batched over
   rows and surfaces for the counterexample census; it only looks at
   products with the irreducible (-2)-curves of each surface, read from
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -38,21 +40,91 @@ from .picard import (
 from .surface import SurfaceModel
 
 
+#: The memo: (lattice, simple roots, decider name) -> class -> verdict.
+_MEMO: dict[tuple[PicardLattice, tuple[Divisor, ...], str], dict[Divisor, bool]] = {}
+
+
+def _memoized(decide):
+    """`decide(s, d)` evaluated once per class on each surface type.
+
+    The verdicts live in `_MEMO`, keyed by the lattice and the simple
+    roots, never by a surface's name: surfaces with the same roots share
+    them, and no verdict crosses to a surface with other roots.  A
+    repeated class costs one lookup.
+    """
+    name = decide.__name__
+
+    @wraps(decide)
+    def memoized(s: SurfaceModel, d: Divisor) -> bool:
+        key = (s.lattice, s.simple_roots, name)
+        memo = _MEMO.get(key)
+        if memo is None:
+            memo = _MEMO[key] = {}
+        d = tuple(d)
+        verdict = memo.get(d)
+        if verdict is None:
+            verdict = memo[d] = decide(s, d)
+        return verdict
+
+    return memoized
+
+
+def decided() -> int:
+    """How many verdicts the memo holds over every surface type: each one
+    is an evaluation of a decider."""
+    return sum(map(len, _MEMO.values()))
+
+
+@dataclass(frozen=True)
+class _CurveTable:
+    """The negative curves of one surface type as `is_effective` pairs with
+    them: the irreducible (-1)-curves sorted, then the simple roots.
+
+    d @ pairing = (d.K, d.c_1, d.c_2, ...); subtracting m c_j from d
+    subtracts m rows[j] = (c_j.K, c_j.c_1, ...) from those pairings.
+    """
+
+    curves: tuple[Divisor, ...]
+    minus_squares: tuple[int, ...]  # -c_j^2: 1 for a line, 2 for a root
+    pairing: np.ndarray  # [rank, 1 + curves], Python ints (dtype object)
+    rows: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _negative_curves(
+def _curve_table(
     lattice: PicardLattice, simple_roots: tuple[Divisor, ...]
-) -> tuple[tuple[Divisor, int], ...]:
-    """(c, -c^2) for the irreducible (-1)-curves, sorted, then the simple roots."""
+) -> _CurveTable:
     lines = sorted(SurfaceModel(lattice, simple_roots).irr_lines_set())
-    return tuple((c, -lattice.square(c)) for c in (*lines, *simple_roots))
+    curves = (*lines, *simple_roots)
+    gram = np.array(lattice.gram, dtype=object)
+    pairing = gram @ np.array((lattice.canonical, *curves), dtype=object).T
+    pairing.flags.writeable = False  # cached and shared by every caller
+    rows = np.array(curves, dtype=object).reshape(-1, lattice.rank) @ pairing
+    minus_squares = tuple((-rows[:, 1:].diagonal()).tolist())
+    return _CurveTable(curves, minus_squares, pairing, tuple(map(tuple, rows.tolist())))
 
 
 @lru_cache(maxsize=None)
-def _root_gram_adjugate(lattice: PicardLattice, roots: tuple[Divisor, ...]):
-    """(adj, det) of the Gram matrix (r_i . r_j) of linearly independent roots."""
-    return integer_adjugate(
-        [[lattice.intersect(a, b) for b in roots] for a in roots]
-    )
+def _root_solver(lattice: PicardLattice, roots: tuple[Divisor, ...]):
+    """(F, det) with F = adj(G_R) (r_i . -)_i for the Gram matrix G_R of
+    linearly independent roots: row i of F dotted with d is det times the
+    coefficient of r_i in the solution of d . r_i = sum_j x_j (r_j . r_i)."""
+    pairing = np.array(roots) @ np.array(lattice.gram)  # row i: r_i . -
+    adj, det = _adjugate(tuple(map(tuple, (pairing @ np.array(roots).T).tolist())))
+    return tuple(map(tuple, (np.array(adj) @ pairing).tolist())), det
+
+
+#: `integer_adjugate` by Gram matrix: W-conjugate root sets share theirs.
+_adjugate = lru_cache(maxsize=None)(integer_adjugate)
+
+
+def _check_length(lattice: PicardLattice, d: Divisor) -> None:
+    """The length check of `PicardLattice.intersect`, for the deciders that
+    pair through cached tables instead."""
+    if len(d) != lattice.rank:
+        raise InputError(
+            f"divisor length {len(d)} does not match lattice rank {lattice.rank}"
+        )
 
 
 def solve_root_combination(s: SurfaceModel, d: Divisor):
@@ -61,53 +133,71 @@ def solve_root_combination(s: SurfaceModel, d: Divisor):
     The simple roots are linearly independent, so the solution (over the
     rationals) is unique; it is found from the pairing system
     d . r_i = sum_j x_j (r_j . r_i), whose matrix G is negative definite:
-    x = adj(G) (d . r_i) / det(G), with (adj, det) cached per root set.
+    x = adj(G) (d . r_i) / det(G), the adjugate and the pairings folded
+    into one matrix cached per root set (`_root_solver`).
     """
+    _check_length(s.lattice, d)
     roots = s.simple_roots
     if not roots:
         return () if all(c == 0 for c in d) else None
-    lat = s.lattice
-    adj, det = _root_gram_adjugate(lat, roots)
-    pairings = [lat.intersect(d, r) for r in roots]
+    folded, det = _root_solver(s.lattice, roots)
     xs = []
-    for row in adj:
-        q, rem = divmod(sum(a * p for a, p in zip(row, pairings)), det)
+    for row in folded:
+        q, rem = divmod(sum(map(operator.mul, row, d)), det)
         if rem or q < 0:
             return None
         xs.append(q)
     # The pairing system alone does not put d in the span of the roots.
-    if vsum((vscale(x, r) for x, r in zip(xs, roots) if x), lat.rank) != d:
+    if vsum((vscale(x, r) for x, r in zip(xs, roots) if x), s.lattice.rank) != d:
         return None
     return tuple(xs)
 
 
+@_memoized
 def is_effective(s: SurfaceModel, d: Divisor) -> bool:
-    """Decide effectiveness of d on s."""
+    """Decide effectiveness of d on s.
+
+    While d.K < 0, subtract every negative curve that d meets negatively,
+    each as often as it takes to meet it non-negatively; a class meeting
+    none is nef, hence effective.  d.K > 0 is not effective; d.K = 0 is
+    effective iff it is a non-negative combination of the simple roots.
+    The loop carries the pairings of the rest with K and every curve
+    (`_CurveTable`), and forms the rest itself only for that solve.
+    """
     lat = s.lattice
-    curves = _negative_curves(lat, s.simple_roots)
-    cap = max(1, 10 * (lat.rank + abs(lat.k_product(d))))
-    current = d
+    _check_length(lat, d)
+    table = _curve_table(lat, s.simple_roots)
+    # Python ints throughout (dtype object): the pairings are exact however
+    # large d is.
+    pairings = (np.array(d, dtype=object) @ table.pairing).tolist()
+    taken = [0] * len(table.curves)
+    cap = max(1, 10 * (lat.rank + abs(pairings[0])))
     for _ in range(cap):
-        dk = lat.k_product(current)
+        dk = pairings[0]
         if dk > 0:
             return False
         if dk == 0:
-            return solve_root_combination(s, current) is not None
-        violating = []
-        for c, csq in curves:
-            p = lat.intersect(current, c)
-            if p < 0:
-                violating.append((c, (-p + csq - 1) // csq))  # ceil(-p / -c^2)
+            taken_sum = vsum(
+                (vscale(m, c) for m, c in zip(taken, table.curves) if m), lat.rank
+            )
+            return solve_root_combination(s, vsub(d, taken_sum)) is not None
+        violating = [
+            (j, (-p + csq - 1) // csq)  # ceil(-p / -c^2)
+            for j, (p, csq) in enumerate(zip(pairings[1:], table.minus_squares))
+            if p < 0
+        ]
         if not violating:
             return True  # nef
-        for c, m in violating:
-            current = vsub(current, vscale(m, c))
+        for j, m in violating:
+            taken[j] += m
+            pairings = [p - m * q for p, q in zip(pairings, table.rows[j])]
     raise InternalError(f"effectiveness loop exceeded {cap} iterations")
 
 
 # -- left-orthogonality criteria --------------------------------------
 
 
+@_memoized
 def is_lo(s: SurfaceModel, d: Divisor) -> bool:
     """Left-orthogonality criterion for an r-class, by effectiveness tests."""
     lat = s.lattice
@@ -123,6 +213,7 @@ def is_lo(s: SurfaceModel, d: Divisor) -> bool:
     return not is_effective(s, vadd(lat.canonical, d))
 
 
+@_memoized
 def is_slo(s: SurfaceModel, d: Divisor) -> bool:
     """Strong left-orthogonality criterion for an r-class."""
     lat = s.lattice
@@ -293,6 +384,7 @@ def brute_force_effective(s: SurfaceModel, d: Divisor, bound: int) -> bool:
 HOLE_MULTIPLES = range(2, 7)
 
 
+@_memoized
 def is_hole(s: SurfaceModel, d: Divisor) -> bool:
     """Not effective, but some multiple k*d with k in HOLE_MULTIPLES is."""
     if is_effective(s, d):

@@ -65,6 +65,16 @@ class PicardLattice:
         if self.gram != tuple(tuple(r) for r in zip(*self.gram)):
             raise InputError("gram matrix must be symmetric")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Computed once, as every lattice-keyed cache and the deciders'
+        memo hash the lattice on each lookup.  Integers only, so that the
+        value does not depend on the process's string hash seed."""
+        return hash((self.gram, self.canonical))
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError
 from .picard import Divisor, PicardLattice, class_tuples, parse_divisor_list, vadd
 
@@ -56,7 +58,7 @@ class SurfaceModel:
 
     def red_lines_set(self) -> frozenset[Divisor]:
         """Reducible (-1)-classes: I(X) minus the irreducible ones."""
-        return frozenset(self.lattice.enumerate_classes(-1)) - self.irr_lines_set()
+        return _red_lines(self.lattice, self.simple_roots)
 
 
 @lru_cache(maxsize=None)
@@ -84,11 +86,19 @@ def _effective_roots(
 def _irr_lines(
     lattice: PicardLattice, simple_roots: tuple[Divisor, ...]
 ) -> frozenset[Divisor]:
-    return frozenset(
-        c
-        for c in lattice.enumerate_classes(-1)
-        if all(lattice.intersect(c, r) >= 0 for r in simple_roots)
-    )
+    """The (-1)-classes meeting every simple root non-negatively."""
+    lines = lattice.enumerate_classes(-1)
+    if not simple_roots:
+        return frozenset(lines)
+    meets = np.array(lines) @ np.array(lattice.gram) @ np.array(simple_roots).T
+    return frozenset(c for c, ok in zip(lines, (meets >= 0).all(axis=1)) if ok)
+
+
+@lru_cache(maxsize=None)
+def _red_lines(
+    lattice: PicardLattice, simple_roots: tuple[Divisor, ...]
+) -> frozenset[Divisor]:
+    return frozenset(lattice.enumerate_classes(-1)) - _irr_lines(lattice, simple_roots)
 
 
 # -- embedded catalog --------------------------------------------------

@@ -12,8 +12,9 @@ reads every window's square off the sequence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .effectivity import is_lo, is_slo
 from .errors import InputError, InternalError
@@ -65,11 +66,24 @@ class ToricSystem:
         return (l - k) % self.n + 1
 
     def window(self, k: int, l: int) -> Divisor:
-        """Cyclic segment sum A_k + ... + A_l (inclusive, 1-based)."""
-        return vsum(
-            (self.term(k + i) for i in range(self.window_length(k, l))),
-            self.lattice.rank,
-        )
+        """Cyclic segment sum A_k + ... + A_l (inclusive, 1-based): a
+        difference of two `_prefix_sums`, plus -K when it wraps past A_n."""
+        n = self.n
+        start = (k - 1) % n
+        end = start + self.window_length(k, l)
+        prefix = self._prefix_sums
+        if end <= n:
+            return tuple(map(operator.sub, prefix[end], prefix[start]))
+        ahead = map(operator.sub, prefix[n], prefix[start])
+        return tuple(map(operator.add, ahead, prefix[end - n]))
+
+    @cached_property
+    def _prefix_sums(self) -> tuple[Divisor, ...]:
+        """A_1 + ... + A_i for i = 0..n; the last is -K."""
+        sums = [self.lattice.zero()]
+        for t in self.terms:
+            sums.append(tuple(map(operator.add, sums[-1], t)))
+        return tuple(sums)
 
     def to_json(self) -> dict:
         return {"degree": self.lattice.degree, "terms": [list(t) for t in self.terms]}
@@ -431,7 +445,11 @@ def compute_IXA_windows(a) -> tuple[tuple[int, int], ...]:
 
     These are precisely the windows whose sums are the (-1)-classes
     reachable as terms of permutation-equivalent systems."""
-    a = tuple(int(x) for x in a)
+    return _ixa_windows(tuple(int(x) for x in a))
+
+
+@lru_cache(maxsize=None)
+def _ixa_windows(a: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     windows = zip(cyclic_windows(len(a)), window_squares(a))
     return tuple((k, l) for (k, l, p), q in windows if q == -1 and is_ixa_window(a, p))
 
@@ -455,8 +473,9 @@ class CheckResult:
         return self.ok
 
 
+@lru_cache(maxsize=None)
 def _noncyclic_windows(n: int):
-    return (w for w in cyclic_windows(n) if n - 1 not in w[2])
+    return tuple(w for w in cyclic_windows(n) if n - 1 not in w[2])
 
 
 def is_exceptional(

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from delpezzo import census, weyl
+from delpezzo import census, effectivity, weyl
 from delpezzo.errors import InputError, InternalError, ResourceError
 from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
@@ -15,6 +15,7 @@ from delpezzo.toric import (
     ToricSystem,
     blow_down,
     classify_sequence,
+    compute_IXA_windows,
     cyclic_windows,
     find_system_with_squares,
     is_cyclic_strong_exceptional,
@@ -679,6 +680,7 @@ def test_census_stats_phase_keys():
     assert all(run.stats[k] > 0 for k in census.SWEEP_TIMERS)
     # Degree 3 has no counterexample, so finalize verifies none.
     assert run.stats["representatives_verified"] == 0
+    assert run.stats["reverify_windows"] == run.stats["reverify_decisions"] == 0
     assert run.stats["rows"] == census.EXPECTED_WEYL_ORDERS[3]
 
 
@@ -686,6 +688,30 @@ def test_finalize_counts_verified_representatives(iib_run):
     reps = sum(len(r.representatives) for r in iib_run.records.values())
     assert iib_run.stats["representatives_verified"] == reps > 0
     assert iib_run.stats["canonicalize_s"] > 0 and iib_run.stats["reverify_s"] > 0
+    # 45 non-cyclic and 22 I(X,A) windows per representative, and one or
+    # two hole windows; far fewer classes than windows are decided.
+    assert iib_run.stats["reverify_windows"] == 71_124
+    assert 0 < iib_run.stats["reverify_decisions"] < 71_124 // 10
+
+
+def test_reverification_decides_each_class_once(monkeypatch):
+    # On a fresh memo the first verification decides classes; a second one,
+    # on a surface with the same simple roots under another name, decides
+    # none.  A representative that fails the checker on another surface
+    # still raises on the warm memo, that surface named like the first.
+    monkeypatch.setattr(effectivity, "_MEMO", {})
+    s, A = census.section13_surface(), census.section13_system()
+    windows = 45 + len(compute_IXA_windows(A.squares())) + 1  # -A_10 is a hole
+    other = replace(catalog_load(2).get("7A1"), name=s.name)
+    for mode in census.MODES:
+        assert census._verify_representatives(s, mode, (A,)) == windows
+        decided = effectivity.decided()
+        assert decided > 0
+        renamed = replace(s, name="renamed")
+        assert census._verify_representatives(renamed, mode, (A, A)) == 2 * windows
+        assert effectivity.decided() == decided
+        with pytest.raises(InternalError, match=f"fails the reference {mode} checker"):
+            census._verify_representatives(other, mode, (A,))
 
 
 def _canonicalize_by_minimum(lattice, arrays, elements):

@@ -10,14 +10,15 @@ from delpezzo.effectivity import (
     brute_force_effective,
     is_effective,
     is_hole,
+    is_slo,
     root_stacks,
     solve_root_combination,
 )
 from delpezzo.errors import InputError
-from delpezzo.picard import parse_divisor, vneg, vscale, vsub, vsum
-from delpezzo.surface import catalog_load
+from delpezzo.picard import PicardLattice, parse_divisor, vneg, vscale, vsub, vsum
+from delpezzo.surface import SurfaceModel, catalog_load
 from delpezzo.toric import blow_down
-from delpezzo import census, weyl
+from delpezzo import census, effectivity, weyl
 
 
 def _anticlass_one(s, d):
@@ -41,6 +42,10 @@ def test_basic_effectivity():
     root = parse_divisor(lat, "E1-E2")
     assert not is_effective(s, root)
     assert is_effective(catalog_load(3).get("A4"), root)
+    # The plane has no negative curve at all.
+    plane = PicardLattice.standard(9)
+    p2 = SurfaceModel(plane, ())
+    assert is_effective(p2, vneg(plane.canonical)) and not is_effective(p2, plane.canonical)
 
 
 def test_brute_force_agreement_sample():
@@ -62,6 +67,20 @@ def test_deciders_reject_a_wrong_length_divisor():
             is_effective(s, d)
         with pytest.raises(InputError, match="does not match lattice rank"):
             brute_force_effective(s, d, 3)
+
+
+def test_the_memo_never_crosses_surfaces(monkeypatch):
+    # Two surfaces on one lattice, one simple root each and one name: E1-E2
+    # is effective (so not slo) on its own surface only, whichever surface
+    # the deciders are asked about first.
+    lat = PicardLattice.standard(3)
+    r1, r2 = parse_divisor(lat, "E1-E2"), parse_divisor(lat, "E3-E4")
+    x, y = SurfaceModel(lat, (r1,), "X"), SurfaceModel(lat, (r2,), "X")
+    for order in ((x, y), (y, x)):
+        monkeypatch.setattr(effectivity, "_MEMO", {})
+        got = {s.simple_roots: (is_effective(s, r1), is_slo(s, r1)) for s in order}
+        assert got == {(r1,): (True, False), (r2,): (False, True)}
+        assert {key[1] for key in effectivity._MEMO} == {(r1,), (r2,)}
 
 
 def test_anticlass_fast_on_explicit_windows():

@@ -74,6 +74,25 @@ def test_windows():
     assert A.lattice.square(A.window(2, 4)) == 1
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+def test_every_window_is_the_sum_of_its_terms(degree):
+    # The prefix-sum windows against the term-by-term sum, for every k and
+    # l in 1..n; l = k - 1 is the whole cycle, -K.
+    A = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
+    if degree == 3:
+        dp2 = catalog_load(2).get("dP")
+        A = blow_down(dp2, census.SEQUENCE_PRESETS["VI-deg2"].initial_system(), 3)[1]
+    assert A.lattice.degree == degree
+    n, rank = A.n, A.lattice.rank
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            length = (l - k) % n + 1
+            terms = [A.terms[(k - 1 + i) % n] for i in range(length)]
+            want = tuple(sum(t[j] for t in terms) for j in range(rank))
+            assert A.window(k, l) == want, (k, l)
+        assert A.window(k, (k - 2) % n + 1) == tuple(-x for x in A.lattice.canonical)
+
+
 def test_perm_shift_symmetry():
     A = SYS13
     squares = A.squares()
