@@ -34,8 +34,9 @@ holding the truth tables of all surfaces.  Test (4) is one more gather:
 the deep windows' classes are the W-orbits of the initial system's deep
 window sums, carried down the tree like the others.  Their verdicts come
 from the batched anti-class effectiveness kernel on demand: a (class,
-surface) pair is evaluated once, in the first orbit layer where a row
-that passes tests (1)-(3) on that surface has the class.
+surface) pair is evaluated once, in the first kernel pass after a row
+that passes tests (1)-(3) on that surface has the class.  The rows wait
+for their verdicts across layers, so one pass serves many layers.
 
 Tests (1) and (3) run on every row.  Few rows pass both on even one
 surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) run on those
@@ -363,8 +364,9 @@ def _window_sums(plan: _WindowPlan, part: np.ndarray):
 
 
 def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
-    """Class ids [N, w2], [N, wI] and [N, wD] of the windows of every system
-    of the layer, in the dtypes of the `_window_tables` tables.
+    """Class ids [w2, N], [wI, N] and [wD, N] of the windows of every system
+    of the layer, window-major, in the dtypes of the `_window_tables`
+    tables.
 
     Layer 0 is looked up exactly from its window sums.  On every later
     layer a row's windows are its parent's windows reflected by the row's
@@ -376,14 +378,14 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
     arr = layer.payload
     chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, arr.shape[0], _CHUNK_ROWS)]
     out = tuple(
-        np.empty((arr.shape[0], c.shape[0]), dtype=t.perm.dtype)
+        np.empty((c.shape[0], arr.shape[0]), dtype=t.perm.dtype)
         for t, c in zip(tables, plan.coeffs)
     )
     if layer.parents is None:  # the initial system alone
         kinds = ("(-2)-class", "(-1)-class", "deep-window class")
         for t, o, x, what in zip(tables, out, _window_sums(plan, arr), kinds):
             try:
-                o[:] = [[t.index[tuple(v)] for v in row] for row in x.tolist()]
+                o.T[:] = [[t.index[tuple(v)] for v in row] for row in x.tolist()]
             except KeyError:
                 raise InternalError(
                     f"window sum is not a {what} (invariant violated)"
@@ -394,11 +396,12 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
         for lo in range(start, end, _CHUNK_ROWS):
             parents = layer.parents[lo : min(lo + _CHUNK_ROWS, end)]
             for t, p, o in zip(tables, prev, out):
-                o[lo : lo + parents.size] = t.perm[i].take(p.take(parents, axis=0))
+                o[:, lo : lo + parents.size] = t.perm[i].take(p.take(parents, axis=1))
     for rows in chunks if test_mode else [blocks[:-1][np.diff(blocks) > 0]]:
         sums = _window_sums(plan, arr[rows])
         if not all(
-            np.array_equal(t.classes[o[rows]], x) for t, o, x in zip(tables, out, sums)
+            np.array_equal(t.classes[o[:, rows].T], x)
+            for t, o, x in zip(tables, out, sums)
         ):
             raise InternalError(
                 f"propagated window class ids differ from the window sums "
@@ -410,17 +413,25 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
 @dataclass(frozen=True)
 class _SurfaceMasks:
     """The truth tables of tests (1)-(3) stacked as bits: bit t of a class
-    id's mask is the verdict of surface t on that class."""
+    id's mask is the verdict of surface t on that class.  The masks take
+    the narrowest unsigned dtype with a bit per surface (`_mask_dtype`)."""
 
-    root_anti: np.ndarray  # [c2] uint64: -r is effective
-    root_eff: np.ndarray  # [c2] uint64: r is effective
-    line_fail: np.ndarray  # [c1] uint64: irreducible, or not slo (in degree 1 only)
+    root_anti: np.ndarray  # [c2]: -r is effective
+    root_eff: np.ndarray  # [c2]: r is effective
+    line_fail: np.ndarray  # [c1]: irreducible, or not slo (in degree 1 only)
+
+
+def _mask_dtype(surfaces: int) -> np.dtype:
+    """The narrowest of uint8, uint16, uint32 and uint64 with a bit per
+    surface."""
+    return np.dtype(f"uint{max(8, 1 << (surfaces - 1).bit_length())}")
 
 
 def _bits(verdicts, surfaces: int) -> np.ndarray:
-    """The uint64 masks [c] of boolean verdicts [c, surfaces], c >= 0."""
-    verdicts = np.asarray(verdicts, dtype=np.uint64).reshape(len(verdicts), surfaces)
-    shifts = np.arange(surfaces, dtype=np.uint64)
+    """The `_mask_dtype` masks [c] of boolean verdicts [c, surfaces], c >= 0."""
+    dtype = _mask_dtype(surfaces)
+    verdicts = np.asarray(verdicts, dtype=dtype).reshape(len(verdicts), surfaces)
+    shifts = np.arange(surfaces, dtype=dtype)
     return np.bitwise_or.reduce(verdicts << shifts, axis=1)
 
 
@@ -452,7 +463,8 @@ def _surface_masks(
 
 
 #: (class, surface) pairs per anti-class kernel call: bounds its
-#: [B, rank, R] gathers.
+#: [B, rank, R] gathers.  The sweep also flushes its held live rows once
+#: this many verdicts are pending.
 _KERNEL_PAIRS = 1024
 
 
@@ -460,30 +472,33 @@ class _DeepVerdicts:
     """Test (4)'s verdicts on the deep classes, computed on demand.
 
     Bit t of `anti[c]` says whether -D is effective on surface t, D the
-    deep class c, once bit t of `known[c]` is set.  `evaluated` counts
-    the (class, surface) pairs the kernel has taken; under `check` each
-    verdict is also compared with `is_effective`.
+    deep class c, once bit t of `known[c]` is set; both take
+    `_mask_dtype`.  `evaluated` counts the (class, surface) pairs the
+    kernel has taken and `calls` its calls; under `check` each verdict is
+    also compared with `is_effective`.
     """
 
     def __init__(self, classes: np.ndarray, surfaces, check: bool):
         self.classes, self.surfaces, self.check = classes, surfaces, check
         self.stacks = root_stacks(surfaces)
-        self.anti = np.zeros(classes.shape[0], dtype=np.uint64)
+        self.anti = np.zeros(classes.shape[0], dtype=_mask_dtype(len(surfaces)))
         self.known = np.zeros_like(self.anti)
-        self.evaluated = 0
+        self.evaluated = self.calls = 0
 
     def resolve(self, need: np.ndarray) -> None:
         """Compute the verdicts whose bits are set in `need` [cD] and not
         yet known."""
         todo = need & ~self.known
         ids = np.flatnonzero(todo)
-        shifts = np.arange(len(self.surfaces), dtype=np.uint64)
-        got = ((todo[ids, None] >> shifts) & np.uint64(1)) != 0  # [k, surfaces]
+        shifts = np.arange(len(self.surfaces), dtype=todo.dtype)
+        # got[k, t]: the verdict of class ids[k] on surface t is wanted
+        got = ((todo.take(ids)[:, None] >> shifts) & todo.dtype.type(1)) != 0
         rows, which = np.nonzero(got)
         anti = -self.classes[ids[rows]]
         for lo in range(0, rows.size, _KERNEL_PAIRS):
             part = slice(lo, lo + _KERNEL_PAIRS)
             verdicts = anticlass_effective(self.stacks, anti[part], which[part])
+            self.calls += 1
             got[rows[part], which[part]] = verdicts
             for d, t, fast in zip(
                 anti[part].tolist() if self.check else (), which[part], verdicts
@@ -566,10 +581,13 @@ class CensusRun:
     deep windows in plan order up to the first with an effective
     anti-class, or all of them), `deep_verdicts` (the (deep class,
     surface) pairs the anti-class kernel evaluated: those some candidate
-    reaches, each once) and `deep_cross_checks` (under test_mode, the deep
-    verdicts checked against `is_effective`: every deep class on every
-    surface, all evaluated before the walk).  It times each phase in
-    seconds: `orbit_s` (the orbit walk), `window_ids_s` (class tables and
+    reaches, each once), `deep_kernel_calls` (the anti-class kernel's
+    calls: a flush of held rows makes one per `_KERNEL_PAIRS` verdicts or
+    part of that, and test_mode's cross-checks count too) and
+    `deep_cross_checks` (under test_mode, the deep verdicts checked
+    against `is_effective`: every deep class on every surface, all
+    evaluated before the walk).  It times each phase in seconds:
+    `orbit_s` (the orbit walk), `window_ids_s` (class tables and
     window class ids), `mask_tests_s` (tests (1)-(3) and their truth
     tables), `deep_tests_s` (test (4): the kernel, the cross-checks and
     the live rows' deep gathers), and in finalize
@@ -590,6 +608,8 @@ class CensusRun:
     stats: dict
 
 
+#: Rows per chunk of the id propagation and the tests; the sweep also
+#: flushes its held live rows once it holds this many.
 _CHUNK_ROWS = 4096
 #: Phase timers (seconds) of `CensusRun.stats` filled by the sweep.
 SWEEP_TIMERS = ("orbit_s", "window_ids_s", "mask_tests_s", "deep_tests_s")
@@ -659,14 +679,22 @@ def _census_sweep(
     cyclic-strong mode, the cyclic strong exceptional systems).
 
     The tests run on whole chunks for all surfaces at once: the window
-    class ids of each layer (`_layer_ids`, carried down the orbit tree)
-    gather the surfaces' bit masks, ORed over each test's windows.  Tests
-    (1) and (3) come first; tests (2) and (4) take only the live rows,
-    those with a surface left, and test (4)'s verdicts are computed as
-    these rows first ask for them (`_DeepVerdicts`).  Only two layers of
-    ids are held at a time, w2 + wI + wD ids per row each, and the orbit
-    walk's memory check counts them; the current layer's live rows also
-    keep a copy of their wD deep ids between the two passes.  The modes
+    class ids of each layer (`_layer_ids`, carried down the orbit tree,
+    window-major) gather the surfaces' bit masks, ORed over each test's
+    windows.  Tests (1) and (3) come first; tests (2) and (4) take only
+    the live rows, those with a surface left.  Only two layers of ids are
+    held at a time, w2 + wI + wD ids per row each, and the orbit walk's
+    memory check counts them.
+
+    Test (4) is deferred across layers.  Each layer's live rows are held
+    with a copy of their systems, their wD deep ids and each mode's ok,
+    and the deep verdicts they read and the kernel has not given yet
+    accumulate in one `need` mask.  A flush computes those verdicts
+    (`_DeepVerdicts`, one kernel pass) and runs test (4) on the held rows
+    in orbit order.  It comes after the first layer that leaves at least
+    `_CHUNK_ROWS` live rows held or `_KERNEL_PAIRS` verdicts pending, and
+    after the last tested layer; with `checkpoint_dir` it writes the
+    checkpoint, the flushed layer as its last finished one.  The modes
     must fit A0's kind (`_check_modes`).
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
@@ -679,7 +707,8 @@ def _census_sweep(
     block, in deterministic orbit order.
     """
     plan = _window_plan(A0.squares())
-    everyone = np.uint64((1 << len(surfaces)) - 1)
+    bit = _bits(np.eye(len(surfaces), dtype=bool), len(surfaces))  # surface t's bit
+    everyone = np.bitwise_or.reduce(bit)
     start = time.perf_counter()
     tables = _window_tables(A0, plan)
     built = time.perf_counter()
@@ -687,7 +716,7 @@ def _census_sweep(
     masked = time.perf_counter()
     deep = _DeepVerdicts(tables[2].classes, surfaces, test_mode)
     if test_mode:  # every verdict, each one cross-checked, before the walk
-        deep.resolve(np.full(deep.anti.shape, everyone))
+        deep.resolve(np.full_like(deep.anti, everyone))
     stats = {"rows": 0, "live_rows": 0, "deep_tests": 0}
     stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
     stats.update(
@@ -699,7 +728,6 @@ def _census_sweep(
     # test (2)'s effective gather: the non-cyclic (-2)-windows, or all of
     # them in the cyclic-strong mode
     eff_cols = np.flatnonzero(~plan.root_through_n | ("cyclic-strong" in modes))
-    bit = np.uint64(1) << np.arange(len(surfaces), dtype=np.uint64)  # surface t's bit
     store: dict[tuple[str, str], list[np.ndarray]] = {  # blocks [k, n, rank]
         (s.name, mode): [] for s in surfaces for mode in modes
     }
@@ -715,9 +743,40 @@ def _census_sweep(
     # per (surface, mode) in store order; a resumed sweep counts its saved finds
     candidates = np.zeros((len(surfaces), len(modes)), dtype=np.int64)
     counts = np.reshape([sum(map(len, f)) for f in store.values()], candidates.shape)
+    held = []  # per chunk with live rows: their systems, deep ids, each mode's ok
+    # the deep verdicts the held rows read and the kernel has not given yet
+    need, unknown = np.zeros_like(deep.known), ~deep.known
+
+    def flush(index: int, like: np.ndarray) -> None:
+        """Test (4) on the held rows; then the checkpoint, as of layer index."""
+        start = time.perf_counter()
+        deep.resolve(need)
+        for systems, idsL, oks in held:
+            # unseen[w] holds the surfaces on which none of the first w deep
+            # windows is anti-effective.
+            unseen = np.zeros((idsL.shape[0] + 1, idsL.shape[1]), dtype=need.dtype)
+            np.bitwise_or.accumulate(deep.anti.take(idsL), axis=0, out=unseen[1:])
+            np.invert(unseen, out=unseen)
+            for m, (mode, ok) in enumerate(zip(modes, oks)):
+                candidates[:, m] += ((ok[:, None] & bit) != 0).sum(axis=0)
+                stats["deep_tests"] += int(np.bitwise_count(ok & unseen[:-1]).sum())
+                found = ok & unseen[-1]
+                rows = np.flatnonzero(found)  # ascending, so orbit order is kept
+                hits = (found.take(rows)[:, None] & bit) != 0
+                counts[:, m] += hits.sum(axis=0)
+                if mode != "cyclic-strong":  # it keeps counts alone
+                    for t in np.flatnonzero(hits.any(axis=0)).tolist():
+                        store[(surfaces[t].name, mode)].append(systems[rows[hits[:, t]]])
+        held.clear()
+        need[:] = 0
+        np.invert(deep.known, out=unknown)
+        stats["deep_tests_s"] += time.perf_counter() - start
+        if checkpoint_dir is not None:
+            _save_checkpoint(checkpoint_dir, config, index, store, like)
 
     orbit_total = 0
     ids = None
+    flushed = tested = done  # the last layers flushed and tested
     # two layers of window class ids are held beside the orbit's own arrays
     id_bytes = sum(t.perm.itemsize * c.shape[0] for t, c in zip(tables, plan.coeffs))
     layers = weyl.orbit_layers(
@@ -737,62 +796,45 @@ def _census_sweep(
         stats["window_ids_s"] += time.perf_counter() - start
         if layer.index <= done:
             continue
-        # Tests (1)-(3) chunk by chunk, then the deep verdicts that the
-        # layer's live rows read and the kernel has not given yet (one
-        # kernel pass per layer), then test (4) chunk by chunk.
-        passed = []  # per chunk: lo, live rows, their deep ids, each mode's ok
-        need, unknown = np.zeros_like(deep.known), ~deep.known
+        tested = layer.index
         for lo in range(0, arr.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
-            ids2, idsI, idsD = (x[lo : lo + _CHUNK_ROWS] for x in ids)
+            ids2, idsI, idsD = (x[:, lo : lo + _CHUNK_ROWS] for x in ids)
             # A row failing (1) or (3) on every surface has no bit in base,
             # nor in either mode's ok: only the live rows go further.
-            fail = np.bitwise_or.reduce(masks.root_anti[ids2], axis=1)
-            fail |= np.bitwise_or.reduce(masks.line_fail[idsI], axis=1)
+            fail = np.bitwise_or.reduce(masks.root_anti.take(ids2), axis=0)
+            fail |= np.bitwise_or.reduce(masks.line_fail.take(idsI), axis=0)
             live = np.flatnonzero(fail != everyone)
             stats["live_rows"] += live.size
-            base = ~fail[live] & everyone
-            eff2 = np.bitwise_or.reduce(masks.root_eff[ids2[live][:, eff_cols]], axis=1)
-            strict = base & ~eff2  # the ok of the strong and cyclic-strong modes
+            base = ~fail.take(live) & everyone
+            eff2 = masks.root_eff.take(ids2[eff_cols[:, None], live])
+            strict = base & ~np.bitwise_or.reduce(eff2, axis=0)  # strong, cyclic-strong
             oks = [base if mode == "exceptional" else strict for mode in modes]
-            tested = time.perf_counter()
-            stats["mask_tests_s"] += tested - start
+            checked = time.perf_counter()
+            stats["mask_tests_s"] += checked - start
             # A row reads its deep classes' verdicts only on the surfaces
             # of some mode's ok.
-            idsL = idsD[live]
-            passed.append((lo, live, idsL, oks))
+            idsL = idsD[:, live]
             asked = unknown.take(idsL)
-            asked &= (base if "exceptional" in modes else strict)[:, None]
+            asked &= base if "exceptional" in modes else strict
             pending = asked != 0
             np.bitwise_or.at(need, idsL[pending], asked[pending])
-            stats["deep_tests_s"] += time.perf_counter() - tested
-        start = time.perf_counter()
-        deep.resolve(need)
-        for lo, live, idsL, oks in passed:
-            # unseen[:, w] holds the surfaces on which none of the first w
-            # deep windows is anti-effective.
-            unseen = np.zeros((live.size, idsL.shape[1] + 1), dtype=np.uint64)
-            np.bitwise_or.accumulate(deep.anti.take(idsL), axis=1, out=unseen[:, 1:])
-            np.invert(unseen, out=unseen)
-            for m, (mode, ok) in enumerate(zip(modes, oks)):
-                candidates[:, m] += ((ok[:, None] & bit) != 0).sum(axis=0)
-                left = np.bitwise_count(ok[:, None] & unseen[:, :-1])
-                stats["deep_tests"] += int(left.sum())
-                found = ok & unseen[:, -1]
-                rows = np.flatnonzero(found)  # ascending, so orbit order is kept
-                hits = (found[rows, None] & bit) != 0
-                counts[:, m] += hits.sum(axis=0)
-                if mode != "cyclic-strong":  # it keeps counts alone
-                    for t in np.flatnonzero(hits.any(axis=0)).tolist():
-                        at = live[rows[hits[:, t]]] + lo
-                        store[(surfaces[t].name, mode)].append(arr[at])
-        stats["deep_tests_s"] += time.perf_counter() - start
-        if checkpoint_dir is not None:
-            _save_checkpoint(checkpoint_dir, config, layer.index, store, arr)
+            if live.size:
+                held.append((arr[lo + live], idsL, oks))
+            stats["deep_tests_s"] += time.perf_counter() - checked
+        if (
+            sum(len(systems) for systems, _, _ in held) >= _CHUNK_ROWS
+            or np.bitwise_count(need).sum() >= _KERNEL_PAIRS
+        ):
+            flush(tested, arr)
+            flushed = tested
+    if tested > flushed:
+        flush(tested, arr)
     stats["deep_candidates"] = {
         f"{s}/{mode}": c for (s, mode), c in zip(store, candidates.ravel().tolist())
     }
     stats["deep_verdicts"] = deep.evaluated
+    stats["deep_kernel_calls"] = deep.calls
     return orbit_total, dict(zip(store, counts.ravel().tolist())), store, stats
 
 
@@ -908,9 +950,10 @@ def census_for_preset(
     and a surface on another lattice than A0's are refused before the
     walk.
 
-    With `checkpoint_dir`, progress is saved after every layer, and
-    `resume=True` continues from it to the raw counts and records of an
-    uninterrupted run (see `_census_sweep`).
+    With `checkpoint_dir`, progress is saved whenever test (4) has run on
+    the held live rows and after the last layer, and `resume=True`
+    continues from it to the raw counts and records of an uninterrupted
+    run (see `_census_sweep`).
     """
     if isinstance(preset, str):
         if preset not in SEQUENCE_PRESETS:

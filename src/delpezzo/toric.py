@@ -58,6 +58,10 @@ class ToricSystem:
         return self.terms[(i - 1) % self.n]
 
     def squares(self) -> tuple[int, ...]:
+        return self._squares
+
+    @cached_property
+    def _squares(self) -> tuple[int, ...]:
         return tuple(self.lattice.square(t) for t in self.terms)
 
     # -- windows -------------------------------------------------------

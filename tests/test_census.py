@@ -49,8 +49,8 @@ def test_window_plan_iib():
 def test_window_ids_match_window_sums(preset):
     # Reference: every window sum formed explicitly and found by its
     # coordinates among the enumerated classes, or in the deep table's
-    # index; the sweep's ids, carried down the orbit tree from layer 0,
-    # must be the positions found.
+    # index; the sweep's ids [w, N], carried down the orbit tree from
+    # layer 0, must be the positions found.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
     plan = census._window_plan(A0.squares())
@@ -70,8 +70,8 @@ def test_window_ids_match_window_sums(preset):
                 assert got.dtype == np.uint8
             sums = np.einsum("wi,mir->mwr", coeffs, part)
             idx = [[position[tuple(v)] for v in row] for row in sums.tolist()]
-            assert np.array_equal(got, np.array(idx).reshape(got.shape))
-            assert np.array_equal(table.classes[got], sums)
+            assert np.array_equal(got.T, np.array(idx).reshape(got.T.shape))
+            assert np.array_equal(table.classes[got.T], sums)
         rows += part.shape[0]
     assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
 
@@ -132,7 +132,7 @@ def test_window_keys_reject_non_classes():
         with pytest.raises(InternalError, match="not a \\(-2\\)-class"):
             census._layer_ids(plan, tables, layer, None, False)
     layer = weyl.OrbitLayer(0, marker, part, 1)
-    assert all(ids.shape == (1, c.shape[0]) for ids, c in zip(
+    assert all(ids.shape == (c.shape[0], 1) for ids, c in zip(
         census._layer_ids(plan, tables, layer, None, False), plan.coeffs
     ))
 
@@ -532,6 +532,43 @@ def test_surface_masks_reject_more_than_64_surfaces():
         census._surface_masks(s.lattice, (s,) * 65)
 
 
+def test_masks_take_the_narrowest_dtype():
+    # One bit per surface in the narrowest unsigned dtype, up to 64 bits.
+    s = catalog_load(3).get("A1")
+    for count, dtype in (
+        (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+        (32, np.uint32), (33, np.uint64), (64, np.uint64),
+    ):
+        assert census._bits([[True] * count], count).dtype == dtype
+        masks = census._surface_masks(s.lattice, (s,) * count)
+        for mask in (masks.root_anti, masks.root_eff, masks.line_fail):
+            assert mask.dtype == dtype
+    bits = census._bits(np.eye(64, dtype=bool), 64)
+    assert bits[63] == 1 << 63
+    assert np.bitwise_or.reduce(bits) == (1 << 64) - 1
+
+
+def test_census_keeps_bit_63():
+    # 64 renamed copies of the degree-2 surfaces, the last one on bit 63:
+    # each copy counts what its original counts alone.
+    entries = catalog_load(2).entries
+    picked = [entries[k % len(entries)] for k in range(63)]
+    picked.append(census.section13_surface())
+    copies = [replace(s, name=f"{s.name}#{k}") for k, s in enumerate(picked)]
+    kwargs = dict(finalize=False, max_layers=16)
+    alone = census.census_for_preset("IIb-deg2", entries, **kwargs)
+    run = census.census_for_preset("IIb-deg2", copies, **kwargs)
+    assert run.raw_counts[(copies[63].name, "strong")] > 0
+    for copy, s in zip(copies, picked):
+        for mode in census.MODES:
+            assert run.raw_counts[(copy.name, mode)] == alone.raw_counts[(s.name, mode)]
+            key = f"{{}}/{mode}"
+            assert (
+                run.stats["deep_candidates"][key.format(copy.name)]
+                == alone.stats["deep_candidates"][key.format(s.name)]
+            )
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_line_masks_match_the_degree_1_slo_rule(degree):
     # Test (3)'s (-1)-class masks read `is_slo`; they keep the bits of the
@@ -625,6 +662,27 @@ def test_resumed_census_keeps_counterexamples(tmp_path):
     assert 0 < resumed.stats["deep_tests"] < fresh.stats["deep_tests"]
 
 
+def test_checkpoint_is_written_at_flushes(tmp_path, monkeypatch):
+    # The checkpoint is written when test (4) runs on the held live rows,
+    # not after every layer; the last write records the last tested layer.
+    writes = []
+    save = census._save_checkpoint
+
+    def counting(directory, config, index, store, like):
+        writes.append(index)
+        save(directory, config, index, store, like)
+
+    monkeypatch.setattr(census, "_save_checkpoint", counting)
+    run = census.census_for_preset(
+        "IIb-deg2", finalize=False, checkpoint_dir=tmp_path, max_layers=8
+    )
+    assert 0 < len(writes) < 9  # layers 0-8 are tested
+    assert writes == sorted(writes) and writes[-1] == 8
+    with np.load(tmp_path / "census.npz") as data:
+        assert int(data["layer"]) == 8
+        assert int(data["counts"].sum()) == sum(run.raw_counts.values()) > 0
+
+
 def test_resumed_census_finalizes_like_uninterrupted(tmp_path):
     surfaces = (catalog_load(2).get("A1+2A3"),)
     census.census_for_preset(
@@ -673,7 +731,18 @@ def test_resume_without_checkpoint(tmp_path):
 
 
 def test_census_stats_phase_keys():
-    run = census.census_for_preset(_deg3_system("VI-deg2", 3))
+    # The kernel runs once per flush of held rows, not once per layer: at
+    # most 6 calls for the three degree-3 blow-downs of the benchmark (none
+    # for the one without live rows), one for the IIb-deg2 prefix.
+    runs = [
+        census.census_for_preset(_deg3_system(preset, term))
+        for preset, term in (("VI-deg2", 9), ("VI-deg2", 3), ("V-deg2", 3))
+    ]
+    assert runs[0].stats["live_rows"] == runs[0].stats["deep_kernel_calls"] == 0
+    assert 0 < sum(r.stats["deep_kernel_calls"] for r in runs) <= 6
+    prefix = census.census_for_preset("IIb-deg2", max_layers=16, finalize=False)
+    assert prefix.stats["deep_kernel_calls"] == 1
+    run = runs[1]
     timers = census.SWEEP_TIMERS + ("canonicalize_s", "reverify_s")
     assert set(timers) | {"representatives_verified"} <= set(run.stats)
     assert all(isinstance(run.stats[k], float) and run.stats[k] >= 0 for k in timers)

@@ -248,12 +248,13 @@ def test_census_refuses_an_entry_outside_the_class_range(capsys):
 
 def test_census_stats_json(tmp_path, capsys):
     # The sweep's stats as JSON: every phase timer, the deep verdicts the
-    # kernel evaluated and one row per system of the W(E6) orbit.
+    # kernel evaluated, its calls and one row per system of the W(E6) orbit.
     argv = ["census", "--sequence", "[-2,-1,-1,0,-2,-2,-2,-1,-4]", "--stats-json"]
     path = tmp_path / "stats.json"
     assert cli.main(argv + [str(path)]) == cli.EXIT_PASS
     stats = json.loads(path.read_text())
-    assert set(census.SWEEP_TIMERS) | {"deep_verdicts"} <= set(stats)
+    keys = set(census.SWEEP_TIMERS) | {"deep_verdicts", "deep_kernel_calls"}
+    assert keys <= set(stats)
     assert stats["rows"] == census.EXPECTED_WEYL_ORDERS[3]
     assert stats["deep_verdicts"] > 0
     capsys.readouterr()
