@@ -6,7 +6,7 @@ applies four tests to every system on every surface of the degree:
   (1) no cyclic (-2)-window (through position n) is anti-effective;
   (2) no non-cyclic (-2)-window is effective or anti-effective
       (anti-effective only, in exceptional mode);
-  (3) every window in I(X,A) lies in I^red(X) (and is slo in degree 1);
+  (3) every window in I(X,A) lies in I^red(X);
   (4) no window of square <= -3 is anti-effective.
 
 A system passing all four is a counterexample: a (strong) exceptional
@@ -22,7 +22,9 @@ is always lo and slo.  For W'^2 >= d - 2, that is W^2 <= -2, both lo(W')
 and slo(W') hold iff K + W' = -W is not effective: test (1) when
 W^2 = -2, test (4) when W^2 <= -3.  The non-cyclic windows of square -2
 are test (2); none has a lower square, as only a_n is below -2.  Test
-(3) excludes the augmentations.
+(3) excludes the augmentations.  In degree 1 an I(X,A) window W' is
+-K - W for W a cyclic (-2)-window, so slo(W') ("-W is not effective")
+is already test (1).
 
 Which windows each test takes is read off the squares sequence
 (`toric.window_squares`).  Tests (1)-(3) are vectorized: every
@@ -83,7 +85,6 @@ from .effectivity import (
     decided,
     is_effective,
     is_hole,
-    is_slo,
     root_stacks,
 )
 from . import __version__, weyl
@@ -418,7 +419,7 @@ class _SurfaceMasks:
 
     root_anti: np.ndarray  # [c2]: -r is effective
     root_eff: np.ndarray  # [c2]: r is effective
-    line_fail: np.ndarray  # [c1]: irreducible, or not slo (in degree 1 only)
+    line_fail: np.ndarray  # [c1]: irreducible
 
 
 def _mask_dtype(surfaces: int) -> np.dtype:
@@ -448,14 +449,11 @@ def _surface_masks(
         for r in (-2, -1)
     )
     effs = [s.effective_roots_set() for s in surfaces]
-    line_fail = [
-        [c in s.irr_lines_set() or not is_slo(s, c) for s in surfaces]
-        for c in map(tuple, lines)
-    ]
+    irrs = [s.irr_lines_set() for s in surfaces]
     masks = _SurfaceMasks(
         _bits([[r in eff for eff in effs] for r in map(vneg, roots)], len(surfaces)),
         _bits([[r in eff for eff in effs] for r in map(tuple, roots)], len(surfaces)),
-        _bits(line_fail, len(surfaces)),
+        _bits([[c in irr for irr in irrs] for c in map(tuple, lines)], len(surfaces)),
     )
     for arr in (masks.root_anti, masks.root_eff, masks.line_fail):
         arr.flags.writeable = False  # cached and shared by every caller
@@ -463,8 +461,7 @@ def _surface_masks(
 
 
 #: (class, surface) pairs per anti-class kernel call: bounds its
-#: [B, rank, R] gathers.  The sweep also flushes its held live rows once
-#: this many verdicts are pending.
+#: [B, rank, R] gathers.
 _KERNEL_PAIRS = 1024
 
 
@@ -588,9 +585,10 @@ class CensusRun:
     against `is_effective`: every deep class on every surface, all
     evaluated before the walk).  It times each phase in seconds:
     `orbit_s` (the orbit walk), `window_ids_s` (class tables and
-    window class ids), `mask_tests_s` (tests (1)-(3) and their truth
-    tables), `deep_tests_s` (test (4): the kernel, the cross-checks and
-    the live rows' deep gathers), and in finalize
+    window class ids), `mask_tests_s` (tests (1)-(3), their truth tables
+    and holding the live rows), `deep_tests_s` (test (4): gathering the
+    verdicts the held rows read, the kernel, the cross-checks and the
+    held rows' deep gathers), and in finalize
     `canonicalize_s` and `reverify_s` (0 without finalize).  Finalize
     counts `representatives_verified` (the representatives re-verified),
     `reverify_windows` (the windows their re-verification reads: every
@@ -687,12 +685,11 @@ def _census_sweep(
     memory check counts them.
 
     Test (4) is deferred across layers.  Each layer's live rows are held
-    with a copy of their systems, their wD deep ids and each mode's ok,
-    and the deep verdicts they read and the kernel has not given yet
-    accumulate in one `need` mask.  A flush computes those verdicts
-    (`_DeepVerdicts`, one kernel pass) and runs test (4) on the held rows
-    in orbit order.  It comes after the first layer that leaves at least
-    `_CHUNK_ROWS` live rows held or `_KERNEL_PAIRS` verdicts pending, and
+    with a copy of their systems, their wD deep ids and each mode's ok.  A
+    flush gathers the deep verdicts the held rows read and the kernel has
+    not given yet, computes them (`_DeepVerdicts`, one kernel pass) and
+    runs test (4) on the held rows in orbit order.  It comes after the
+    first layer that leaves at least `_CHUNK_ROWS` live rows held, and
     after the last tested layer; with `checkpoint_dir` it writes the
     checkpoint, the flushed layer as its last finished one.  The modes
     must fit A0's kind (`_check_modes`).
@@ -744,12 +741,17 @@ def _census_sweep(
     candidates = np.zeros((len(surfaces), len(modes)), dtype=np.int64)
     counts = np.reshape([sum(map(len, f)) for f in store.values()], candidates.shape)
     held = []  # per chunk with live rows: their systems, deep ids, each mode's ok
-    # the deep verdicts the held rows read and the kernel has not given yet
-    need, unknown = np.zeros_like(deep.known), ~deep.known
 
     def flush(index: int, like: np.ndarray) -> None:
         """Test (4) on the held rows; then the checkpoint, as of layer index."""
         start = time.perf_counter()
+        # A held row reads its deep classes' verdicts on the surfaces of
+        # some mode's ok: the kernel gives those it has not given yet.
+        need = np.zeros_like(deep.known)
+        for _, idsL, oks in held:
+            asked = ~deep.known.take(idsL) & np.bitwise_or.reduce(oks)
+            pending = asked != 0
+            np.bitwise_or.at(need, idsL[pending], asked[pending])
         deep.resolve(need)
         for systems, idsL, oks in held:
             # unseen[w] holds the surfaces on which none of the first w deep
@@ -768,8 +770,6 @@ def _census_sweep(
                     for t in np.flatnonzero(hits.any(axis=0)).tolist():
                         store[(surfaces[t].name, mode)].append(systems[rows[hits[:, t]]])
         held.clear()
-        need[:] = 0
-        np.invert(deep.known, out=unknown)
         stats["deep_tests_s"] += time.perf_counter() - start
         if checkpoint_dir is not None:
             _save_checkpoint(checkpoint_dir, config, index, store, like)
@@ -810,22 +810,10 @@ def _census_sweep(
             eff2 = masks.root_eff.take(ids2[eff_cols[:, None], live])
             strict = base & ~np.bitwise_or.reduce(eff2, axis=0)  # strong, cyclic-strong
             oks = [base if mode == "exceptional" else strict for mode in modes]
-            checked = time.perf_counter()
-            stats["mask_tests_s"] += checked - start
-            # A row reads its deep classes' verdicts only on the surfaces
-            # of some mode's ok.
-            idsL = idsD[:, live]
-            asked = unknown.take(idsL)
-            asked &= base if "exceptional" in modes else strict
-            pending = asked != 0
-            np.bitwise_or.at(need, idsL[pending], asked[pending])
             if live.size:
-                held.append((arr[lo + live], idsL, oks))
-            stats["deep_tests_s"] += time.perf_counter() - checked
-        if (
-            sum(len(systems) for systems, _, _ in held) >= _CHUNK_ROWS
-            or np.bitwise_count(need).sum() >= _KERNEL_PAIRS
-        ):
+                held.append((arr[lo + live], idsD[:, live], oks))
+            stats["mask_tests_s"] += time.perf_counter() - start
+        if sum(len(systems) for systems, _, _ in held) >= _CHUNK_ROWS:
             flush(tested, arr)
             flushed = tested
     if tested > flushed:

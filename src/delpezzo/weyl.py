@@ -307,15 +307,6 @@ class WeylElement:
                     out[j] += coeff * x
         return tuple(out)
 
-    def matrix(self) -> np.ndarray:
-        """M with M @ v = w(v) on coefficient vectors."""
-        return np.array(self.images, dtype=np.int64).T
-
-    def verify(self) -> None:
-        images = np.array(self.images, dtype=np.int64)
-        if not preserves_form_and_k(self.lattice, images):
-            raise InternalError("Weyl element does not preserve the form or fix K")
-
 
 def preserves_form_and_k(lattice: PicardLattice, images: np.ndarray) -> np.ndarray:
     """Which of the stacked maps [..., rank, rank] (row i = image of e_i,

@@ -340,6 +340,13 @@ _SWEEP_CASES = {
         census.MODES,
         10,
     ),
+    # Degree 1: the reference keeps test (3)'s old slo clause.
+    "VI-deg1-both": (
+        lambda: census.SEQUENCE_PRESETS["VI-deg1"].initial_system(),
+        None,
+        census.MODES,
+        8,
+    ),
 }
 
 
@@ -570,28 +577,43 @@ def test_census_keeps_bit_63():
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_line_masks_match_the_degree_1_slo_rule(degree):
-    # Test (3)'s (-1)-class masks read `is_slo`; they keep the bits of the
-    # rule they replaced: irreducible, or, in degree 1, C + K effective.
+def test_line_masks_are_irreducible_membership(degree):
+    # Test (3)'s (-1)-class masks are I^red membership alone.
     surfaces = catalog_load(degree).entries
     lat = surfaces[0].lattice
-    lines = census._class_table(lat, lat.enumerate_classes(-1)).classes.tolist()
+    table = census._class_table(lat, lat.enumerate_classes(-1))
+    lines = list(map(tuple, table.classes.tolist()))
+    masks = census._surface_masks(lat, surfaces)
+    irr = census._bits(
+        [[c in s.irr_lines_set() for s in surfaces] for c in lines], len(surfaces)
+    )
+    assert masks.line_fail.tolist() == irr.tolist()
+    if degree != 1:
+        return
+    # The degree-1 rule they once had, irreducible or C + K effective, is
+    # irr | root_anti of the root -K - C: test (1)'s bits.
     old = [
         [
             c in s.irr_lines_set()
-            or (degree == 1 and vadd(c, lat.canonical) in s.effective_roots_set())
+            or vadd(c, lat.canonical) in s.effective_roots_set()
             for s in surfaces
         ]
-        for c in map(tuple, lines)
+        for c in lines
     ]
-    line_fail = census._surface_masks(lat, surfaces).line_fail
-    assert line_fail.tolist() == census._bits(old, len(surfaces)).tolist()
-    # In degree 1 the slo part marks classes that are not irreducible.
-    assert (degree == 1) == any(
-        row[t] and c not in s.irr_lines_set()
-        for c, row in zip(map(tuple, lines), old)
-        for t, s in enumerate(surfaces)
-    )
+    roots = census._class_table(lat, lat.enumerate_classes(-2)).index
+    dual = np.array([roots[vneg(vadd(c, lat.canonical))] for c in lines])
+    old_bits = census._bits(old, len(surfaces))
+    assert old_bits.tolist() == (irr | masks.root_anti[dual]).tolist()
+    assert (masks.root_anti[dual] & ~irr).any()
+    # That root is a window of the system: the complement of every I(X,A)
+    # window, -K minus it, is a cyclic (-2)-window.
+    presets = [p for p in census.SEQUENCE_PRESETS.values() if p.degree == 1]
+    assert len(presets) == 8
+    for preset in presets:
+        plan = census._window_plan(preset.squares)
+        cyclic = set(map(tuple, plan.root_coeffs[plan.root_through_n].tolist()))
+        complements = set(map(tuple, (1 - plan.ixa_coeffs).tolist()))
+        assert complements and complements <= cyclic, preset.name
 
 
 def _corrupt_table(monkeypatch, r, corrupt):
@@ -731,15 +753,15 @@ def test_resume_without_checkpoint(tmp_path):
 
 
 def test_census_stats_phase_keys():
-    # The kernel runs once per flush of held rows, not once per layer: at
-    # most 6 calls for the three degree-3 blow-downs of the benchmark (none
-    # for the one without live rows), one for the IIb-deg2 prefix.
+    # The kernel runs once per flush, which comes once 4,096 live rows are
+    # held and after the last layer: two calls for each degree-3 blow-down
+    # of the benchmark with live rows, one for the IIb-deg2 prefix.
     runs = [
         census.census_for_preset(_deg3_system(preset, term))
         for preset, term in (("VI-deg2", 9), ("VI-deg2", 3), ("V-deg2", 3))
     ]
-    assert runs[0].stats["live_rows"] == runs[0].stats["deep_kernel_calls"] == 0
-    assert 0 < sum(r.stats["deep_kernel_calls"] for r in runs) <= 6
+    assert runs[0].stats["live_rows"] == 0
+    assert [r.stats["deep_kernel_calls"] for r in runs] == [0, 2, 2]
     prefix = census.census_for_preset("IIb-deg2", max_layers=16, finalize=False)
     assert prefix.stats["deep_kernel_calls"] == 1
     run = runs[1]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -37,6 +38,38 @@ def test_census_does_not_import_paper():
 def test_weyl_does_not_import_toric_or_surface():
     # The group code is lattice code: it knows no toric system or surface.
     assert _loads("delpezzo.weyl", ["delpezzo.toric", "delpezzo.surface"]) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names bound by the module-level imports of the source file
+    `path` that the module never reads, as "file:line name"."""
+    tree = ast.parse(path.read_text())
+    bound = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read
+    ]
+
+
+def test_no_unused_module_imports(tmp_path):
+    # A module-level import that the module never reads is dead code, such
+    # as a decider left imported after its last call is gone.
+    src = Path(__file__).parent.parent / "src" / "delpezzo"
+    assert [u for path in sorted(src.glob("*.py")) for u in _unused_imports(path)] == []
+    stray = tmp_path / "stray.py"
+    stray.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import b, c as d\n"
+        "d()\n"
+    )
+    assert _unused_imports(stray) == ["stray.py:2 os", "stray.py:3 b"]
 
 
 def test_irr_lines_suite():
