@@ -83,7 +83,6 @@ from .toric import (
 from .effectivity import (
     anticlass_effective,
     decided,
-    is_effective,
     is_hole,
     root_stacks,
 )
@@ -364,7 +363,7 @@ def _window_sums(plan: _WindowPlan, part: np.ndarray):
     return tuple(c @ part for c in plan.coeffs)
 
 
-def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
+def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev):
     """Class ids [w2, N], [wI, N] and [wD, N] of the windows of every system
     of the layer, window-major, in the dtypes of the `_window_tables`
     tables.
@@ -372,12 +371,13 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
     Layer 0 is looked up exactly from its window sums.  On every later
     layer a row's windows are its parent's windows reflected by the row's
     generator i, so its ids are `perm[i, parent ids]`, with `prev` the ids
-    of the previous layer.  Audit: the classes of the first row of every
-    generator block must equal its window sums; under test_mode, those of
-    every row.
+    of the previous layer.  That makes every row's ids exact by induction,
+    as `perm` sends each class to its reflection and each row is its
+    parent's reflection; the tests check both on whole tables and orbits.
+    Audit: the classes of the first row of every non-empty generator block
+    must equal its window sums.
     """
     arr = layer.payload
-    chunks = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, arr.shape[0], _CHUNK_ROWS)]
     out = tuple(
         np.empty((c.shape[0], arr.shape[0]), dtype=t.perm.dtype)
         for t, c in zip(tables, plan.coeffs)
@@ -398,16 +398,15 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev, test_mode: bool):
             parents = layer.parents[lo : min(lo + _CHUNK_ROWS, end)]
             for t, p, o in zip(tables, prev, out):
                 o[:, lo : lo + parents.size] = t.perm[i].take(p.take(parents, axis=1))
-    for rows in chunks if test_mode else [blocks[:-1][np.diff(blocks) > 0]]:
-        sums = _window_sums(plan, arr[rows])
-        if not all(
-            np.array_equal(t.classes[o[:, rows].T], x)
-            for t, o, x in zip(tables, out, sums)
-        ):
-            raise InternalError(
-                f"propagated window class ids differ from the window sums "
-                f"on orbit layer {layer.index} (invariant violated)"
-            )
+    rows = blocks[:-1][np.diff(blocks) > 0]
+    if not all(
+        np.array_equal(t.classes[o[:, rows].T], x)
+        for t, o, x in zip(tables, out, _window_sums(plan, arr[rows]))
+    ):
+        raise InternalError(
+            f"propagated window class ids differ from the window sums "
+            f"on orbit layer {layer.index} (invariant violated)"
+        )
     return out
 
 
@@ -471,12 +470,11 @@ class _DeepVerdicts:
     Bit t of `anti[c]` says whether -D is effective on surface t, D the
     deep class c, once bit t of `known[c]` is set; both take
     `_mask_dtype`.  `evaluated` counts the (class, surface) pairs the
-    kernel has taken and `calls` its calls; under `check` each verdict is
-    also compared with `is_effective`.
+    kernel has taken and `calls` its calls.
     """
 
-    def __init__(self, classes: np.ndarray, surfaces, check: bool):
-        self.classes, self.surfaces, self.check = classes, surfaces, check
+    def __init__(self, classes: np.ndarray, surfaces):
+        self.classes, self.surfaces = classes, surfaces
         self.stacks = root_stacks(surfaces)
         self.anti = np.zeros(classes.shape[0], dtype=_mask_dtype(len(surfaces)))
         self.known = np.zeros_like(self.anti)
@@ -497,14 +495,6 @@ class _DeepVerdicts:
             verdicts = anticlass_effective(self.stacks, anti[part], which[part])
             self.calls += 1
             got[rows[part], which[part]] = verdicts
-            for d, t, fast in zip(
-                anti[part].tolist() if self.check else (), which[part], verdicts
-            ):
-                if is_effective(self.surfaces[t], tuple(d)) != fast:
-                    raise InternalError(
-                        f"fast anti-class test disagrees with the general "
-                        f"test on {tuple(d)} ({self.surfaces[t].name})"
-                    )
         self.anti[ids] |= _bits(got, len(self.surfaces))
         self.known |= todo
         self.evaluated += rows.size
@@ -578,17 +568,14 @@ class CensusRun:
     deep windows in plan order up to the first with an effective
     anti-class, or all of them), `deep_verdicts` (the (deep class,
     surface) pairs the anti-class kernel evaluated: those some candidate
-    reaches, each once), `deep_kernel_calls` (the anti-class kernel's
+    reaches, each once) and `deep_kernel_calls` (the anti-class kernel's
     calls: a flush of held rows makes one per `_KERNEL_PAIRS` verdicts or
-    part of that, and test_mode's cross-checks count too) and
-    `deep_cross_checks` (under test_mode, the deep verdicts checked
-    against `is_effective`: every deep class on every surface, all
-    evaluated before the walk).  It times each phase in seconds:
+    part of that).  It times each phase in seconds:
     `orbit_s` (the orbit walk), `window_ids_s` (class tables and
     window class ids), `mask_tests_s` (tests (1)-(3), their truth tables
     and holding the live rows), `deep_tests_s` (test (4): gathering the
-    verdicts the held rows read, the kernel, the cross-checks and the
-    held rows' deep gathers), and in finalize
+    verdicts the held rows read, the kernel and the held rows' deep
+    gathers), and in finalize
     `canonicalize_s` and `reverify_s` (0 without finalize).  Finalize
     counts `representatives_verified` (the representatives re-verified),
     `reverify_windows` (the windows their re-verification reads: every
@@ -668,7 +655,6 @@ def _census_sweep(
     A0: ToricSystem,
     surfaces: tuple[SurfaceModel, ...],
     modes: tuple[str, ...],
-    test_mode: bool,
     max_layers: int | None,
     checkpoint_dir=None,
     resume: bool = False,
@@ -711,16 +697,13 @@ def _census_sweep(
     built = time.perf_counter()
     masks = _surface_masks(A0.lattice, surfaces)
     masked = time.perf_counter()
-    deep = _DeepVerdicts(tables[2].classes, surfaces, test_mode)
-    if test_mode:  # every verdict, each one cross-checked, before the walk
-        deep.resolve(np.full_like(deep.anti, everyone))
+    deep = _DeepVerdicts(tables[2].classes, surfaces)
     stats = {"rows": 0, "live_rows": 0, "deep_tests": 0}
     stats.update(dict.fromkeys(SWEEP_TIMERS, 0.0))
     stats.update(
         window_ids_s=built - start,
         mask_tests_s=masked - built,
         deep_tests_s=time.perf_counter() - masked,
-        deep_cross_checks=deep.evaluated,
     )
     # test (2)'s effective gather: the non-cyclic (-2)-windows, or all of
     # them in the cyclic-strong mode
@@ -792,7 +775,7 @@ def _census_sweep(
         arr = layer.payload
         stats["rows"] += arr.shape[0]
         start = time.perf_counter()
-        ids = _layer_ids(plan, tables, layer, ids, test_mode)
+        ids = _layer_ids(plan, tables, layer, ids)
         stats["window_ids_s"] += time.perf_counter() - start
         if layer.index <= done:
             continue
@@ -917,7 +900,6 @@ def census_for_preset(
     surfaces=None,
     modes: tuple[str, ...] = MODES,
     *,
-    test_mode: bool = False,
     finalize: bool = True,
     checkpoint_dir=None,
     resume: bool = False,
@@ -974,7 +956,7 @@ def census_for_preset(
     if "cyclic-strong" in modes and (finalize or checkpoint_dir is not None):
         raise InputError("the cyclic-strong mode has nothing to finalize or checkpoint")
     orbit_total, raw_counts, store, stats = _census_sweep(
-        A0, surfaces, tuple(modes), test_mode, max_layers, checkpoint_dir, resume
+        A0, surfaces, tuple(modes), max_layers, checkpoint_dir, resume
     )
     if complete and orbit_total != EXPECTED_WEYL_ORDERS[degree]:
         raise InternalError(

@@ -129,19 +129,25 @@ def _type_label(surface_name: str) -> str:
     return surface_name.split(",", 1)[1].rstrip("}")
 
 
-def verify_table7(run: CensusRun | None = None) -> Report:
-    if run is None:
-        run = census_for_preset("IIb-deg2")
+@lru_cache(maxsize=None)
+def _iib_census() -> CensusRun:
+    """The full IIb-deg2 census with finalize, the source of Tables 7 and
+    8.  Cached: both suites read the same run."""
+    return census_for_preset("IIb-deg2")
+
+
+def verify_table7() -> Report:
     return _census_table_report(
-        run, "strong", TABLE7_EXPECTED, "strong-mode type-IIb census (degree 2)"
+        _iib_census(),
+        "strong",
+        TABLE7_EXPECTED,
+        "strong-mode type-IIb census (degree 2)",
     )
 
 
-def verify_table8(run: CensusRun | None = None) -> Report:
-    if run is None:
-        run = census_for_preset("IIb-deg2")
+def verify_table8() -> Report:
     return _census_table_report(
-        run,
+        _iib_census(),
         "exceptional",
         TABLE8_EXPECTED,
         "exceptional-mode type-IIb census (degree 2)",

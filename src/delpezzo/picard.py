@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import InputError, InternalError
+from .errors import InputError
 
 Divisor = tuple[int, ...]
 
@@ -141,13 +141,6 @@ class PicardLattice:
 
     def k_product(self, d: Divisor) -> int:
         return self.intersect(d, self.canonical)
-
-    def chi(self, d: Divisor) -> int:
-        """Euler characteristic 1 + D.(D - K)/2 (Riemann-Roch)."""
-        num = self.intersect(d, vsub(d, self.canonical))
-        if num % 2 != 0:
-            raise InternalError(f"odd self-pairing in chi for {d}")
-        return 1 + num // 2
 
     def classify_r(self, d: Divisor):
         """Return r = D^2 when D^2 + D.K = -2 (numerically left-orthogonal), else None."""

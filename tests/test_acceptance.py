@@ -7,7 +7,14 @@ import time
 import numpy as np
 
 from delpezzo import census, paper, weyl
-from delpezzo.effectivity import brute_force_effective, is_effective, is_lo, is_slo
+from delpezzo.effectivity import (
+    anticlass_effective,
+    brute_force_effective,
+    is_effective,
+    is_lo,
+    is_slo,
+    root_stacks,
+)
 from delpezzo.picard import PicardLattice, vneg
 from delpezzo.surface import SurfaceModel, catalog_load
 from delpezzo.toric import compute_IXA_windows, cyclic_windows
@@ -40,13 +47,13 @@ def test_criterion_02_weyl_order_and_freeness(iib_run):
     _gate(2, "|W| at degree 2 is 2903040 and the orbit is free", ok)
 
 
-def test_criterion_03_strong_census(iib_run):
-    report = paper.verify_table7(iib_run)
+def test_criterion_03_strong_census():
+    report = paper.verify_table7()
     _gate(3, "strong-mode census counts", report.passed, report.render())
 
 
-def test_criterion_04_exceptional_census(iib_run):
-    report = paper.verify_table8(iib_run)
+def test_criterion_04_exceptional_census():
+    report = paper.verify_table8()
     _gate(4, "exceptional-mode census counts", report.passed, report.render())
 
 
@@ -76,7 +83,7 @@ def test_criterion_08_good_class_propositions():
           report.render())
 
 
-def test_criterion_09_effectiveness_oracles(iib_run):
+def test_criterion_09_effectiveness_oracles():
     rng = random.Random(20260824)
     checked = 0
     for degree in (7, 6, 5, 4, 3):
@@ -90,11 +97,19 @@ def test_criterion_09_effectiveness_oracles(iib_run):
                 want = brute_force_effective(s, d, bound)
                 assert got == want, (s.name, d)
                 checked += 1
+    # The census's anti-class kernel against the general decider on every
+    # (deep class, surface) pair of the IIb-deg2 deep table.
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
     deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
-    cross = iib_run.stats["deep_cross_checks"]
-    deep_verdicts = deep.classes.shape[0] * len(catalog_load(2).entries)
-    ok = checked >= 52_000 and cross == deep_verdicts > 0
+    surfaces = catalog_load(2).entries
+    anti = np.repeat(-deep.classes, len(surfaces), axis=0)
+    which = np.tile(np.arange(len(surfaces)), deep.classes.shape[0])
+    fast = anticlass_effective(root_stacks(surfaces), anti, which).tolist()
+    cross = sum(
+        is_effective(surfaces[t], tuple(d)) == verdict
+        for d, t, verdict in zip(anti.tolist(), which.tolist(), fast)
+    )
+    ok = checked >= 52_000 and cross == len(fast) == 5_184
     _gate(
         9,
         "effectiveness deciders agree with the search oracle",
@@ -151,7 +166,7 @@ def test_criterion_10_checker_equivalence():
         A0 = census.SEQUENCE_PRESETS[name].initial_system()
         max_layers = 10 if name == "IIb-deg2" else 5
         _, _, store, _ = census._census_sweep(
-            A0, surfaces, census.MODES, test_mode=False, max_layers=max_layers
+            A0, surfaces, census.MODES, max_layers=max_layers
         )
         rows, masks = _definition_rows(A0, surfaces, max_layers, decide)
         for key, mask in masks.items():

@@ -60,7 +60,7 @@ def test_window_ids_match_window_sums(preset):
     ids = None
     for layer in weyl.orbit_layers(lat, A0.terms, max_layers=6):
         part = layer.payload
-        ids = census._layer_ids(plan, tables, layer, ids, False)
+        ids = census._layer_ids(plan, tables, layer, ids)
         for r, coeffs, table, got in zip((-2, -1, None), plan.coeffs, tables, ids):
             if r is None:
                 position = table.index
@@ -74,6 +74,28 @@ def test_window_ids_match_window_sums(preset):
             assert np.array_equal(table.classes[got.T], sums)
         rows += part.shape[0]
     assert rows == sum(weyl.poincare_coefficients(lat.degree)[:7])
+
+
+@pytest.mark.parametrize("preset", ["VI-deg2", "V-deg2"])
+def test_window_ids_match_window_sums_on_whole_orbits(preset, monkeypatch):
+    # Every row of a whole degree-3 orbit: the classes of its carried ids
+    # are its window sums, in all three tables.  Table rows are distinct,
+    # so this pins the ids.  Chunks of 7 rows put chunk bounds inside the
+    # generator blocks.
+    monkeypatch.setattr(census, "_CHUNK_ROWS", 7)
+    A0 = _deg3_system(preset, 3)
+    plan = census._window_plan(A0.squares())
+    tables = census._window_tables(A0, plan)
+    assert all(len(t.index) == t.classes.shape[0] for t in tables)
+    rows = 0
+    ids = None
+    for layer in weyl.orbit_layers(A0.lattice, A0.terms):
+        ids = census._layer_ids(plan, tables, layer, ids)
+        sums = census._window_sums(plan, layer.payload)
+        for table, got, x in zip(tables, ids, sums):
+            assert np.array_equal(table.classes[got.T], x)
+        rows += layer.payload.shape[0]
+    assert rows == census.EXPECTED_WEYL_ORDERS[3]
 
 
 @pytest.mark.parametrize("degree", [7, 6, 5, 4, 3, 2, 1])
@@ -130,10 +152,10 @@ def test_window_keys_reject_non_classes():
     for factor in (2, 127):
         layer = weyl.OrbitLayer(0, marker, factor * part, 1)
         with pytest.raises(InternalError, match="not a \\(-2\\)-class"):
-            census._layer_ids(plan, tables, layer, None, False)
+            census._layer_ids(plan, tables, layer, None)
     layer = weyl.OrbitLayer(0, marker, part, 1)
     assert all(ids.shape == (c.shape[0], 1) for ids, c in zip(
-        census._layer_ids(plan, tables, layer, None, False), plan.coeffs
+        census._layer_ids(plan, tables, layer, None), plan.coeffs
     ))
 
 
@@ -360,9 +382,7 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     # A small chunk bound also exercises the chunk boundaries inside a
     # layer, both in carrying the window ids and in the sweep's tests.
     monkeypatch.setattr(census, "_CHUNK_ROWS", batch_rows)
-    total, _, store, stats = census._census_sweep(
-        A0, tuple(surfaces), modes, False, layers
-    )
+    total, _, store, stats = census._census_sweep(A0, tuple(surfaces), modes, layers)
     ref = _reference_sweep(A0, surfaces, modes, layers)
     ref_store, ref_candidates, ref_deep, ref_live = ref
     assert total == stats["rows"] == sum(
@@ -374,7 +394,6 @@ def test_sweep_matches_per_row_reference(case, batch_rows, monkeypatch):
     assert stats["live_rows"] == ref_live
     # Only the no-live-rows case has no candidate and so no deep test.
     assert (ref_deep > 0) == (ref_live > 0) == (case != "VI-deg3-no-live-rows")
-    assert stats["deep_cross_checks"] == 0
 
 
 def test_benchmark_work_counts_are_pinned():
@@ -413,7 +432,7 @@ def test_window_kinds_without_windows():
     assert empty.classes.shape == (0, lat.rank)
     assert empty.perm.shape == (3, 0) and empty.perm.dtype == np.uint8
     assert census._bits([], 6).shape == (0,)
-    A0, run = _cyclic_strong_run(TABLE_CYCLIC_STRONG["6a"], test_mode=True)
+    A0, run = _cyclic_strong_run(TABLE_CYCLIC_STRONG["6a"])
     assert all(c.shape == (0, 6) for c in census._window_plan(A0.squares()).coeffs)
     assert run.raw_counts == {
         (s.name, "cyclic-strong"): 12 for s in catalog_load(6).entries
@@ -485,30 +504,27 @@ def test_orbit_memory_check_counts_the_census_ids(monkeypatch):
         census.census_for_preset(A0, max_layers=3, finalize=False)
 
 
-def test_sweep_cross_checks_every_deep_test():
-    # Under test_mode every deep verdict the sweep can read, each deep
-    # class on each surface, is checked against `is_effective`.
-    A0 = _deg3_system("VI-deg2", 3)
-    run = census.census_for_preset(A0, max_layers=7, finalize=False, test_mode=True)
-    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
-    surfaces = len(catalog_load(3).entries)
-    assert run.stats["deep_tests"] > 0
-    assert run.stats["deep_cross_checks"] == deep.classes.shape[0] * surfaces > 0
-
-
-def test_test_mode_evaluates_every_deep_verdict():
-    # Under test_mode the kernel takes every (deep class, surface) pair
-    # once, before the walk, and each one is cross-checked.
-    A0 = _deg3_system("V-deg2", 3)
+@pytest.mark.parametrize("preset", ["VI-deg2", "V-deg2"])
+def test_deep_tables_match_the_general_decider(preset):
+    # Every (deep class, surface) pair of a degree-3 blow-down's deep
+    # table, in one anti-class kernel call, against `is_effective`.  A
+    # 6-layer census evaluates only the pairs some candidate reaches.
+    A0 = _deg3_system(preset, 3)
     surfaces = catalog_load(3).entries
     deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
-    run = census.census_for_preset(A0, max_layers=6, finalize=False, test_mode=True)
-    pairs = deep.classes.shape[0] * len(surfaces)
-    assert run.stats["deep_verdicts"] == run.stats["deep_cross_checks"] == pairs > 0
-    fast = census.census_for_preset(A0, max_layers=6, finalize=False)
-    assert 0 < fast.stats["deep_verdicts"] < pairs
-    assert fast.raw_counts == run.raw_counts
-    assert fast.stats["deep_tests"] == run.stats["deep_tests"] > 0
+    anti = np.repeat(-deep.classes, len(surfaces), axis=0)
+    which = np.tile(np.arange(len(surfaces)), deep.classes.shape[0])
+    stacks = effectivity.root_stacks(surfaces)
+    fast = effectivity.anticlass_effective(stacks, anti, which).tolist()
+    pairs = {"VI-deg2": 648 * 21, "V-deg2": 1_080 * 21}[preset]
+    assert len(fast) == pairs
+    assert fast == [
+        is_effective(surfaces[t], tuple(d))
+        for d, t in zip(anti.tolist(), which.tolist())
+    ]
+    assert 0 < sum(fast) < pairs
+    run = census.census_for_preset(A0, max_layers=6, finalize=False)
+    assert 0 < run.stats["deep_verdicts"] < pairs
 
 
 def test_surfaces_on_another_lattice_are_refused_before_the_walk(monkeypatch):
@@ -630,9 +646,9 @@ def _corrupt_table(monkeypatch, r, corrupt):
     monkeypatch.setattr(census, "_class_table", table)
 
 
-def test_test_mode_compares_every_row(monkeypatch):
-    # Under test_mode every row's propagated ids are checked against its
-    # window sums; otherwise only the first row of each generator block is.
+def test_block_audit_compares_one_row_per_generator_block(monkeypatch):
+    # The sweep checks the propagated ids against the window sums on layer
+    # 0 and on the first row of each non-empty generator block after it.
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
     real = census._window_sums
     looked_up = []
@@ -640,28 +656,15 @@ def test_test_mode_compares_every_row(monkeypatch):
         census, "_window_sums",
         lambda plan, part: looked_up.append(part.shape[0]) or real(plan, part),
     )
-    sizes = weyl.poincare_coefficients(2)[:9]
-    census.census_for_preset(A0, max_layers=8, finalize=False, test_mode=True)
-    assert sum(looked_up) == sum(sizes)
-    looked_up.clear()
     census.census_for_preset(A0, max_layers=8, finalize=False)
     generators = len(weyl.simple_reflection_roots(A0.lattice))
     assert 1 + 8 <= sum(looked_up) <= 1 + 8 * generators
 
 
 def test_corrupted_reflection_table_is_caught(monkeypatch):
+    # Every id wrong: the block audit catches it.  A table wrong on a few
+    # classes only is `test_class_table_is_a_bijection`'s to catch.
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
-
-    def swap_two(perm):
-        # s_0 on two classes only: most rows never meet them.
-        a, b = perm[0, 0], perm[0, 1]
-        perm[0, [0, 1]] = b, a
-        return perm
-
-    _corrupt_table(monkeypatch, -2, swap_two)
-    with pytest.raises(InternalError, match="propagated window class ids differ"):
-        census.census_for_preset(A0, max_layers=10, finalize=False, test_mode=True)
-    # Every id wrong: the block audit catches it without test_mode.
     _corrupt_table(monkeypatch, -1, lambda perm: (perm + 1) % perm.shape[1])
     with pytest.raises(InternalError, match="propagated window class ids differ"):
         census.census_for_preset(A0, max_layers=2, finalize=False)

@@ -72,6 +72,56 @@ def test_no_unused_module_imports(tmp_path):
     assert _unused_imports(stray) == ["stray.py:2 os", "stray.py:3 b"]
 
 
+def _unused_private_names(src: Path) -> list[str]:
+    """The module-level private names (`_x`, not dunder) defined in the
+    source files of the directory `src` that none of them reads, as
+    "file:line name"."""
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = []
+    for file, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    n.id
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            unused += [
+                f"{file}:{node.lineno} {name}"
+                for name in names
+                if name[:1] == "_" and name[:2] != "__" and name not in read
+            ]
+    return unused
+
+
+def test_no_unused_private_names(tmp_path):
+    # A private helper, constant or class that no module of the package
+    # reads is dead code, such as a helper orphaned when its caller goes.
+    src = Path(__file__).parent.parent / "src" / "delpezzo"
+    assert _unused_private_names(src) == []
+    (tmp_path / "a.py").write_text(
+        "__all__ = []\n"
+        "_USED, _SPARE = 1, 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Orphan:\n"
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\na._helper()\n")
+    assert _unused_private_names(tmp_path) == ["a.py:2 _SPARE", "a.py:5 _Orphan"]
+
+
 def test_irr_lines_suite():
     report = paper.verify_irr_lines()
     assert report.passed

@@ -19,7 +19,6 @@ from delpezzo.picard import (
     parse_divisor_list,
     reflect,
     vadd,
-    vneg,
     vscale,
     vsub,
     vsum,
@@ -71,12 +70,6 @@ def test_classify_r():
     assert lat.classify_r((1, -1, -1, 0)) == -1  # L - E1 - E2
     assert lat.classify_r((0, 1, -1, 0)) == -2  # E1 - E2
     assert lat.classify_r(lat.canonical) is None
-
-
-def test_chi():
-    lat = PicardLattice.standard(3)
-    assert lat.chi(lat.zero()) == 1
-    assert lat.chi(vneg(lat.canonical)) == 4
 
 
 def test_enumerate_small_counts():
