@@ -1,6 +1,6 @@
 """Counterexample census over Weyl orbits.
 
-The census streams the whole W-orbit of an initial toric system and
+The census streams the whole W-orbit of an initial toric system A0 and
 applies four tests to every system on every surface of the degree:
 
   (1) no cyclic (-2)-window (through position n) is anti-effective;
@@ -27,18 +27,22 @@ are test (2); none has a lower square, as only a_n is below -2.  Test
 is already test (1).
 
 Which windows each test takes is read off the squares sequence
-(`toric.window_squares`).  Tests (1)-(3) are vectorized: every
-(-2)-window of a toric system is a root and every I(X,A) window is a
-(-1)-class, and W permutes these classes.  So every window carries a
-class id: looked up exactly on the first layer, then carried down the
-orbit tree, one simple reflection per layer.  The ids index bit masks
-holding the truth tables of all surfaces.  Test (4) is one more gather:
-the deep windows' classes are the W-orbits of the initial system's deep
-window sums, carried down the tree like the others.  Their verdicts come
-from the batched anti-class effectiveness kernel on demand: a (class,
-surface) pair is evaluated once, in the first kernel pass after a row
-that passes tests (1)-(3) on that surface has the class.  The rows wait
-for their verdicts across layers, so one pass serves many layers.
+(`toric.window_squares`).  The orbit is walked as the elements w of W
+(`weyl.orbit_layers`): the system w.A0 has the terms `terms @ w` and the
+window sums `S @ w`, S the window sums of A0, so A0 enters the walk only
+as S, and a system is formed only for a row the census finds.  Tests
+(1)-(3) are vectorized: every (-2)-window of a toric system is a root and
+every I(X,A) window is a (-1)-class, and W permutes these classes.  So
+every window carries a class id: looked up exactly on the first layer
+(the identity, where the sums are S), then carried down the tree of W,
+one simple reflection per layer.  The ids index bit masks holding the
+truth tables of all surfaces.  Test (4) is one more gather: the deep
+windows' classes are the W-orbits of A0's deep window sums, carried down
+the tree like the others.  Their verdicts come from the batched
+anti-class effectiveness kernel on demand: a (class, surface) pair is
+evaluated once, in the first kernel pass after a row that passes tests
+(1)-(3) on that surface has the class.  The rows wait for their verdicts
+across layers, so one pass serves many layers.
 
 Tests (1) and (3) run on every row.  Few rows pass both on even one
 surface (0.67% of the IIb-deg2 orbit), so tests (2)-(4) run on those
@@ -257,11 +261,11 @@ class _WindowPlan:
     """Precomputed windows of a squares sequence.
 
     Coefficient rows select the terms of each window, so the window sums
-    of a batch of systems [m, n, rank] are `coeffs @ batch`.  A sweep looks
-    them up as class ids on layer 0 and carries the ids down the orbit
-    tree after that (see `_layer_ids`).  The deep windows
-    (square <= -3) all run through the last term and take test (4).  A
-    first-kind sequence has (-2)-windows only.
+    of a system [n, rank] are `coeffs @ terms`, and those of w.A0 are A0's
+    sums @ w.  A sweep looks them up as class ids on layer 0 and carries
+    the ids down the tree of W after that (see `_layer_ids`).  The deep
+    windows (square <= -3) all run through the last term and take test
+    (4).  A first-kind sequence has (-2)-windows only.
     """
 
     root_coeffs: np.ndarray  # [w2, n] 0/1, all (-2)-windows
@@ -344,47 +348,40 @@ def _class_table(lattice: PicardLattice, seeds: tuple[Divisor, ...]) -> _ClassTa
     return table
 
 
-def _window_tables(A0: ToricSystem, plan: _WindowPlan) -> tuple[_ClassTable, ...]:
-    """The class tables of the (-2)-, I(X,A) and deep windows of W.A0: all
-    (-2)- and (-1)-classes of the lattice, and the W-orbits of A0's deep
-    window sums (the r-spheres of the deep windows are not single orbits)."""
-    lat = A0.lattice
-    deep = plan.deep_coeffs @ np.array(A0.terms, dtype=np.int64)
+def _window_tables(lattice: PicardLattice, S0) -> tuple[_ClassTable, ...]:
+    """The class tables of the (-2)-, I(X,A) and deep windows of W.A0, S0
+    A0's window sums [w, rank] of the three kinds: all (-2)- and
+    (-1)-classes of the lattice, and the W-orbits of the deep sums S0[2]
+    (the r-spheres of the deep windows are not single orbits)."""
     return (
-        _class_table(lat, lat.enumerate_classes(-2)),
-        _class_table(lat, lat.enumerate_classes(-1)),
-        _class_table(lat, tuple(map(tuple, deep.tolist()))),
+        _class_table(lattice, lattice.enumerate_classes(-2)),
+        _class_table(lattice, lattice.enumerate_classes(-1)),
+        _class_table(lattice, tuple(map(tuple, S0[2].tolist()))),
     )
 
 
-def _window_sums(plan: _WindowPlan, part: np.ndarray):
-    """int64 sums [m, w, rank] of the (-2)-, I(X,A) and deep windows of the
-    systems part [m, n, rank] (any integer dtype)."""
-    return tuple(c @ part for c in plan.coeffs)
+def _layer_ids(S0, tables, layer: weyl.OrbitLayer, prev):
+    """Class ids [w2, N], [wI, N] and [wD, N] of the windows of the system
+    w.A0 of every element w of the layer, window-major, in the dtypes of
+    the `_window_tables` tables; S0 holds A0's window sums.
 
-
-def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev):
-    """Class ids [w2, N], [wI, N] and [wD, N] of the windows of every system
-    of the layer, window-major, in the dtypes of the `_window_tables`
-    tables.
-
-    Layer 0 is looked up exactly from its window sums.  On every later
-    layer a row's windows are its parent's windows reflected by the row's
-    generator i, so its ids are `perm[i, parent ids]`, with `prev` the ids
-    of the previous layer.  That makes every row's ids exact by induction,
-    as `perm` sends each class to its reflection and each row is its
-    parent's reflection; the tests check both on whole tables and orbits.
-    Audit: the classes of the first row of every non-empty generator block
-    must equal its window sums.
+    Layer 0 is looked up exactly from its window sums, S0 @ w.  On every
+    later layer a row's windows are its parent's windows reflected by the
+    row's generator i, so its ids are `perm[i, parent ids]`, with `prev`
+    the ids of the previous layer.  That makes every row's ids exact by
+    induction, as `perm` sends each class to its reflection and each row
+    is its parent's reflection; the tests check both on whole tables and
+    orbits.  Audit: the classes of the first row of every non-empty
+    generator block must equal its window sums.
     """
-    arr = layer.payload
+    w = layer.elements
     out = tuple(
-        np.empty((c.shape[0], arr.shape[0]), dtype=t.perm.dtype)
-        for t, c in zip(tables, plan.coeffs)
+        np.empty((s.shape[0], w.shape[0]), dtype=t.perm.dtype)
+        for t, s in zip(tables, S0)
     )
-    if layer.parents is None:  # the initial system alone
+    if layer.parents is None:  # the identity alone
         kinds = ("(-2)-class", "(-1)-class", "deep-window class")
-        for t, o, x, what in zip(tables, out, _window_sums(plan, arr), kinds):
+        for t, o, x, what in zip(tables, out, (s @ w for s in S0), kinds):
             try:
                 o.T[:] = [[t.index[tuple(v)] for v in row] for row in x.tolist()]
             except KeyError:
@@ -400,8 +397,8 @@ def _layer_ids(plan, tables, layer: weyl.OrbitLayer, prev):
                 o[:, lo : lo + parents.size] = t.perm[i].take(p.take(parents, axis=1))
     rows = blocks[:-1][np.diff(blocks) > 0]
     if not all(
-        np.array_equal(t.classes[o[:, rows].T], x)
-        for t, o, x in zip(tables, out, _window_sums(plan, arr[rows]))
+        np.array_equal(t.classes[o[:, rows].T], s @ w[rows])
+        for t, o, s in zip(tables, out, S0)
     ):
         raise InternalError(
             f"propagated window class ids differ from the window sums "
@@ -606,8 +603,9 @@ _CHECKPOINT = "census.npz"
 
 def _save_checkpoint(directory, config: dict, index: int, store, like) -> None:
     """Write, atomically, the last finished layer and the counterexample
-    rows of every (surface, mode) so far, in `store` order; `like` is a
-    layer payload giving the rows' shape and dtype."""
+    rows of every (surface, mode) so far, in `store` order; `like` is an
+    array of systems [0, n, rank] giving the rows' shape and dtype when
+    there are none."""
     path = Path(directory) / _CHECKPOINT
     path.parent.mkdir(parents=True, exist_ok=True)
     blocks = [block for found in store.values() for block in found]
@@ -662,22 +660,26 @@ def _census_sweep(
     """Stream the orbit of A0 and collect counterexample systems (in the
     cyclic-strong mode, the cyclic strong exceptional systems).
 
-    The tests run on whole chunks for all surfaces at once: the window
-    class ids of each layer (`_layer_ids`, carried down the orbit tree,
-    window-major) gather the surfaces' bit masks, ORed over each test's
+    The walk yields the elements w of W (`weyl.orbit_layers`); A0 enters
+    it only as its window sums S0 = `coeffs @ terms`, one array per window
+    kind.  The tests run on whole chunks for all surfaces at once: the
+    window class ids of each layer (`_layer_ids`, carried down the tree of
+    W, window-major) gather the surfaces' bit masks, ORed over each test's
     windows.  Tests (1) and (3) come first; tests (2) and (4) take only
     the live rows, those with a surface left.  Only two layers of ids are
     held at a time, w2 + wI + wD ids per row each, and the orbit walk's
     memory check counts them.
 
     Test (4) is deferred across layers.  Each layer's live rows are held
-    with a copy of their systems, their wD deep ids and each mode's ok.  A
-    flush gathers the deep verdicts the held rows read and the kernel has
-    not given yet, computes them (`_DeepVerdicts`, one kernel pass) and
-    runs test (4) on the held rows in orbit order.  It comes after the
-    first layer that leaves at least `_CHUNK_ROWS` live rows held, and
-    after the last tested layer; with `checkpoint_dir` it writes the
-    checkpoint, the flushed layer as its last finished one.  The modes
+    with their elements w, their wD deep ids and each mode's ok.  A flush
+    gathers the deep verdicts the held rows read and the kernel has not
+    given yet, computes them (`_DeepVerdicts`, one kernel pass) and runs
+    test (4) on the held rows in orbit order; the systems `terms @ w` of
+    the rows found are formed there, in the integer type that
+    `weyl.orbit_bound` proves for the orbit of A0 (int8 for every preset).
+    A flush comes after the first layer that leaves at least `_CHUNK_ROWS`
+    live rows held, and after the last tested layer; with `checkpoint_dir`
+    it writes the checkpoint, the flushed layer as its last finished one.  The modes
     must fit A0's kind (`_check_modes`).
 
     A resumed sweep (`_load_checkpoint`) starts from the saved
@@ -690,10 +692,14 @@ def _census_sweep(
     block, in deterministic orbit order.
     """
     plan = _window_plan(A0.squares())
+    terms = np.array(A0.terms, dtype=np.int64)
+    S0 = tuple(c @ terms for c in plan.coeffs)
+    bound = int(weyl.orbit_bound(A0.lattice, terms).max())
+    no_systems = np.zeros((0, *terms.shape), dtype=weyl.narrowest_int_type(bound))
     bit = _bits(np.eye(len(surfaces), dtype=bool), len(surfaces))  # surface t's bit
     everyone = np.bitwise_or.reduce(bit)
     start = time.perf_counter()
-    tables = _window_tables(A0, plan)
+    tables = _window_tables(A0.lattice, S0)
     built = time.perf_counter()
     masks = _surface_masks(A0.lattice, surfaces)
     masked = time.perf_counter()
@@ -723,9 +729,9 @@ def _census_sweep(
     # per (surface, mode) in store order; a resumed sweep counts its saved finds
     candidates = np.zeros((len(surfaces), len(modes)), dtype=np.int64)
     counts = np.reshape([sum(map(len, f)) for f in store.values()], candidates.shape)
-    held = []  # per chunk with live rows: their systems, deep ids, each mode's ok
+    held = []  # per chunk with live rows: their elements, deep ids, each mode's ok
 
-    def flush(index: int, like: np.ndarray) -> None:
+    def flush(index: int) -> None:
         """Test (4) on the held rows; then the checkpoint, as of layer index."""
         start = time.perf_counter()
         # A held row reads its deep classes' verdicts on the surfaces of
@@ -736,7 +742,7 @@ def _census_sweep(
             pending = asked != 0
             np.bitwise_or.at(need, idsL[pending], asked[pending])
         deep.resolve(need)
-        for systems, idsL, oks in held:
+        for elements, idsL, oks in held:
             # unseen[w] holds the surfaces on which none of the first w deep
             # windows is anti-effective.
             unseen = np.zeros((idsL.shape[0] + 1, idsL.shape[1]), dtype=need.dtype)
@@ -750,21 +756,20 @@ def _census_sweep(
                 hits = (found.take(rows)[:, None] & bit) != 0
                 counts[:, m] += hits.sum(axis=0)
                 if mode != "cyclic-strong":  # it keeps counts alone
+                    systems = (terms @ elements[rows]).astype(no_systems.dtype)
                     for t in np.flatnonzero(hits.any(axis=0)).tolist():
-                        store[(surfaces[t].name, mode)].append(systems[rows[hits[:, t]]])
+                        store[(surfaces[t].name, mode)].append(systems[hits[:, t]])
         held.clear()
         stats["deep_tests_s"] += time.perf_counter() - start
         if checkpoint_dir is not None:
-            _save_checkpoint(checkpoint_dir, config, index, store, like)
+            _save_checkpoint(checkpoint_dir, config, index, store, no_systems)
 
     orbit_total = 0
     ids = None
     flushed = tested = done  # the last layers flushed and tested
     # two layers of window class ids are held beside the orbit's own arrays
-    id_bytes = sum(t.perm.itemsize * c.shape[0] for t, c in zip(tables, plan.coeffs))
-    layers = weyl.orbit_layers(
-        A0.lattice, A0.terms, max_layers=max_layers, row_bytes=id_bytes
-    )
+    id_bytes = sum(t.perm.itemsize * s.shape[0] for t, s in zip(tables, S0))
+    layers = weyl.orbit_layers(A0.lattice, max_layers=max_layers, row_bytes=id_bytes)
     while True:
         start = time.perf_counter()
         layer = next(layers, None)
@@ -772,15 +777,15 @@ def _census_sweep(
         if layer is None:
             break
         orbit_total = layer.total_so_far
-        arr = layer.payload
-        stats["rows"] += arr.shape[0]
+        w = layer.elements
+        stats["rows"] += w.shape[0]
         start = time.perf_counter()
-        ids = _layer_ids(plan, tables, layer, ids)
+        ids = _layer_ids(S0, tables, layer, ids)
         stats["window_ids_s"] += time.perf_counter() - start
         if layer.index <= done:
             continue
         tested = layer.index
-        for lo in range(0, arr.shape[0], _CHUNK_ROWS):
+        for lo in range(0, w.shape[0], _CHUNK_ROWS):
             start = time.perf_counter()
             ids2, idsI, idsD = (x[:, lo : lo + _CHUNK_ROWS] for x in ids)
             # A row failing (1) or (3) on every surface has no bit in base,
@@ -794,13 +799,13 @@ def _census_sweep(
             strict = base & ~np.bitwise_or.reduce(eff2, axis=0)  # strong, cyclic-strong
             oks = [base if mode == "exceptional" else strict for mode in modes]
             if live.size:
-                held.append((arr[lo + live], idsD[:, live], oks))
+                held.append((w[lo + live], idsD[:, live], oks))
             stats["mask_tests_s"] += time.perf_counter() - start
-        if sum(len(systems) for systems, _, _ in held) >= _CHUNK_ROWS:
-            flush(tested, arr)
+        if sum(len(elements) for elements, _, _ in held) >= _CHUNK_ROWS:
+            flush(tested)
             flushed = tested
     if tested > flushed:
-        flush(tested, arr)
+        flush(tested)
     stats["deep_candidates"] = {
         f"{s}/{mode}": c for (s, mode), c in zip(store, candidates.ravel().tolist())
     }

@@ -5,9 +5,10 @@ A toric system is a cyclically ordered tuple of divisor classes
 A_1..A_n with consecutive products 1, all other products 0 and total
 sum -K; it encodes a numerically exceptional collection of line
 bundles.  Indices are 1-based and cyclic throughout, matching the
-window notation A_{k..l}.  Squares sequences are analysed here alone:
-`low_entry_rotation` puts the one entry below -2 last and `window_squares`
-reads every window's square off the sequence.
+window notation A_{k..l}.  The paper's three operations on toric
+systems are `perm`, `shift` and `symmetry`.  Squares sequences are
+analysed here alone: `low_entry_rotation` puts the one entry below -2
+last and `window_squares` reads every window's square off the sequence.
 """
 
 from __future__ import annotations
@@ -181,11 +182,6 @@ def augment_sequence(a, m: int) -> tuple[int, ...]:
     if m == n + 1:
         return (a[0] - 1,) + a[1:-1] + (a[-1] - 1, -1)
     return a[: m - 2] + (a[m - 2] - 1, -1, a[m - 1] - 1) + a[m:]
-
-
-def sequence_shift(a) -> tuple[int, ...]:
-    a = tuple(a)
-    return a[1:] + a[:1]
 
 
 def sequence_symmetry(a) -> tuple[int, ...]:

@@ -1,25 +1,28 @@
 """Weyl groups of Picard lattices: enumeration, orbits, stabilizers.
 
 The group W is generated by reflections in the simple roots
-E_i - E_{i+1} and L - E1 - E2 - E3.  Orbits are enumerated by reverse
-search (Avis & Fukuda 1996) over the Coxeter-length tree of W (Bjorner &
-Brenti, GTM 231).  A regular dominant marker rho pairs positively with
-every simple root, so w -> w.rho is a bijection and the pairings of w.rho
-with the simple roots give the left descents of w.  Each non-identity
-element has exactly one parent, s_j w with j its smallest descent, so the
-orbit is a tree walked layer by layer with no membership test: a payload
-(a toric system, the identity matrix) carried in lockstep with the marker
-reaches every point of its orbit exactly once.  The layer sizes are checked
-against the Poincare polynomial of W.
+E_i - E_{i+1} and L - E1 - E2 - E3.  Its elements are enumerated by
+reverse search (Avis & Fukuda 1996) over the Coxeter-length tree of W
+(Bjorner & Brenti, GTM 231).  A regular dominant marker rho pairs
+positively with every simple root, so w -> w.rho is a bijection and the
+pairings of w.rho with the simple roots give the left descents of w.
+Each non-identity element has exactly one parent, s_j w with j its
+smallest descent, so W is a tree walked layer by layer with no membership
+test: the identity carried in lockstep with the marker reaches every
+element exactly once, as the stack of basis-vector images w(e_i).  The
+walk depends on the lattice alone; the orbit of any vector v is v @ w
+over the walk.  The layer sizes are checked against the Poincare
+polynomial of W.
 
 A simple reflection acts on coordinates directly: the one in E_i - E_{i+1}
 swaps two of them, the one in L - E1 - E2 - E3 moves t = a0+a1+a2+a3 from
 a1..a3 to a0.  W preserves the form and fixes K, so every image of a
 vector v keeps v^2 and K.v, and Cauchy-Schwarz turns these into a bound on
-every coordinate of the whole orbit (`orbit_bound`).  The orbit is stored
-in the narrowest integer type that bound allows, proven once per orbit
-rather than checked per row: int8 payloads for every census preset, int8
-markers in degrees 2-7 and int16 in degree 1.  Everything else is int64.
+every coordinate of the whole orbit (`orbit_bound`).  The walk is stored
+in the narrowest integer type that bound allows, proven once per walk
+rather than checked per row: int8 elements in every degree (entries up to
+17 in degree 1), int8 markers in degrees 2-7 and int16 in degree 1.
+Everything else is int64.
 
 Stabilizers of root sets R are found without scanning W: an element
 is determined by the images of a basis of roots and K, which are roots
@@ -149,7 +152,8 @@ def orbit_bound(lattice: PicardLattice, vectors) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(-1, lattice.rank)
 
 
-def _int_type_for(bound: int) -> np.dtype:
+def narrowest_int_type(bound: int) -> np.dtype:
+    """The narrowest of int8..int64 holding every integer of magnitude <= bound."""
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return np.dtype(dtype)
@@ -158,19 +162,19 @@ def _int_type_for(bound: int) -> np.dtype:
 
 @dataclass
 class OrbitLayer:
-    """The images under the elements of Coxeter length `index`: markers
-    and the payload carried in lockstep.  Both are stored in the narrowest
-    integer type that `orbit_bound` proves holds the whole orbit (int8
-    payloads for every census preset; int8 markers in degrees 2-7, int16
-    in degree 1).
+    """The elements of W of Coxeter length `index`, with their markers
+    w.rho.  Row i of an element is w(e_i), so a row vector v maps to
+    v @ w.  Both are stored in the narrowest integer type that
+    `orbit_bound` proves holds the whole walk (int8 elements in every
+    degree; int8 markers in degrees 2-7, int16 in degree 1).
 
-    Row k is the image of row `parents[k]` of the previous layer under the
+    Row k is row `parents[k]` of the previous layer composed with the
     simple reflection i (in the order of `simple_reflection_roots`) with
     blocks[i] <= k < blocks[i + 1].  Both are None on layer 0 only."""
 
     index: int
     markers: np.ndarray  # [N, rank]
-    payload: np.ndarray | None  # [N, P, rank]
+    elements: np.ndarray  # [N, rank, rank]
     total_so_far: int
     parents: np.ndarray | None = None  # [N] intp
     blocks: np.ndarray | None = None  # [generators + 1] row bounds
@@ -178,23 +182,19 @@ class OrbitLayer:
 
 def orbit_layers(
     lattice: PicardLattice,
-    payload0: np.ndarray | None = None,
     *,
     max_layers: int | None = None,
     row_bytes: int = 0,
 ):
-    """Yield the W-orbit of (marker, payload) layer by layer.
+    """Yield the elements of W layer by layer, by Coxeter length.
 
-    The payload (any stack of lattice vectors, e.g. the terms of a toric
-    system or the rows of an identity matrix) is transformed by the same
-    reflections as the marker.  Layer k holds the images under the
-    elements of Coxeter length k, each exactly once, in a deterministic
-    order, with each row's parent and generator (`OrbitLayer.parents`,
-    `OrbitLayer.blocks`).  Every layer's size is checked against the
-    Poincare polynomial of W.
+    Layer 0 is the identity.  Layer k holds the elements of length k, each
+    exactly once, in a deterministic order, with each row's parent and
+    generator (`OrbitLayer.parents`, `OrbitLayer.blocks`).  Every layer's
+    size is checked against the Poincare polynomial of W.
 
     The reflections act on the coordinates directly (`reflect_rows`), and
-    markers and payload are kept in the narrowest integer types that
+    markers and elements are kept in the narrowest integer types that
     `orbit_bound` allows, so no image can overflow.
 
     Before each layer, the memory of that layer and the current one is
@@ -202,9 +202,9 @@ def orbit_layers(
     beside each row of both layers; past the machine's physical memory
     the walk raises `ResourceError` rather than start it.
 
-    Every layer is a function of the initial point and its index, so the
-    walk keeps no state beyond the current layer: to continue a cut
-    traversal, walk again from layer 0.
+    Every layer is a function of the lattice and its index, so the walk
+    keeps no state beyond the current layer: to continue a cut traversal,
+    walk again from layer 0.
     """
     roots = simple_reflection_roots(lattice)
     if not roots:
@@ -219,18 +219,12 @@ def orbit_layers(
         for i in range(len(roots))
     ]
     sizes = poincare_coefficients(lattice.degree)
-    marker0 = np.array(regular_marker(lattice), dtype=np.int64)
-    bounds = {"markers": orbit_bound(lattice, [marker0])[0]}
-    if payload0 is not None:
-        payload0 = np.asarray(payload0, dtype=np.int64)
-        bounds["payload"] = orbit_bound(lattice, payload0.reshape(-1, lattice.rank))
-        bounds["payload"] = bounds["payload"].reshape(payload0.shape)
-    dtypes = {key: _int_type_for(int(b.max())) for key, b in bounds.items()}
-
+    marker0 = np.array([regular_marker(lattice)], dtype=np.int64)
+    eye = np.eye(lattice.rank, dtype=np.int64)
     layer = OrbitLayer(
         0,
-        marker0[None, :].astype(dtypes["markers"]),
-        None if payload0 is None else payload0[None].astype(dtypes["payload"]),
+        marker0.astype(narrowest_int_type(int(orbit_bound(lattice, marker0).max()))),
+        eye[None].astype(narrowest_int_type(int(orbit_bound(lattice, eye).max()))),
         1,
     )
     yield layer
@@ -240,13 +234,11 @@ def orbit_layers(
         if max_layers is not None and index > max_layers:
             return
         expected = sizes[index] if index < len(sizes) else 0
-        markers, payload = layer.markers, layer.payload
-        n = markers.shape[0]
-        # this layer and the next (markers, payload, parents), plus the pairings
-        per = markers.itemsize * markers.shape[1] + 8 + row_bytes
-        if payload is not None:
-            per += payload.itemsize * payload.shape[1] * payload.shape[2]
-        needed = (n + expected) * per + n * (len(roots) + markers.shape[1]) * 2
+        markers, elements = layer.markers, layer.elements
+        n, rank = markers.shape
+        # this layer and the next (markers, elements, parents), plus the pairings
+        per = (markers.itemsize + elements.itemsize * rank) * rank + 8 + row_bytes
+        needed = (n + expected) * per + n * (len(roots) + rank) * 2
         limit = _physical_memory()
         if needed > limit:
             raise ResourceError(
@@ -277,14 +269,12 @@ def orbit_layers(
             )
         if count == 0:
             return
-        markers = markers[rows]
-        payload = None if payload is None else np.take(payload, rows, axis=0)
+        markers, elements = markers[rows], elements[rows]
         for i, (lo, hi) in enumerate(zip(blocks[:-1], blocks[1:])):
             reflect_rows(markers[lo:hi], i)
-            if payload is not None:
-                reflect_rows(payload[lo:hi], i)
+            reflect_rows(elements[lo:hi], i)
         layer = OrbitLayer(
-            index, markers, payload, layer.total_so_far + count, rows, blocks
+            index, markers, elements, layer.total_so_far + count, rows, blocks
         )
         yield layer
 
@@ -324,25 +314,6 @@ def identity_element(lattice: PicardLattice) -> WeylElement:
     return WeylElement(lattice, eye)
 
 
-def enumerate_group(degree: int):
-    """Stream every element of W exactly once (deterministic order).
-
-    Carries the identity's rows through the orbit, so each payload is
-    the stack of basis-vector images.  Every layer is checked to preserve
-    the form and fix K before its elements are yielded.
-    """
-    lattice = _lattice_for_degree(degree)
-    eye = np.eye(lattice.rank, dtype=np.int64)
-    for layer in orbit_layers(lattice, eye):
-        if not preserves_form_and_k(lattice, layer.payload).all():
-            raise InternalError(
-                f"orbit layer {layer.index} holds a map that does not preserve "
-                "the form or fix K"
-            )
-        for row in layer.payload.tolist():
-            yield WeylElement(lattice, tuple(map(tuple, row)))
-
-
 def _lattice_for_degree(degree: int) -> PicardLattice:
     if not 1 <= degree <= 7:
         raise InputError(f"Weyl enumeration supports degrees 1..7, got {degree}")
@@ -351,7 +322,7 @@ def _lattice_for_degree(degree: int) -> PicardLattice:
 
 @lru_cache(maxsize=None)
 def group_order(degree: int) -> int:
-    """|W| by a marker-only orbit enumeration."""
+    """|W| by walking its elements (`orbit_layers`)."""
     lattice = _lattice_for_degree(degree)
     if not simple_reflection_roots(lattice):
         return 1
@@ -421,7 +392,10 @@ def _root_basis(lattice: PicardLattice, roots) -> tuple[list[int], int] | None:
 
 def _stabilizer_search(
     lattice: PicardLattice, roots: tuple[Divisor, ...], basis_idx: list[int], in_r: int
-) -> tuple[WeylElement, ...]:
+) -> np.ndarray:
+    """The integral isometries fixing K [P, rank, rank] (row i = image of
+    e_i) that send the basis roots to assignments found by the search: a
+    superset of the stabilizer of R, in search order."""
     all_roots, products, index = _root_table(lattice)
     root_idx = np.array([index[r] for r in roots], dtype=np.int64)
     anywhere = np.arange(len(all_roots))
@@ -456,13 +430,19 @@ def _stabilizer_search(
     integral = (scaled % det == 0).all(axis=(1, 2))
     mt, images = scaled[integral] // det, images[integral]
     keep = (basis @ mt == images).all(axis=(1, 2)) & preserves_form_and_k(lattice, mt)
-    # An isometry is injective, so mapping R into R permutes it.
-    r_arr = np.array(roots, dtype=np.int64)
-    r_images = r_arr @ mt
-    keep &= (r_images[:, :, None, :] == r_arr).all(axis=-1).any(axis=-1).all(axis=-1)
-    return tuple(
-        WeylElement(lattice, tuple(map(tuple, m))) for m in mt[keep].tolist()
-    )
+    return mt[keep]
+
+
+def _whole_group(lattice: PicardLattice) -> np.ndarray:
+    """Every element of W [|W|, rank, rank] int64, in walk order, each
+    checked to preserve the form and fix K."""
+    group = np.concatenate([layer.elements for layer in orbit_layers(lattice)])
+    group = group.astype(np.int64)
+    if not preserves_form_and_k(lattice, group).all():
+        raise InternalError(
+            "the orbit walk yielded a map that does not preserve the form or fix K"
+        )
+    return group
 
 
 def stabilizer_elements_of_root_set(
@@ -474,8 +454,10 @@ def stabilizer_elements_of_root_set(
     which every integral isometry fixing K lies in W (Manin, Cubic Forms,
     Thm 23.9); it raises `ResourceError` when its partial assignments pass
     STABILIZER_LIMIT.  The empty set (whose stabilizer is W) and degree 7
-    (|W| = 2; the roots do not span K^perp) filter the enumerated group,
-    which must have at most STABILIZER_LIMIT elements.
+    (|W| = 2; the roots do not span K^perp) filter the whole group, the
+    walk's elements (`orbit_layers`), which must number at most
+    STABILIZER_LIMIT.  Both kinds of candidates are then kept when they
+    map R into R, in the order they come.
     """
     lattice = _lattice_for_degree(degree)
     roots = tuple(dict.fromkeys(tuple(int(x) for x in r) for r in roots))
@@ -484,16 +466,19 @@ def stabilizer_elements_of_root_set(
             raise InputError(f"{r} is not a (-2)-class root")
     found = _root_basis(lattice, roots) if roots else None
     if found is not None:
-        return _stabilizer_search(lattice, roots, *found)
-    if math.prod(INVARIANT_DEGREES[degree]) > STABILIZER_LIMIT:
+        candidates = _stabilizer_search(lattice, roots, *found)
+    elif math.prod(INVARIANT_DEGREES[degree]) > STABILIZER_LIMIT:
         raise ResourceError(
             f"the stabilizer of {len(roots)} roots in degree {degree} is "
             f"enumerated from all of W, which has more than {STABILIZER_LIMIT} "
             "elements"
         )
-    target = frozenset(roots)
+    else:
+        candidates = _whole_group(lattice)
+    # An isometry is injective, so mapping R into R permutes it.
+    r_arr = np.array(roots, dtype=np.int64).reshape(-1, lattice.rank)
+    r_images = r_arr @ candidates
+    keep = (r_images[:, :, None, :] == r_arr).all(axis=-1).any(axis=-1).all(axis=-1)
     return tuple(
-        el
-        for el in enumerate_group(degree)
-        if frozenset(el.apply(r) for r in roots) == target
+        WeylElement(lattice, tuple(map(tuple, m))) for m in candidates[keep].tolist()
     )

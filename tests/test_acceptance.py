@@ -19,6 +19,8 @@ from delpezzo.picard import PicardLattice, vneg
 from delpezzo.surface import SurfaceModel, catalog_load
 from delpezzo.toric import compute_IXA_windows, cyclic_windows
 
+from orbits import orbit_systems, plan_sums_tables
+
 
 def _gate(number, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -100,7 +102,7 @@ def test_criterion_09_effectiveness_oracles():
     # The census's anti-class kernel against the general decider on every
     # (deep class, surface) pair of the IIb-deg2 deep table.
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
-    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+    deep = plan_sums_tables(A0)[2][2]
     surfaces = catalog_load(2).entries
     anti = np.repeat(-deep.classes, len(surfaces), axis=0)
     which = np.tile(np.arange(len(surfaces)), deep.classes.shape[0])
@@ -125,10 +127,7 @@ def _definition_rows(A0, surfaces, max_layers, decide):
     `decide(test, s, c)` runs the definition's test once per distinct
     window class c."""
     rows = np.concatenate(
-        [
-            layer.payload.astype(np.int64)
-            for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers)
-        ]
+        [systems for _, systems in orbit_systems(A0, max_layers=max_layers)]
     )
     n, rank = A0.n, A0.lattice.rank
     ixa = set(compute_IXA_windows(A0.squares()))

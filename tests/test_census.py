@@ -22,6 +22,8 @@ from delpezzo.toric import (
     window_squares,
 )
 
+from orbits import orbit_systems, plan_sums_tables
+
 
 def test_presets_validate():
     for name, preset in census.SEQUENCE_PRESETS.items():
@@ -53,14 +55,12 @@ def test_window_ids_match_window_sums(preset):
     # layer 0, must be the positions found.
     A0 = census.SEQUENCE_PRESETS[preset].initial_system()
     lat = A0.lattice
-    plan = census._window_plan(A0.squares())
-    tables = census._window_tables(A0, plan)
+    plan, S0, tables = plan_sums_tables(A0)
     deep_dtype = {"IIb-deg2": np.uint16, "VI-deg1": np.uint32}[preset]
     rows = 0
     ids = None
-    for layer in weyl.orbit_layers(lat, A0.terms, max_layers=6):
-        part = layer.payload
-        ids = census._layer_ids(plan, tables, layer, ids)
+    for layer, part in orbit_systems(A0, max_layers=6):
+        ids = census._layer_ids(S0, tables, layer, ids)
         for r, coeffs, table, got in zip((-2, -1, None), plan.coeffs, tables, ids):
             if r is None:
                 position = table.index
@@ -84,17 +84,15 @@ def test_window_ids_match_window_sums_on_whole_orbits(preset, monkeypatch):
     # generator blocks.
     monkeypatch.setattr(census, "_CHUNK_ROWS", 7)
     A0 = _deg3_system(preset, 3)
-    plan = census._window_plan(A0.squares())
-    tables = census._window_tables(A0, plan)
+    plan, S0, tables = plan_sums_tables(A0)
     assert all(len(t.index) == t.classes.shape[0] for t in tables)
     rows = 0
     ids = None
-    for layer in weyl.orbit_layers(A0.lattice, A0.terms):
-        ids = census._layer_ids(plan, tables, layer, ids)
-        sums = census._window_sums(plan, layer.payload)
-        for table, got, x in zip(tables, ids, sums):
-            assert np.array_equal(table.classes[got.T], x)
-        rows += layer.payload.shape[0]
+    for layer, systems in orbit_systems(A0):
+        ids = census._layer_ids(S0, tables, layer, ids)
+        for table, got, c in zip(tables, ids, plan.coeffs):
+            assert np.array_equal(table.classes[got.T], c @ systems)
+        rows += systems.shape[0]
     assert rows == census.EXPECTED_WEYL_ORDERS[3]
 
 
@@ -120,7 +118,7 @@ def test_class_table_is_a_bijection(degree):
         3: [_deg3_system("VI-deg2", 3)],
     }
     for A0 in deep_sources.get(degree, []):
-        table = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+        table = plan_sums_tables(A0)[2][2]
         assert table.perm.dtype == np.min_scalar_type(table.classes.shape[0] - 1)
         assert table.perm.dtype in (np.uint8, np.uint16)
         assert {table.index[tuple(c)] for c in table.classes.tolist()} == set(
@@ -145,17 +143,16 @@ def test_window_keys_reject_non_classes():
     # are refused at the layer-0 lookup.
     A0 = census.section13_system()
     lat = A0.lattice
-    plan = census._window_plan(A0.squares())
-    tables = census._window_tables(A0, plan)
-    part = np.array([A0.terms], dtype=np.int64)
+    plan, S0, tables = plan_sums_tables(A0)
+    eye = np.eye(lat.rank, dtype=np.int64)[None]
     marker = np.array([weyl.regular_marker(lat)])
     for factor in (2, 127):
-        layer = weyl.OrbitLayer(0, marker, factor * part, 1)
+        layer = weyl.OrbitLayer(0, marker, factor * eye, 1)
         with pytest.raises(InternalError, match="not a \\(-2\\)-class"):
-            census._layer_ids(plan, tables, layer, None)
-    layer = weyl.OrbitLayer(0, marker, part, 1)
+            census._layer_ids(S0, tables, layer, None)
+    layer = weyl.OrbitLayer(0, marker, eye, 1)
     assert all(ids.shape == (c.shape[0], 1) for ids, c in zip(
-        census._layer_ids(plan, tables, layer, None), plan.coeffs
+        census._layer_ids(S0, tables, layer, None), plan.coeffs
     ))
 
 
@@ -307,8 +304,8 @@ def _reference_sweep(A0, surfaces, modes, max_layers):
     store = {(s.name, mode): [] for s in surfaces for mode in modes}
     candidates = {f"{s.name}/{mode}": 0 for s in surfaces for mode in modes}
     deep_tests = live_rows = 0
-    for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=max_layers):
-        for system in layer.payload:
+    for _, systems in orbit_systems(A0, max_layers=max_layers):
+        for system in systems:
             live = False
             roots = [tuple(v) for v in (plan.root_coeffs @ system).tolist()]
             lines = [tuple(v) for v in (plan.ixa_coeffs @ system).tolist()]
@@ -459,8 +456,8 @@ def test_cyclic_strong_counts_match_the_definition(a):
     lat = A0.lattice
     systems = [
         ToricSystem(lat, tuple(map(tuple, row)))
-        for layer in weyl.orbit_layers(lat, A0.terms)
-        for row in layer.payload.tolist()
+        for _, rows in orbit_systems(A0)
+        for row in rows.tolist()
     ]
     assert run.orbit_total == len(systems) == census.EXPECTED_WEYL_ORDERS[lat.degree]
     for s in catalog_load(lat.degree).entries:
@@ -485,16 +482,16 @@ def test_cyclic_strong_counts_are_pinned():
 
 
 def test_orbit_memory_check_counts_the_census_ids(monkeypatch):
-    # The least limit that lets the bare orbit (terms as payload) through
-    # layer 3, read off its own ResourceError messages, is too small for
-    # the census, which also holds two layers of window class ids: the
-    # census is refused at layer 3.
+    # The least limit that lets the bare walk of W through layer 3, read
+    # off its own ResourceError messages, is too small for the census,
+    # which also holds two layers of window class ids: the census is
+    # refused at layer 3.
     A0 = _deg3_system("VI-deg2", 3)
     limit = 0
     monkeypatch.setattr(weyl, "_physical_memory", lambda: limit)
     while True:
         try:
-            for _ in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=3):
+            for _ in weyl.orbit_layers(A0.lattice, max_layers=3):
                 pass
             break
         except ResourceError as exc:
@@ -511,7 +508,7 @@ def test_deep_tables_match_the_general_decider(preset):
     # 6-layer census evaluates only the pairs some candidate reaches.
     A0 = _deg3_system(preset, 3)
     surfaces = catalog_load(3).entries
-    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2]
+    deep = plan_sums_tables(A0)[2][2]
     anti = np.repeat(-deep.classes, len(surfaces), axis=0)
     which = np.tile(np.arange(len(surfaces)), deep.classes.shape[0])
     stacks = effectivity.root_stacks(surfaces)
@@ -646,19 +643,33 @@ def _corrupt_table(monkeypatch, r, corrupt):
     monkeypatch.setattr(census, "_class_table", table)
 
 
-def test_block_audit_compares_one_row_per_generator_block(monkeypatch):
-    # The sweep checks the propagated ids against the window sums on layer
-    # 0 and on the first row of each non-empty generator block after it.
+def test_block_audit_compares_one_row_per_generator_block():
+    # After layer 0 the carried ids are checked against the window sums on
+    # the first row of each non-empty generator block alone: a wrong id
+    # there is caught, one on the other rows is not (their exactness is
+    # the induction's, which the whole-orbit and whole-table tests check).
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
-    real = census._window_sums
-    looked_up = []
-    monkeypatch.setattr(
-        census, "_window_sums",
-        lambda plan, part: looked_up.append(part.shape[0]) or real(plan, part),
-    )
-    census.census_for_preset(A0, max_layers=8, finalize=False)
+    _, S0, tables = plan_sums_tables(A0)
+    *earlier, layer = weyl.orbit_layers(A0.lattice, max_layers=4)
+    ids = None
+    for before in earlier:
+        ids = census._layer_ids(S0, tables, before, ids)
+    blocks = layer.blocks
+    firsts = blocks[:-1][np.diff(blocks) > 0]
     generators = len(weyl.simple_reflection_roots(A0.lattice))
-    assert 1 + 8 <= sum(looked_up) <= 1 + 8 * generators
+    assert 1 <= firsts.size <= generators
+    audited = set(layer.parents[firsts].tolist())
+    unaudited = [p for p in layer.parents.tolist() if p not in audited]
+    right = census._layer_ids(S0, tables, layer, ids)
+    for parent, caught in ((layer.parents[firsts[0]], True), (unaudited[0], False)):
+        wrong = tuple(x.copy() for x in ids)
+        wrong[1][:, parent] = (wrong[1][:, parent] + 1) % tables[1].classes.shape[0]
+        if caught:
+            with pytest.raises(InternalError, match="propagated window class ids differ"):
+                census._layer_ids(S0, tables, layer, wrong)
+        else:
+            got = census._layer_ids(S0, tables, layer, wrong)
+            assert not np.array_equal(got[1], right[1])
 
 
 def test_corrupted_reflection_table_is_caught(monkeypatch):
@@ -838,12 +849,12 @@ def test_canonicalize_one_orbit_at_a_time_matches_minimum():
     lat = A0.lattice
     elements = census.stabilizer_table(2)["X_{2,7A1}"]
     assert len(elements) == 168
-    layer = list(weyl.orbit_layers(lat, A0.terms, max_layers=4))[-1]
+    _, systems = list(orbit_systems(A0, max_layers=4))[-1]
     group = np.array([el.images for el in elements], dtype=np.int64)
     closed = {
         image.tobytes(): image
-        for row in layer.payload[[0, 5, 10]]
-        for image in row.astype(np.int64) @ group
+        for row in systems[[0, 5, 10]]
+        for image in row @ group
     }
     values = list(closed.values())
     rows = [values[i] for i in np.random.default_rng(12).permutation(len(values))]

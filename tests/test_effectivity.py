@@ -18,7 +18,9 @@ from delpezzo.errors import InputError
 from delpezzo.picard import PicardLattice, parse_divisor, vneg, vscale, vsub, vsum
 from delpezzo.surface import SurfaceModel, catalog_load
 from delpezzo.toric import blow_down
-from delpezzo import census, effectivity, weyl
+from delpezzo import census, effectivity
+
+from orbits import orbit_systems, plan_sums_tables
 
 
 def _anticlass_one(s, d):
@@ -231,9 +233,9 @@ def test_anticlass_kernel_matches_loop(source, layers):
     plan = census._window_plan(A0.squares())
     anticlasses = [
         tuple(d)
-        for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=layers)
+        for _, systems in orbit_systems(A0, max_layers=layers)
         for row in plan.deep_coeffs
-        for d in (-(row @ layer.payload)).tolist()
+        for d in (-(row @ systems)).tolist()
     ]
     surfaces = catalog_load(A0.lattice.degree).entries
     pairs = [(d, t) for d in anticlasses for t in range(len(surfaces))]
@@ -255,7 +257,7 @@ def test_anticlass_kernel_does_not_depend_on_the_batch():
     # the pairs of the VI-deg2/3 deep table gets the verdicts of the one
     # full repeat/tile pass over all of them.
     A0 = _deep_anticlass_source("deg3")
-    deep = census._window_tables(A0, census._window_plan(A0.squares()))[2].classes
+    deep = plan_sums_tables(A0)[2][2].classes
     surfaces = catalog_load(3).entries
     stacks = root_stacks(surfaces)
     which = np.arange(len(surfaces))

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,18 +73,24 @@ def test_no_unused_module_imports(tmp_path):
     assert _unused_imports(stray) == ["stray.py:2 os", "stray.py:3 b"]
 
 
-def _unused_private_names(src: Path) -> list[str]:
-    """The module-level private names (`_x`, not dunder) defined in the
-    source files of the directory `src` that none of them reads, as
-    "file:line name"."""
-    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+def _read_names(trees) -> set[str]:
+    """The names the syntax trees read, bare or as attributes."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def _unused_private_names(src: Path) -> list[str]:
+    """The module-level private names (`_x`, not dunder) defined in the
+    source files of the directory `src` that none of them reads, as
+    "file:line name"."""
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    read = _read_names(trees.values())
     unused = []
     for file, tree in sorted(trees.items()):
         for node in tree.body:
@@ -120,6 +127,57 @@ def test_no_unused_private_names(tmp_path):
     )
     (tmp_path / "b.py").write_text("import a\na._helper()\n")
     assert _unused_private_names(tmp_path) == ["a.py:2 _SPARE", "a.py:5 _Orphan"]
+
+
+def _unread_public_names(src: Path, readers: list[Path]) -> list[str]:
+    """The public module-level functions and classes of the source files
+    of the directory `src` that no source file of `src` or of the
+    directories `readers` reads, and no module docstring of `src` names
+    in backticks as part of its interface, as "file:line name"."""
+    files = [path for d in [src, *readers] for path in d.glob("*.py")]
+    read = _read_names(ast.parse(path.read_text()) for path in files)
+    for path in src.glob("*.py"):
+        read.update(re.findall(r"`(\w+)`", ast.get_docstring(ast.parse(path.read_text())) or ""))
+    return [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name[:1] != "_"
+        and node.name not in read
+    ]
+
+
+def test_no_public_names_that_only_tests_read(tmp_path):
+    # A public function or class that neither the package nor the
+    # benchmark reads serves the tests alone, such as a helper left
+    # behind when its library caller goes.
+    root = Path(__file__).parent.parent
+    assert _unread_public_names(root / "src" / "delpezzo", [root / "bench"]) == []
+    lib, bench = tmp_path / "lib", tmp_path / "bench"
+    lib.mkdir()
+    bench.mkdir()
+    (lib / "a.py").write_text(
+        "def used():\n"
+        "    pass\n"
+        "def benched():\n"
+        "    pass\n"
+        "def spare():\n"
+        "    pass\n"
+        "class Spare:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "def documented():\n"
+        "    pass\n"
+    )
+    (lib / "b.py").write_text(
+        '"""Uses `used`; `documented` is the interface."""\n'
+        "from a import used, spare\n"
+        "used()\n"
+    )
+    (bench / "c.py").write_text("import a\na.benched()\n")
+    assert _unread_public_names(lib, [bench]) == ["a.py:5 spare", "a.py:7 Spare"]
 
 
 def test_irr_lines_suite():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from delpezzo import census, paper, toric, weyl
+from delpezzo import census, paper, toric
 from delpezzo.effectivity import is_lo, is_slo
 from delpezzo.errors import InputError
 from delpezzo.picard import (
@@ -35,13 +35,14 @@ from delpezzo.toric import (
     is_exceptional,
     is_strong_exceptional,
     perm,
-    sequence_shift,
     sequence_symmetry,
     shift,
     symmetry,
     system_violations,
     window_squares,
 )
+
+from orbits import orbit_systems
 
 
 def _system(degree, text):
@@ -102,7 +103,7 @@ def test_perm_shift_symmetry():
         B = perm(A, k)
         assert B.squares() == squares
         assert perm(B, k) == A
-    assert shift(A).squares() == sequence_shift(squares)
+    assert shift(A).squares() == squares[1:] + squares[:1]
     assert symmetry(A).squares() == sequence_symmetry(squares)
     assert shift(A).terms[-1] == A.terms[0]
 
@@ -141,7 +142,7 @@ def test_admissibility():
 def test_admissibility_invariance(a, rot, flip):
     b = a
     for _ in range(rot % len(a)):
-        b = sequence_shift(b)
+        b = b[1:] + b[:1]
     if flip:
         b = sequence_symmetry(b)
     assert is_admissible(b)
@@ -162,7 +163,7 @@ def test_classify_shifted_sequence():
     # The one entry below -2 is rotated to the end before the match.
     a = shift(SYS13).squares()
     assert a == (-2, -2, -2, -1, -2, -2, -1, -2, -3, -1)
-    for seq in (a, sequence_shift(a), sequence_symmetry(SYS13.squares())):
+    for seq in (a, a[1:] + a[:1], sequence_symmetry(SYS13.squares())):
         kt = classify_sequence(seq)
         assert (kt.kind, kt.type_tag) == ("second", "IIb")
     # Two entries below -2: not strong admissible.
@@ -281,8 +282,8 @@ def test_blow_down_of_a_line_with_positive_degree():
     e = parse_divisor(dp5.lattice, "L-E1-E2")
     A = next(
         ToricSystem(A.lattice, tuple(map(tuple, row)))
-        for layer in weyl.orbit_layers(A.lattice, A.terms)
-        for row in layer.payload.tolist()
+        for _, systems in orbit_systems(A)
+        for row in systems.tolist()
         if list(e) in row
     )
     s6, A6 = blow_down(dp5, A, A.terms.index(e) + 1)
@@ -435,8 +436,8 @@ def test_cyclic_windows_match_old_loops(monkeypatch):
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
     systems = [
         ToricSystem(A0.lattice, tuple(tuple(int(x) for x in t) for t in row))
-        for layer in weyl.orbit_layers(A0.lattice, A0.terms, max_layers=1)
-        for row in layer.payload
+        for _, systems in orbit_systems(A0, max_layers=1)
+        for row in systems
     ]
     assert len(systems) == 8
     checkers = {

@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import time
 import tracemalloc
@@ -14,6 +13,8 @@ from delpezzo.picard import PicardLattice, parse_divisor_list, reflect
 from delpezzo.surface import catalog_load, find_configuration
 from delpezzo.toric import ToricSystem
 
+from orbits import orbit_systems
+
 
 def test_group_orders_small():
     assert weyl.group_order(7) == 2
@@ -23,19 +24,17 @@ def test_group_orders_small():
     assert weyl.group_order(3) == 51840
 
 
-def test_enumerate_group_verifies():
-    elements = list(weyl.enumerate_group(6))
-    assert len(elements) == 12
-    ident = weyl.identity_element(PicardLattice.standard(6))
-    assert ident in elements
-    images = np.array([el.images for el in elements])
-    assert weyl.preserves_form_and_k(ident.lattice, images).all()
-
-
 def test_element_apply_matches_matrix():
-    for el in itertools.islice(weyl.enumerate_group(5), 20):
-        d = (2, -1, 3, 0, 1)
-        assert tuple(np.array(el.images).T @ np.array(d)) == el.apply(d)
+    # Row i of a walk element is w(e_i), so v maps to v @ w.
+    lat = PicardLattice.standard(5)
+    d = (2, -1, 3, 0, 1)
+    elements = np.concatenate(
+        [layer.elements for layer in weyl.orbit_layers(lat, max_layers=3)]
+    )
+    assert len(elements) == sum(weyl.poincare_coefficients(5)[:4]) == 29
+    for w in elements.tolist():
+        el = weyl.WeylElement(lat, tuple(map(tuple, w)))
+        assert el.apply(d) == tuple((np.array(d) @ np.array(w)).tolist())
 
 
 def test_orbit_freeness_degree5():
@@ -43,8 +42,8 @@ def test_orbit_freeness_degree5():
     A0 = ToricSystem(lat, parse_divisor_list(lat, paper.TABLE9_SYSTEM_TEXTS[5]))
     systems = [
         ToricSystem(lat, tuple(map(tuple, row)))
-        for layer in weyl.orbit_layers(lat, A0.terms)
-        for row in layer.payload.tolist()
+        for _, rows in orbit_systems(A0)
+        for row in rows.tolist()
     ]
     assert len(systems) == 120
     assert len(set(systems)) == 120
@@ -79,24 +78,53 @@ def test_orbit_memory_budget(monkeypatch):
             pass
 
 
-def test_enumerate_group_checks_every_layer(monkeypatch):
-    preserves = weyl.preserves_form_and_k
-    layers = []
+@pytest.mark.parametrize("degree", [7, 6, 5, 4, 3])
+def test_whole_group_stabilizer_is_the_walk(degree):
+    # The empty root set is stabilized by all of W: the walk's elements,
+    # in walk order, as the reference filter keeps them.
+    elements = weyl.stabilizer_elements_of_root_set(degree, ())
+    group = _group_stack(degree)
+    assert len(elements) == len(group) == census.EXPECTED_WEYL_ORDERS[degree]
+    assert [el.images for el in elements] == [tuple(map(tuple, m)) for m in group.tolist()]
+    assert {el.images for el in elements} == _group_filter(degree, ())
 
-    def broken_on_layer_3(lattice, images):
+
+def test_degree7_root_stabilizer_is_trivial():
+    # W = {1, s} for s the reflection in the one positive root, which s
+    # sends to its negative, outside R.
+    lat = PicardLattice.standard(7)
+    root = lat.enumerate_classes(-2)[0]
+    elements = weyl.stabilizer_elements_of_root_set(7, (root,))
+    assert elements == (weyl.identity_element(lat),)
+    assert _group_filter(7, (root,)) == {weyl.identity_element(lat).images}
+
+
+@pytest.mark.parametrize("degree", [2, 1])
+def test_whole_group_is_refused_before_the_walk(degree, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the group was walked")
+
+    monkeypatch.setattr(weyl, "orbit_layers", no_walk)
+    with pytest.raises(ResourceError, match="enumerated from all of W"):
+        weyl.stabilizer_elements_of_root_set(degree, ())
+
+
+def test_whole_group_checks_every_element(monkeypatch):
+    # One map failing the isometry test, the walk's last, is an internal
+    # error; the test sees every element of W at once.
+    preserves = weyl.preserves_form_and_k
+    seen = []
+
+    def broken_on_the_last(lattice, images):
         ok = preserves(lattice, images)
-        layers.append(len(images))
-        if len(layers) == 4:
-            ok[-1] = False
+        seen.append(images.shape)
+        ok[-1] = False
         return ok
 
-    monkeypatch.setattr(weyl, "preserves_form_and_k", broken_on_layer_3)
-    elements = weyl.enumerate_group(5)
-    before = sum(weyl.poincare_coefficients(5)[:3])
-    assert len(list(itertools.islice(elements, before))) == before
-    with pytest.raises(InternalError, match="layer 3"):
-        next(elements)
-    assert layers == [1, 4, 9, 15]
+    monkeypatch.setattr(weyl, "preserves_form_and_k", broken_on_the_last)
+    with pytest.raises(InternalError, match="does not preserve the form"):
+        weyl.stabilizer_elements_of_root_set(5, ())
+    assert seen == [(120, 5, 5)]
 
 
 def test_stabilizers():
@@ -126,7 +154,9 @@ def _check_stabilizer(degree, roots, elements):
 
 @functools.lru_cache(maxsize=None)
 def _group_stack(degree):
-    group = np.array([el.images for el in weyl.enumerate_group(degree)], dtype=np.int64)
+    lat = PicardLattice.standard(degree)
+    layers = weyl.orbit_layers(lat)
+    group = np.concatenate([layer.elements for layer in layers]).astype(np.int64)
     group.flags.writeable = False
     return group
 
@@ -134,7 +164,7 @@ def _group_stack(degree):
 def _group_filter(degree, roots):
     """Reference: the elements of W (as basis-image stacks) permuting roots."""
     group = _group_stack(degree)
-    arr = np.array(roots, dtype=np.int64)
+    arr = np.array(roots, dtype=np.int64).reshape(len(roots), group.shape[-1])
     # hit[g, i, j]: element g sends root i to root j; a permutation of the
     # roots has exactly one hit in every row and every column.
     hit = ((arr @ group)[:, :, None, :] == arr).all(axis=-1)
@@ -290,15 +320,18 @@ def test_orbit_layers_match_matrix_reference(source, max_layers):
     else:
         A0 = census.SEQUENCE_PRESETS[source].initial_system()
     lat = A0.lattice
-    layers = list(weyl.orbit_layers(lat, A0.terms, max_layers=max_layers))
-    reference = list(_orbit_by_matrices(lat, A0.terms, max_layers))
-    assert len(layers) == len(reference)
-    for layer, (markers, payload) in zip(layers, reference):
-        assert layer.payload.dtype == np.int8
+    walk = list(orbit_systems(A0, max_layers=max_layers))
+    # The reference carries the identity's rows and A0's terms together.
+    eye = np.eye(lat.rank, dtype=np.int64)
+    reference = list(_orbit_by_matrices(lat, np.vstack([eye, A0.terms]), max_layers))
+    assert len(walk) == len(reference)
+    for (layer, systems), (markers, payload) in zip(walk, reference):
+        assert layer.elements.dtype == np.int8
         assert np.array_equal(layer.markers, markers)
-        assert np.array_equal(layer.payload, payload)
+        assert np.array_equal(layer.elements, payload[:, : lat.rank])
+        assert np.array_equal(systems, payload[:, lat.rank :])
     if max_layers is None:
-        assert layers[-1].total_so_far == census.EXPECTED_WEYL_ORDERS[3]
+        assert walk[-1][0].total_so_far == census.EXPECTED_WEYL_ORDERS[3]
 
 
 @pytest.mark.parametrize("name", sorted(census.SEQUENCE_PRESETS))
@@ -308,24 +341,28 @@ def test_orbit_dtypes_of_census_presets(name):
     assert weyl.orbit_bound(lat, A0.terms).max() <= np.iinfo(np.int8).max
     marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)]).max()
     assert marker_bound == {2: 60, 1: 148}[lat.degree]
-    layer = next(weyl.orbit_layers(lat, A0.terms))
-    assert layer.payload.dtype == np.int8
+    element_bound = weyl.orbit_bound(lat, np.eye(lat.rank, dtype=np.int64)).max()
+    assert element_bound == {2: 8, 1: 17}[lat.degree]
+    layer = next(weyl.orbit_layers(lat))
+    assert layer.elements.dtype == np.int8
     assert layer.markers.dtype == (np.int8 if lat.degree == 2 else np.int16)
 
 
 def test_full_iib_orbit_within_bound():
     A0 = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
     lat = A0.lattice
-    payload_bound = weyl.orbit_bound(lat, A0.terms)
+    system_bound = weyl.orbit_bound(lat, A0.terms)
     marker_bound = weyl.orbit_bound(lat, [weyl.regular_marker(lat)])[0]
-    top_payload = top_marker = 0
-    for layer in weyl.orbit_layers(lat, A0.terms):
-        assert (np.abs(layer.payload) <= payload_bound).all()
+    element_bound = weyl.orbit_bound(lat, np.eye(lat.rank, dtype=np.int64))
+    top_system = top_marker = 0
+    for layer, systems in orbit_systems(A0):
+        assert (np.abs(systems) <= system_bound).all()
         assert (np.abs(layer.markers) <= marker_bound).all()
-        top_payload = max(top_payload, int(np.abs(layer.payload).max()))
+        assert (np.abs(layer.elements) <= element_bound).all()
+        top_system = max(top_system, int(np.abs(systems).max()))
         top_marker = max(top_marker, int(np.abs(layer.markers).max()))
     assert layer.total_so_far == census.EXPECTED_WEYL_ORDERS[2]
-    assert (top_payload, top_marker) == (5, 59)
+    assert (top_system, top_marker) == (5, 59)
 
 
 @settings(max_examples=100, deadline=None)
