@@ -75,10 +75,13 @@ from .picard import Divisor, PicardLattice, parse_divisor_list, vneg
 from .surface import SurfaceModel, catalog_load
 from .toric import (
     ToricSystem,
+    classify_sequence,
     compute_IXA,
     compute_IXA_windows,
     cyclic_windows,
+    find_system_with_squares,
     is_exceptional,
+    is_int_list,
     is_ixa_window,
     is_strong_exceptional,
     low_entry_rotation,
@@ -910,20 +913,26 @@ def census_for_preset(
     resume: bool = False,
     max_layers: int | None = None,
 ) -> CensusRun:
-    """Run the counterexample census for a named preset or a ToricSystem.
+    """Run the counterexample census over the orbit of A0: a preset name's
+    system, a ToricSystem, or the system that `find_system_with_squares`
+    realizes for a squares sequence (a list or tuple of integers).
 
     With finalize=True (the default, requires a complete orbit) the raw
     counts are reduced to essentially-different counts by the stabilizer
     of each surface's simple roots, and every representative re-verifies
-    under the reference checker.  `max_layers` with finalize is refused
-    before the orbit is walked.
+    under the reference checker.
 
     The modes `strong` and `exceptional` (`MODES`) take a second-kind A0;
     `cyclic-strong`, which counts the cyclic strong exceptional systems of
     W.A0 per surface, takes a first-kind A0, finalize=False and no
-    checkpoint.  Any other combination, an empty `modes` or `surfaces`
-    and a surface on another lattice than A0's are refused before the
-    walk.
+    checkpoint.  A sequence is refused before the search, in this order:
+    an entry that is not an integer; not admissible or no kind
+    (`toric.classify_sequence`); an entry below -2 that is not last (the
+    message names the rotation); a mode its kind does not take.  The search
+    refuses another entry outside -2..1, then a sequence it cannot realize.
+    Other mode combinations, an empty `modes` or `surfaces`, a surface on
+    another lattice than A0's and `max_layers` with finalize are refused
+    before the walk.
 
     With `checkpoint_dir`, progress is saved whenever test (4) has run on
     the held live rows and after the last layer, and `resume=True`
@@ -937,8 +946,24 @@ def census_for_preset(
                 f"{', '.join(sorted(SEQUENCE_PRESETS))}"
             )
         preset = SEQUENCE_PRESETS[preset].initial_system()
+    if isinstance(preset, ToricSystem):
+        squares = preset.squares()
+    elif isinstance(preset, (list, tuple)) and is_int_list(list(preset)):
+        squares = tuple(preset)
+        classify_sequence(squares)
+        _window_plan(squares)
+    else:
+        raise InputError(
+            f"a census starts from a preset name, a ToricSystem or an integer "
+            f"list of squares, not {preset!r}"
+        )
+    _check_modes(squares, modes)
     A0 = preset
-    _check_modes(A0.squares(), modes)
+    if not isinstance(A0, ToricSystem):
+        lattice = PicardLattice.standard(12 - len(squares))
+        A0 = find_system_with_squares(lattice, squares)
+        if A0 is None:
+            raise InputError(f"no toric system realizes the squares {squares}")
     degree = A0.lattice.degree
     if surfaces is None:
         surfaces = catalog_load(degree).entries
@@ -976,7 +1001,6 @@ def census_for_preset(
         reverify_decisions=0,
     )
     if finalize:
-        squares = A0.squares()
         by_name = {s.name: s for s in surfaces}
         for (sname, mode), blocks in sorted(store.items()):
             count = raw_counts[(sname, mode)]
@@ -1006,7 +1030,7 @@ def census_for_preset(
                 len(reps), reps,
             )
     return CensusRun(
-        squares=A0.squares(),
+        squares=squares,
         orbit_total=orbit_total,
         complete=complete,
         records=records,

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__, census, paper, surface, toric
 from .errors import InputError, InternalError, ResourceError
-from .picard import PicardLattice, format_divisor
+from .picard import format_divisor
 
 EXIT_PASS = 0
 EXIT_MISMATCH = 1
@@ -104,10 +104,10 @@ def cmd_check(args) -> int:
 
 
 def _resolve_sequence(args):
-    """A --sequence value is a preset name or a JSON list of squares."""
+    """A --sequence value: a preset name, or a JSON integer list as a tuple."""
     text = args.sequence
     if text in census.SEQUENCE_PRESETS:
-        return census.SEQUENCE_PRESETS[text].initial_system()
+        return text
     try:
         squares = json.loads(text)
     except json.JSONDecodeError:
@@ -117,27 +117,18 @@ def _resolve_sequence(args):
             f"--sequence must be a preset name or a JSON integer list; "
             f"known presets: {', '.join(sorted(census.SEQUENCE_PRESETS))}"
         )
-    squares = tuple(squares)
-    # Refuse what the census refuses (not admissible, the entry below -2
-    # not last, first kind in the modes of this command) before searching
-    # for a system.
-    toric.classify_sequence(squares)
-    census._window_plan(squares)
-    census._check_modes(squares, census.MODES)
-    lat = PicardLattice.standard(12 - len(squares))
-    A0 = toric.find_system_with_squares(lat, squares)
-    if A0 is None:
-        raise InputError(f"no toric system realizes the squares {squares}")
-    return A0
+    return tuple(squares)
 
 
 def cmd_census(args) -> int:
-    initial = _resolve_sequence(args)
+    sequence = _resolve_sequence(args)
     modes = census.MODES if args.mode == "both" else (args.mode,)
     surfaces = None
     if args.surface is not None:
-        surfaces = (surface.catalog_load(initial.lattice.degree).get(args.surface),)
-    run = census.census_for_preset(initial, surfaces=surfaces, modes=modes)
+        preset = census.SEQUENCE_PRESETS.get(sequence)
+        degree = 12 - len(sequence) if preset is None else preset.degree
+        surfaces = (surface.catalog_load(degree).get(args.surface),)
+    run = census.census_for_preset(sequence, surfaces=surfaces, modes=modes)
     header = _header(args)
     rows = [
         (r.surface, r.mode, r.total_count, r.stabilizer_order,

@@ -30,7 +30,7 @@ from .census import (
     section13_system,
 )
 from .effectivity import is_effective, is_hole, is_slo
-from .errors import InputError, InternalError
+from .errors import InputError
 from .picard import (
     Divisor,
     PicardLattice,
@@ -53,7 +53,6 @@ from .toric import (
     compute_IXA_windows,
     cyclic_windows,
     enumerate_cyclic_strong_admissible,
-    find_system_with_squares,
     is_admissible,
     is_cyclic_strong_exceptional,
     is_strong_exceptional,
@@ -129,16 +128,13 @@ def _type_label(surface_name: str) -> str:
     return surface_name.split(",", 1)[1].rstrip("}")
 
 
-@lru_cache(maxsize=None)
-def _iib_census() -> CensusRun:
-    """The full IIb-deg2 census with finalize, the source of Tables 7 and
-    8.  Cached: both suites read the same run."""
-    return census_for_preset("IIb-deg2")
+#: `census_for_preset`, cached: suites that read one census share its run.
+_census = lru_cache(maxsize=None)(census_for_preset)
 
 
 def verify_table7() -> Report:
     return _census_table_report(
-        _iib_census(),
+        _census("IIb-deg2"),
         "strong",
         TABLE7_EXPECTED,
         "strong-mode type-IIb census (degree 2)",
@@ -147,7 +143,7 @@ def verify_table7() -> Report:
 
 def verify_table8() -> Report:
     return _census_table_report(
-        _iib_census(),
+        _census("IIb-deg2"),
         "exceptional",
         TABLE8_EXPECTED,
         "exceptional-mode type-IIb census (degree 2)",
@@ -161,7 +157,7 @@ def verify_degree2_type3to6() -> Report:
         preset = SEQUENCE_PRESETS[name]
         kind = classify_sequence(preset.squares)
         report.check(f"{name} kind", "second", kind.kind)
-        run = census_for_preset(name)
+        run = _census(name)
         strong_total, exc_total = (
             sum(c for (_s, m), c in run.raw_counts.items() if m == mode)
             for mode in ("strong", "exceptional")
@@ -422,16 +418,13 @@ def verify_good_class_propositions(degree: int) -> Report:
     catalog = catalog_load(degree)
     k_class = PicardLattice.standard(degree).canonical
 
-    def eff(s, d):
-        return is_effective(s, d)
-
     for s in catalog.entries:
         lat = s.lattice
         # Good 1-classes H: 2H + K effective.
         ones = good_one_classes(s)
         report.check_true(
             f"{s.name}: 2H+K effective for all {len(ones)} good 1-classes",
-            all(eff(s, vadd(vscale(2, h), k_class)) for h in ones),
+            all(is_effective(s, vadd(vscale(2, h), k_class)) for h in ones),
         )
         # Good pairs (S1, S2): 2S1+S2+K or 2S2+S1+K effective.
         pairs = good_zero_pairs(s)
@@ -439,8 +432,8 @@ def verify_good_class_propositions(degree: int) -> Report:
             f"{s.name}: 2S1+S2+K or 2S2+S1+K effective for all "
             f"{len(pairs)} good pairs",
             all(
-                eff(s, vadd(vadd(vscale(2, s1), s2), k_class))
-                or eff(s, vadd(vadd(vscale(2, s2), s1), k_class))
+                is_effective(s, vadd(vadd(vscale(2, s1), s2), k_class))
+                or is_effective(s, vadd(vadd(vscale(2, s2), s1), k_class))
                 for s1, s2 in pairs
             ),
         )
@@ -456,7 +449,7 @@ def verify_good_class_propositions(degree: int) -> Report:
             report.check_true(
                 f"{s.name}: S+S'+K effective for good 0-class pairs",
                 all(
-                    eff(s, vadd(vadd(s1, s2), k_class))
+                    is_effective(s, vadd(vadd(s1, s2), k_class))
                     for i, s1 in enumerate(goods)
                     for s2 in goods[i + 1 :]
                     if lat.intersect(s1, s2) == 1
@@ -471,7 +464,7 @@ def verify_good_class_propositions(degree: int) -> Report:
         exceptions = set()
         for s in catalog.entries:
             for d in sorted(good_zero_classes(s)):
-                if not eff(s, vadd(vscale(2, d), k_class)):
+                if not is_effective(s, vadd(vscale(2, d), k_class)):
                     exceptions.add(
                         (_type_label(s.name), format_divisor(s.lattice, d))
                     )
@@ -745,26 +738,17 @@ def verify_cyclic_strong_classification() -> Report:
     return report
 
 
-@lru_cache(maxsize=None)
 def _cyclic_strong_censuses(degree: int) -> dict[str, CensusRun]:
     """The cyclic-strong census of every Table 3 sequence of length
-    12 - degree, by row name: each sequence realized by
-    `find_system_with_squares` and its whole Weyl orbit counted on every
-    catalog surface.  Shifts and symmetries of a cyclic strong system are
-    again cyclic strong, so these orbits hold every cyclic strong system
-    up to them, provided the systems with one squares sequence form a
-    single W-orbit.  Cached per degree: the classification suite and
-    `verify_degree5_negative` read the same runs."""
-    lat = PicardLattice.standard(degree)
-    runs = {}
-    for name, seq in sorted(TABLE_CYCLIC_STRONG.items()):
-        if len(seq) != 12 - degree:
-            continue
-        A0 = find_system_with_squares(lat, seq)
-        if A0 is None:
-            raise InternalError(f"no toric system realizes {seq}")
-        runs[name] = census_for_preset(A0, modes=("cyclic-strong",), finalize=False)
-    return runs
+    12 - degree on every catalog surface, by row name.  Shifts and
+    symmetries of a cyclic strong system are again cyclic strong, so these
+    orbits hold every cyclic strong system up to them, provided the systems
+    with one squares sequence form a single W-orbit."""
+    return {
+        name: _census(seq, modes=("cyclic-strong",), finalize=False)
+        for name, seq in sorted(TABLE_CYCLIC_STRONG.items())
+        if len(seq) == 12 - degree
+    }
 
 
 def verify_degree5_negative() -> Report:

@@ -7,4 +7,4 @@ from delpezzo import paper
 def iib_run():
     """The full degree-2 type-IIb census, shared by the acceptance tests:
     the cached run that `reproduce table7` and `table8` read."""
-    return paper._iib_census()
+    return paper._census("IIb-deg2")

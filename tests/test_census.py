@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from delpezzo import census, effectivity, weyl
+from delpezzo import census, effectivity, toric, weyl
 from delpezzo.errors import InputError, InternalError, ResourceError
 from delpezzo.effectivity import is_effective
 from delpezzo.picard import PicardLattice, vadd, vneg
@@ -216,6 +216,79 @@ def test_mismatched_modes_are_refused_before_the_walk(monkeypatch, tmp_path):
     ):
         with pytest.raises(InputError, match=match):
             census.census_for_preset(A0, modes=modes, **{"finalize": False, **kwargs})
+
+
+#: The sweep's work counts in `CensusRun.stats`: no timers, and nothing
+#: that the warm effectivity memo of a second run changes.
+SWEEP_COUNTS = (
+    "rows", "live_rows", "deep_tests", "deep_candidates", "deep_verdicts",
+    "deep_kernel_calls",
+)
+
+
+@pytest.mark.parametrize(
+    "squares, modes",
+    [
+        ((-2, -1, -1, 0, -2, -2, -2, -1, -4), census.MODES),
+        ((0, 1, -1, -2, -1, -3), census.MODES),
+        (TABLE_CYCLIC_STRONG["8a"], ("cyclic-strong",)),
+    ],
+)
+def test_a_sequence_runs_as_the_system_found_for_it(squares, modes):
+    # A squares sequence is a census input: the census realizes it as the
+    # system `find_system_with_squares` finds and runs as on that system.
+    A0 = find_system_with_squares(PicardLattice.standard(12 - len(squares)), squares)
+    finalize = modes == census.MODES
+    by_sequence, by_system = (
+        census.census_for_preset(start, modes=modes, finalize=finalize)
+        for start in (list(squares), A0)
+    )
+    assert by_sequence.squares == squares
+    assert by_sequence.raw_counts == by_system.raw_counts
+    assert by_sequence.records == by_system.records
+    assert [by_sequence.stats[k] for k in SWEEP_COUNTS] == [
+        by_system.stats[k] for k in SWEEP_COUNTS
+    ]
+
+
+def test_a_sequence_is_refused_before_the_search(monkeypatch):
+    # In order: entries that are not integers; not admissible; the entry
+    # below -2 not last, with the rotation named; a mode that its kind does
+    # not take.  The non-admissible case also has its entry below -2 not
+    # last, and the IV-deg1 rotation comes in a mode it does not take.
+    def no_search(*args):
+        raise AssertionError("searched for a system")
+
+    monkeypatch.setattr(census, "find_system_with_squares", no_search)
+    rotate_iib = r"rotate \(-2, -2, -2, -1, -2, -2, -1, -2, -3, -1\) left by 9"
+    for squares, modes, match in (
+        ([0, 0, -1, -1, -1.5], census.MODES, "integer list"),
+        ([0, 0, -1, -1, True], census.MODES, "integer list"),
+        ({"a": 1}, census.MODES, "integer list"),
+        (5, census.MODES, "integer list"),
+        ([-1, -2, -2, -2, -1, -2, -2, -1, -3, -2], census.MODES, "not an admissible"),
+        ([-2, -2, -2, -1, -2, -2, -1, -2, -3, -1], census.MODES, rotate_iib),
+        ([-7, -2, 0, 1, -2, -2, -2, -2, -2, -2, -1], ("cyclic-strong",), "rotate"),
+        ([0, 0, -1, -1, -1], census.MODES, "second kind"),
+        ((-2, -1, -1, 0, -2, -2, -2, -1, -4), ("cyclic-strong",), "first kind"),
+    ):
+        with pytest.raises(InputError, match=match):
+            census.census_for_preset(squares, modes=modes, finalize=False)
+
+
+def test_the_search_refuses_what_it_cannot_realize(monkeypatch):
+    # An entry outside -2..1 other than the one below -2 is refused before
+    # any candidate is enumerated; a sequence that no system realizes is
+    # refused after the search.
+    def no_candidates(*args):
+        raise AssertionError("enumerated candidates")
+
+    monkeypatch.setattr(toric, "class_tuples", no_candidates)
+    with pytest.raises(InputError, match="except the one below -2 must lie in -2..1"):
+        census.census_for_preset([-2, -1, -2, 2, 0, -3])
+    monkeypatch.setattr(census, "find_system_with_squares", lambda lattice, a: None)
+    with pytest.raises(InputError, match=r"no toric system realizes the squares \(0, 1,"):
+        census.census_for_preset([0, 1, -1, -2, -1, -3])
 
 
 def test_truncated_finalize_is_rejected_before_the_sweep(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from delpezzo import census, cli, toric
 from delpezzo.errors import InputError
-from delpezzo.toric import ToricSystem
 
 
 def test_surfaces_listing(capsys):
@@ -177,19 +176,16 @@ def test_readme_lists_every_suite():
 
 
 def test_resolve_sequence():
+    # A preset name and a JSON integer list go to the census as they are;
+    # the census realizes and refuses sequences (tests/test_census.py).
     class Args:
         sequence = "IIb-deg2"
 
-    assert isinstance(cli._resolve_sequence(Args()), ToricSystem)
+    assert cli._resolve_sequence(Args()) == "IIb-deg2"
     Args.sequence = "[0,1,-1,-2,-1,-3]"
-    A = cli._resolve_sequence(Args())
-    assert isinstance(A, ToricSystem) and A.squares() == (0, 1, -1, -2, -1, -3)
-    # A first-kind sequence is refused before any search.
-    Args.sequence = "[0,0,-1,-1,-1]"
-    with pytest.raises(InputError, match="second kind"):
-        cli._resolve_sequence(Args())
+    assert cli._resolve_sequence(Args()) == (0, 1, -1, -2, -1, -3)
     Args.sequence = "not json"
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="JSON integer list"):
         cli._resolve_sequence(Args())
     # Non-integer entries are refused, not truncated.
     for text in ("[0,0,-1,-1,-1.5]", "[0,0,-1,-1,true]", '{"a": 1}', "5"):
@@ -215,7 +211,7 @@ def test_census_refuses_a_rotated_sequence_before_the_search(capsys, monkeypatch
     def no_search(*args):
         raise AssertionError("searched for a system")
 
-    monkeypatch.setattr(toric, "find_system_with_squares", no_search)
+    monkeypatch.setattr(census, "find_system_with_squares", no_search)
     code = cli.main(["census", "--sequence", "[-7,-2,0,1,-2,-2,-2,-2,-2,-2,-1]"])
     assert code == cli.EXIT_INPUT
     assert "rotate" in capsys.readouterr().err

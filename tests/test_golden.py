@@ -3,7 +3,6 @@ pinned against outputs committed under tests/golden.
 
 The golden reports are `delpezzo reproduce <suite> --out` files without
 their first line, the `# delpezzo <version> config <hash>` header.
-`types3to6-deg2` is not pinned here: it walks W(E7) seven times.
 """
 
 import difflib
@@ -16,18 +15,16 @@ from delpezzo import census, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-PINNED_SUITES = [suite for suite in cli.SUITES if suite != "types3to6-deg2"]
+
+def test_every_suite_is_pinned():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(cli.SUITES)
 
 
-def test_every_other_suite_is_pinned():
-    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(PINNED_SUITES)
-
-
-@pytest.mark.parametrize("suite", PINNED_SUITES)
+@pytest.mark.parametrize("suite", cli.SUITES)
 def test_suite_report_matches_golden(suite):
-    # The Table 7/8 suites read the cached IIb census (`paper._iib_census`)
-    # and Tables 9/10 and the degree-5 suite the cached cyclic-strong ones
-    # (`paper._cyclic_strong_censuses`), so each census runs once.
+    # The suites read their censuses through the cached runner
+    # (`paper._census`): Tables 7/8 one IIb run, Tables 9/10 and the
+    # degree-5 suite one cyclic-strong run per sequence, so each runs once.
     report = cli.SUITE_RUNNERS[suite]()
     got = (report.render() + "\n").splitlines()
     expected = (GOLDEN / f"{suite}.txt").read_text().splitlines()
@@ -46,10 +43,8 @@ CENSUS_FILE_DIGESTS = {
 def test_iib_census_files_are_pinned(tmp_path, monkeypatch, iib_run):
     # The CLI's census is the cached full IIb census that `reproduce
     # table7` reads: the same preset, every surface, both modes.
-    initial = census.SEQUENCE_PRESETS["IIb-deg2"].initial_system()
-
-    def cached(A0, surfaces=None, modes=census.MODES):
-        assert (A0.terms, surfaces, modes) == (initial.terms, None, census.MODES)
+    def cached(preset, surfaces=None, modes=census.MODES):
+        assert (preset, surfaces, modes) == ("IIb-deg2", None, census.MODES)
         return iib_run
 
     monkeypatch.setattr(census, "census_for_preset", cached)

@@ -129,6 +129,50 @@ def test_no_unused_private_names(tmp_path):
     assert _unused_private_names(tmp_path) == ["a.py:2 _SPARE", "a.py:5 _Orphan"]
 
 
+def _foreign_private_reads(src: Path) -> list[str]:
+    """The reads of another module's private name (`_x`, not dunder) in the
+    source files of the directory `src`, as `mod._x` on a module that the
+    file imports or as `from .mod import _x`, as "file:line mod._x"."""
+    modules = {path.stem for path in src.glob("*.py")}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, reads = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module is None
+            ):
+                imported |= {a.asname or a.name for a in node.names if a.name in modules}
+            elif isinstance(node, ast.ImportFrom) and node.module in modules:
+                reads += [(node.lineno, node.module, a.name, True) for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads.append((node.lineno, node.value.id, node.attr, False))
+        found += [
+            f"{path.name}:{line} {module}.{name}"
+            for line, module, name, from_import in sorted(reads)
+            if name[:1] == "_" and name[:2] != "__"
+            and module != path.stem
+            and (from_import or module in imported)
+        ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names(tmp_path):
+    # A private name is its module's own: a module that needs another's
+    # helper should call a public function that owns the decision.
+    src = Path(__file__).parent.parent / "src" / "delpezzo"
+    assert _foreign_private_reads(src) == []
+    (tmp_path / "a.py").write_text("_X = 1\n__all__ = []\ndef _own():\n    return _X\n")
+    (tmp_path / "b.py").write_text(
+        "import a\nfrom . import a as alias\nfrom .a import _X, __all__\n"
+        "a._own()\nalias._X\na.__all__\n"
+    )
+    (tmp_path / "c.py").write_text("a = object()\na._X\n")
+    assert _foreign_private_reads(tmp_path) == [
+        "b.py:3 a._X", "b.py:4 a._own", "b.py:5 alias._X",
+    ]
+
+
 def _unread_public_names(src: Path, readers: list[Path]) -> list[str]:
     """The public module-level functions and classes of the source files
     of the directory `src` that no source file of `src` or of the
